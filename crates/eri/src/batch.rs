@@ -5,28 +5,31 @@
 //! (pp|ps). Quartets of one class share every loop bound and index map of
 //! the McMurchie–Davidson contraction, so evaluating them together lets
 //! the Boys function run over a contiguous lane array and the Hermite
-//! contractions run as dense dot products with compile-time trip counts
-//! (the Xeon Phi HF literature's batching playbook, arXiv:1708.00033).
+//! contractions run as unit-stride axpys of class-constant length (the
+//! Xeon Phi HF literature's batching playbook, arXiv:1708.00033).
 //!
 //! The pipeline per class chunk:
 //!
-//! 1. **SoA geometry pass** — walk every primitive pair × primitive pair
-//!    "lane" of the chunk and fill contiguous arrays of T = α|PQ|², α,
-//!    PQ, and the 2π^{5/2}/(pq√(p+q))·c_ab·c_cd prefactor.
+//! 1. **Lane geometry pass** — walk every primitive pair × primitive pair
+//!    "lane" of the chunk and fill pre-sized arrays of T = α|PQ|², α, PQ,
+//!    and the 2π^{5/2}/(pq√(p+q))·c_ab·c_cd prefactor (one division and
+//!    one square root per lane).
 //! 2. **Batched Boys** — one [`boys_fast_batch`] sweep over the whole
 //!    T array fills F_0..F_l for every lane.
-//! 3. **Dense contraction** — per lane, build the R cube (fully unrolled
-//!    closed forms for l ≤ 2, the shared recursion above) and fold it with
-//!    the pair-level component-coefficient matrices
-//!    ([`PairView::crow`]): g = C·(sgn⊙R)ᵀ then cart += pref·B·gᵀ — three
-//!    stages of contiguous dot products, no per-component branching.
+//! 3. **Hermite contraction** — per lane, build the prefactor-scaled R
+//!    cube (fully unrolled closed forms for l ≤ 2, the planned recursion
+//!    above) and transform it with the *inner* pair's component
+//!    coefficients only; the *outer* pair's transform runs once per outer
+//!    primitive pair. Both visit just the structurally non-zero
+//!    coefficients ([`crate::pairdata::CoefPattern`]) — see
+//!    `contract_items`.
 //!
 //! [`BatchKernel::eval`] is the batched evaluator; the 16 all-s/p classes
 //! dispatch to monomorphized instantiations of the shared contraction
-//! body (literal dimensions, so the compiler unrolls every loop), the
-//! d-bearing classes run the same body with runtime dimensions, and
-//! anything beyond the engine's l ≤ 2 support would fall back to the
-//! scalar `quartet_pair` via [`ClassBatcher`]'s unclassified bucket.
+//! body (literal dimensions), the d-bearing classes run the same body
+//! with runtime dimensions, and anything beyond the engine's l ≤ 2
+//! support would fall back to the scalar `quartet_pair` via
+//! [`ClassBatcher`]'s unclassified bucket.
 //!
 //! [`ClassBatcher`] is the batch planner the build paths drive at
 //! shell-pair-task granularity: quartets surviving (density-weighted)
@@ -37,7 +40,7 @@
 
 use crate::boys::boys_fast_batch;
 use crate::hermite::{
-    hermite_r_with_boys, hermite_triples, nherm, r_cube_low, RScratch, R_CUBE_LOW_MAX_L,
+    hermite_triples, nherm, r_cube_low, r_cube_planned, RScratch, R_CUBE_LOW_MAX_L,
 };
 use crate::pairdata::{PairView, ShellPairData};
 use crate::spherical::{ncart, nsph, transform_axis_into};
@@ -113,11 +116,6 @@ impl QuartetClass {
 pub struct ClassStats {
     quartets: [u64; NCLASSES + 1],
     ns: [u64; NCLASSES + 1],
-    /// Fastest observed per-quartet cost (ns) across flushes — a
-    /// noise-robust estimator: interference only ever slows a flush down,
-    /// so the minimum converges to the true cost and is reproducible
-    /// run-to-run on a deterministic quartet stream.
-    min_npq: [f64; NCLASSES + 1],
 }
 
 /// One class's totals, resolved for reporting.
@@ -129,8 +127,6 @@ pub struct ClassStatEntry {
     pub name: String,
     pub quartets: u64,
     pub ns: u64,
-    /// Fastest per-quartet cost seen in any single flush of this class.
-    pub min_ns_per_quartet: f64,
 }
 
 impl Default for ClassStats {
@@ -138,7 +134,6 @@ impl Default for ClassStats {
         ClassStats {
             quartets: [0; NCLASSES + 1],
             ns: [0; NCLASSES + 1],
-            min_npq: [f64::INFINITY; NCLASSES + 1],
         }
     }
 }
@@ -148,10 +143,6 @@ impl ClassStats {
     fn add(&mut self, slot: usize, quartets: u64, ns: u64) {
         self.quartets[slot] += quartets;
         self.ns[slot] += ns;
-        let npq = ns as f64 / quartets as f64;
-        if npq < self.min_npq[slot] {
-            self.min_npq[slot] = npq;
-        }
     }
 
     /// Fold another accumulator in (per-worker stats → build totals).
@@ -159,9 +150,6 @@ impl ClassStats {
         for i in 0..=NCLASSES {
             self.quartets[i] += other.quartets[i];
             self.ns[i] += other.ns[i];
-            if other.min_npq[i] < self.min_npq[i] {
-                self.min_npq[i] = other.min_npq[i];
-            }
         }
     }
 
@@ -181,7 +169,6 @@ impl ClassStats {
                     name,
                     quartets: self.quartets[i],
                     ns: self.ns[i],
-                    min_ns_per_quartet: self.min_npq[i],
                 }
             })
             .collect()
@@ -193,16 +180,28 @@ impl ClassStats {
     }
 }
 
-/// Precomputed per-class index maps shared by every batch of the class:
-/// the flat R-cube offset of each (bra triple ⊕ ket triple) and the ket
-/// triples' (−1)^{τ+ν+φ} parities.
+/// Precomputed per-class index maps shared by every batch of the class.
+///
+/// The kernel evaluates each quartet as (outer|inner), the *outer* pair
+/// being the one with the longer Hermite axis (the bra on ties): every
+/// inner loop then runs unit-stride over the outer pair's nherm entries.
+/// (ab|cd) = (cd|ab), so a class whose ket is outer — (ss|pp), (ss|dp), … —
+/// is evaluated as (cd|ab) and each block transposed on the way out.
 struct ClassPlan {
     /// Spherical integrals per quartet.
     nper: usize,
-    /// `[nhb × nhk]` row-major: dense-cube index of triple sums.
-    ridx: Vec<u32>,
-    /// `[nhk]` ket parities.
-    ksign: Vec<f64>,
+    /// The ket is the outer pair.
+    ket_outer: bool,
+    /// Momenta in evaluation order: outer pair, then inner pair.
+    ls: [u8; 4],
+    /// Dense-cube offset `(t·dim + u)·dim + v` of every outer Hermite
+    /// triple. The offset is linear in (t, u, v), so the R entry of
+    /// (outer triple h ⊕ inner triple k) sits at `oidx[h] + iidx[k]`.
+    oidx: Vec<usize>,
+    /// `[nhi]` the same for the inner triples…
+    iidx: Vec<usize>,
+    /// …and their (−1)^{τ+ν+φ} parities.
+    isign: Vec<f64>,
 }
 
 fn plan_for(class: QuartetClass) -> &'static ClassPlan {
@@ -210,66 +209,90 @@ fn plan_for(class: QuartetClass) -> &'static ClassPlan {
     let plans = PLANS.get_or_init(|| std::array::from_fn(|_| OnceLock::new()));
     plans[class.index()].get_or_init(|| {
         let (la, lb, lc, ld) = class.momenta();
-        let l = (la + lb + lc + ld) as usize;
-        let dim = l + 1;
-        let bt = hermite_triples((la + lb) as usize);
-        let kt = hermite_triples((lc + ld) as usize);
-        let mut ridx = Vec::with_capacity(bt.len() * kt.len());
-        for &(t, u, v) in bt {
-            for &(tau, nu, phi) in kt {
-                let (t, u, v) = ((t + tau) as usize, (u + nu) as usize, (v + phi) as usize);
-                ridx.push(((t * dim + u) * dim + v) as u32);
-            }
-        }
-        let ksign = kt
-            .iter()
-            .map(|&(t, u, v)| if (t + u + v) % 2 == 1 { -1.0 } else { 1.0 })
-            .collect();
+        let ket_outer = lc + ld > la + lb;
+        let ls = if ket_outer {
+            [lc, ld, la, lb]
+        } else {
+            [la, lb, lc, ld]
+        };
+        let dim = (la + lb + lc + ld) as usize + 1;
+        let offsets = |l: u8| -> Vec<usize> {
+            hermite_triples(l as usize)
+                .iter()
+                .map(|&(t, u, v)| (t as usize * dim + u as usize) * dim + v as usize)
+                .collect()
+        };
         ClassPlan {
             nper: nsph(la) * nsph(lb) * nsph(lc) * nsph(ld),
-            ridx,
-            ksign,
+            ket_outer,
+            ls,
+            oidx: offsets(ls[0] + ls[1]),
+            iidx: offsets(ls[2] + ls[3]),
+            isign: hermite_triples((ls[2] + ls[3]) as usize)
+                .iter()
+                .map(|&(t, u, v)| if (t + u + v) % 2 == 1 { -1.0 } else { 1.0 })
+                .collect(),
         }
     })
 }
 
-/// The batched class evaluator: reusable SoA lane arrays plus contraction
+/// Per-lane (primitive-quartet) geometry written by pass 1.
+#[derive(Clone, Copy, Default)]
+struct Lane {
+    /// α = pq/(p+q).
+    alpha: f64,
+    /// P_outer − P_inner.
+    pq: Vec3,
+    /// 2π^{5/2}/(pq√(p+q))·c_outer·c_inner.
+    pref: f64,
+}
+
+/// The batched class evaluator: reusable lane arrays plus contraction
 /// scratch. Create one per thread (the builders embed one in each
 /// worker's [`ClassBatcher`]).
 #[derive(Default)]
 pub struct BatchKernel {
     t: Vec<f64>,
-    alpha: Vec<f64>,
-    pqx: Vec<f64>,
-    pqy: Vec<f64>,
-    pqz: Vec<f64>,
-    pref: Vec<f64>,
+    lanes: Vec<Lane>,
     fs: Vec<f64>,
     rm: Vec<f64>,
     g: Vec<f64>,
+    gt: Vec<f64>,
     cart: Vec<f64>,
     cube: Vec<f64>,
     tmp: Vec<f64>,
     r_scratch: RScratch,
 }
 
+/// The `i`-th quartet of a chunk as (bra, ket) views.
+type ItemFn<'a, 'p> = &'a dyn Fn(usize) -> (PairView<'p>, PairView<'p>);
+
 /// Borrowed state the monomorphized contraction bodies operate on.
 struct Ctx<'a, 'p> {
-    items: &'a [(PairView<'p>, PairView<'p>)],
+    nitems: usize,
+    item: ItemFn<'a, 'p>,
     plan: &'a ClassPlan,
     fs: &'a [f64],
-    alpha: &'a [f64],
-    pqx: &'a [f64],
-    pqy: &'a [f64],
-    pqz: &'a [f64],
-    pref: &'a [f64],
+    lanes: &'a [Lane],
     rm: &'a mut Vec<f64>,
     g: &'a mut Vec<f64>,
+    gt: &'a mut Vec<f64>,
     cart: &'a mut Vec<f64>,
     cube: &'a mut Vec<f64>,
     tmp: &'a mut Vec<f64>,
     r_scratch: &'a mut RScratch,
     out: &'a mut [f64],
+}
+
+/// Quartet `i` as (outer, inner) views.
+#[inline]
+fn oriented<'p>(item: ItemFn<'_, 'p>, ket_outer: bool, i: usize) -> (PairView<'p>, PairView<'p>) {
+    let (bra, ket) = item(i);
+    if ket_outer {
+        (ket, bra)
+    } else {
+        (bra, ket)
+    }
 }
 
 impl BatchKernel {
@@ -287,209 +310,250 @@ impl BatchKernel {
         items: &[(PairView<'p>, PairView<'p>)],
         out: &mut Vec<f64>,
     ) -> usize {
+        self.eval_with(class, items.len(), &|i| items[i], out)
+    }
+
+    /// [`Self::eval`] over quartets produced on demand — [`ClassBatcher`]
+    /// resolves its queued shell indices through this, so a flush
+    /// materialises no view list.
+    fn eval_with<'p>(
+        &mut self,
+        class: QuartetClass,
+        nitems: usize,
+        item: ItemFn<'_, 'p>,
+        out: &mut Vec<f64>,
+    ) -> usize {
         let plan = plan_for(class);
-        let (la8, lb8, lc8, ld8) = class.momenta();
-        let (la, lb, lc, ld) = (la8 as usize, lb8 as usize, lc8 as usize, ld8 as usize);
-        let l = la + lb + lc + ld;
+        let [lo1, lo2, li1, li2] = plan.ls.map(usize::from);
+        let l = lo1 + lo2 + li1 + li2;
         let dim = l + 1;
 
-        // Pass 1: SoA lane geometry over every primitive pair × pair.
+        // Pass 1: lane geometry over every primitive pair × pair, outer
+        // primitive major, into arrays sized up front.
+        let nlanes: usize = (0..nitems)
+            .map(|i| {
+                let (bra, ket) = item(i);
+                debug_assert_eq!(
+                    QuartetClass::of(bra.la as u8, bra.lb as u8, ket.la as u8, ket.lb as u8),
+                    class
+                );
+                bra.nprim_pairs() * ket.nprim_pairs()
+            })
+            .sum();
         self.t.clear();
-        self.alpha.clear();
-        self.pqx.clear();
-        self.pqy.clear();
-        self.pqz.clear();
-        self.pref.clear();
-        for (bra, ket) in items {
-            debug_assert_eq!((bra.la, bra.lb, ket.la, ket.lb), (la, lb, lc, ld));
-            for kab in 0..bra.nprim_pairs() {
-                let bp = bra.prim(kab);
-                for kcd in 0..ket.nprim_pairs() {
-                    let kp = ket.prim(kcd);
-                    let (p, q) = (bp.p, kp.p);
-                    let alpha = p * q / (p + q);
-                    let pq = bp.center - kp.center;
-                    self.t.push(alpha * pq.norm2());
-                    self.alpha.push(alpha);
-                    self.pqx.push(pq.x);
-                    self.pqy.push(pq.y);
-                    self.pqz.push(pq.z);
-                    self.pref
-                        .push(TWO_PI_POW_2_5 / (p * q * (p + q).sqrt()) * bp.coef * kp.coef);
+        self.t.resize(nlanes, 0.0);
+        self.lanes.clear();
+        self.lanes.resize(nlanes, Lane::default());
+        let mut base = 0;
+        for i in 0..nitems {
+            let (outer, inner) = oriented(item, plan.ket_outer, i);
+            let inner = inner.prims();
+            for op in outer.prims() {
+                let ts = &mut self.t[base..base + inner.len()];
+                let lanes = &mut self.lanes[base..base + inner.len()];
+                base += inner.len();
+                for ((t, lane), ip) in ts.iter_mut().zip(lanes).zip(inner) {
+                    let (p, q) = (op.p, ip.p);
+                    let inv = 1.0 / (p + q);
+                    let alpha = p * q * inv;
+                    let pq = op.center - ip.center;
+                    *t = alpha * pq.norm2();
+                    *lane = Lane {
+                        alpha,
+                        pq,
+                        pref: TWO_PI_POW_2_5 * inv.sqrt() * op.coef_over_p * ip.coef_over_p,
+                    };
                 }
             }
         }
 
         // Pass 2: batched Boys over the contiguous T array.
-        let nlanes = self.t.len();
         self.fs.clear();
         self.fs.resize(nlanes * dim, 0.0);
         boys_fast_batch(l, &self.t, &mut self.fs);
 
-        // Pass 3: per-lane R cube + dense contractions, dispatched so the
-        // all-s/p classes get literal dimensions (fully unrolled bodies).
+        // Pass 3: per-lane R cube + sparse Hermite contractions, dispatched
+        // so the all-s/p classes get literal dimensions.
         let nper = plan.nper;
         out.clear();
-        out.resize(items.len() * nper, 0.0);
+        out.resize(nitems * nper, 0.0);
         let mut ctx = Ctx {
-            items,
+            nitems,
+            item,
             plan,
             fs: &self.fs,
-            alpha: &self.alpha,
-            pqx: &self.pqx,
-            pqy: &self.pqy,
-            pqz: &self.pqz,
-            pref: &self.pref,
+            lanes: &self.lanes,
             rm: &mut self.rm,
             g: &mut self.g,
+            gt: &mut self.gt,
             cart: &mut self.cart,
             cube: &mut self.cube,
             tmp: &mut self.tmp,
             r_scratch: &mut self.r_scratch,
             out,
         };
+        // The body depends on a pair only through its total momentum and
+        // Cartesian component count, so the 16 all-s/p classes share six
+        // instantiations (ss, sp/ps and pp pairs, outer ≥ inner) and the
+        // d-bearing classes two: an ss inner pair, or any other.
+        let (lo, li) = (lo1 + lo2, li1 + li2);
+        let (nco, nci) = (
+            ncart(lo1 as u8) * ncart(lo2 as u8),
+            ncart(li1 as u8) * ncart(li2 as u8),
+        );
         macro_rules! sp_dispatch {
-            ($(($a:literal, $b:literal, $c:literal, $d:literal)),+ $(,)?) => {
-                match (la, lb, lc, ld) {
-                    $( ($a, $b, $c, $d) => contract_items(&mut ctx, $a, $b, $c, $d), )+
-                    _ => contract_items(&mut ctx, la, lb, lc, ld),
+            ($(($lo:literal, $nco:literal, $li:literal, $nci:literal)),+ $(,)?) => {
+                match (lo, nco, li, nci) {
+                    $( ($lo, $nco, $li, $nci) => contract_items(&mut ctx, $lo, $nco, $li, $nci), )+
+                    _ if li == 0 => contract_items(&mut ctx, lo, nco, 0, 1),
+                    _ => contract_items(&mut ctx, lo, nco, li, nci),
                 }
             };
         }
         sp_dispatch!(
-            (0, 0, 0, 0),
-            (0, 0, 0, 1),
-            (0, 0, 1, 0),
-            (0, 0, 1, 1),
-            (0, 1, 0, 0),
             (0, 1, 0, 1),
-            (0, 1, 1, 0),
-            (0, 1, 1, 1),
-            (1, 0, 0, 0),
-            (1, 0, 0, 1),
-            (1, 0, 1, 0),
-            (1, 0, 1, 1),
-            (1, 1, 0, 0),
-            (1, 1, 0, 1),
-            (1, 1, 1, 0),
-            (1, 1, 1, 1),
+            (1, 3, 0, 1),
+            (1, 3, 1, 3),
+            (2, 9, 0, 1),
+            (2, 9, 1, 3),
+            (2, 9, 2, 9),
         );
         nper
     }
 }
 
-/// The shared contraction body. Called with literal dimensions from the
-/// s/p dispatch arms (`#[inline(always)]` + constant propagation turns
-/// every inner loop into straight-line code per class) and once with
-/// runtime dimensions for the d-bearing classes.
+/// The shared contraction body, classic McMurchie–Davidson ordering.
+/// With B and C the outer and inner pairs' component coefficients
+/// ([`PairView::coefs`]) and R̃[k][h] = pref·sgn_k·R[h ⊕ k]:
+///
+/// * per lane, only the inner transform g[ic][·] += C[ic][k]·R̃[k][·],
+///   accumulated over the inner primitives;
+/// * per outer primitive pair, once, cart[io][·] += B[io][h]·gᵀ[h][·].
+///
+/// Both are axpys over a contiguous axis that visit only the structurally
+/// non-zero coefficients. Called with literal dimensions from the s/p
+/// dispatch arms (`#[inline(always)]` + constant propagation fix every
+/// axpy length) and with runtime dimensions for the d-bearing classes.
+/// `lo`/`li` are the pairs' total momenta, `nco`/`nci` their Cartesian
+/// component counts.
 #[inline(always)]
-#[allow(clippy::needless_range_loop)] // lane-indexed across parallel SoA arrays
-fn contract_items(ctx: &mut Ctx<'_, '_>, la: usize, lb: usize, lc: usize, ld: usize) {
-    let l = la + lb + lc + ld;
+fn contract_items(ctx: &mut Ctx<'_, '_>, lo: usize, nco: usize, li: usize, nci: usize) {
+    let l = lo + li;
     let dim = l + 1;
     let size = dim * dim * dim;
-    let nhb = nherm(la + lb);
-    let nhk = nherm(lc + ld);
-    let (ncb, ncc, ncd) = (ncart(lb as u8), ncart(lc as u8), ncart(ld as u8));
-    let nca = ncart(la as u8);
-    let (ncab, nccd) = (nca * ncb, ncc * ncd);
-    let nper = ctx.plan.nper;
-    let all_sp = la < 2 && lb < 2 && lc < 2 && ld < 2;
+    let (nho, nhi) = (nherm(lo), nherm(li));
+    let plan = ctx.plan;
+    let (oidx, iidx, isign) = (&plan.oidx[..nho], &plan.iidx[..nhi], &plan.isign[..nhi]);
+    let nper = plan.nper;
 
-    ctx.rm.clear();
-    ctx.rm.resize(nhb * nhk, 0.0);
-    ctx.g.clear();
-    ctx.g.resize(nccd * nhb, 0.0);
-    ctx.cube.clear();
-    ctx.cube.resize(size, 0.0);
+    for (buf, len) in [
+        (&mut *ctx.rm, nhi * nho),
+        (&mut *ctx.g, nci * nho),
+        (&mut *ctx.gt, nho * nci),
+        (&mut *ctx.cube, size),
+    ] {
+        buf.clear();
+        buf.resize(len, 0.0);
+    }
 
     let mut lane = 0usize;
-    for (qi, (bra, ket)) in ctx.items.iter().enumerate() {
+    for qi in 0..ctx.nitems {
+        let (outer, inner) = oriented(ctx.item, plan.ket_outer, qi);
+        let (opat, ipat) = (outer.pattern(), inner.pattern());
+        let (orows, irows) = (&outer.row_order()[..nco], &inner.row_order()[..nci]);
         ctx.cart.clear();
-        ctx.cart.resize(ncab * nccd, 0.0);
-        for kab in 0..bra.nprim_pairs() {
-            for kcd in 0..ket.nprim_pairs() {
+        ctx.cart.resize(nco * nci, 0.0);
+        for ko in 0..outer.nprim_pairs() {
+            let g = &mut ctx.g[..nci * nho];
+            g.fill(0.0);
+            for ki in 0..inner.nprim_pairs() {
                 let fs = &ctx.fs[lane * dim..lane * dim + dim];
-                let pq = Vec3::new(ctx.pqx[lane], ctx.pqy[lane], ctx.pqz[lane]);
-                let alpha = ctx.alpha[lane];
-                let prefv = ctx.pref[lane];
+                let Lane { alpha, pq, pref } = ctx.lanes[lane];
+                lane += 1;
 
-                // R cube: unrolled closed form for low L, recursion above.
+                // pref·R cube: unrolled closed form for low L, the planned
+                // recursion above.
                 let cube: &[f64] = if l <= R_CUBE_LOW_MAX_L {
-                    r_cube_low(l, alpha, pq, fs, ctx.cube);
+                    r_cube_low(l, alpha, pq, pref, fs, ctx.cube);
                     &ctx.cube[..size]
                 } else {
-                    hermite_r_with_boys(l, alpha, pq, fs, ctx.r_scratch).data()
+                    r_cube_planned(l, alpha, pq, pref, fs, ctx.r_scratch)
                 };
 
-                // Gather the signed R values once per lane: rm[h][k] =
-                // (−1)^{|ket triple k|} · R[bra triple h ⊕ ket triple k].
-                for h in 0..nhb {
-                    for k in 0..nhk {
-                        ctx.rm[h * nhk + k] =
-                            ctx.plan.ksign[k] * cube[ctx.plan.ridx[h * nhk + k] as usize];
+                if li == 0 {
+                    // An ss inner pair: one coefficient, no signs, R̃ = cube.
+                    let c = inner.coefs(ki)[0];
+                    for (gv, &h) in g.iter_mut().zip(oidx) {
+                        *gv += c * cube[h];
                     }
-                }
-
-                // g[ic][h] = Σ_k C[ic][k] · rm[h][k] — contiguous dots.
-                let mut ic = 0usize;
-                for ica in 0..ncc {
-                    for icb in 0..ncd {
-                        let crow = ket.crow(kcd, ica, icb);
-                        for h in 0..nhb {
-                            let rrow = &ctx.rm[h * nhk..h * nhk + nhk];
-                            let mut s = 0.0;
-                            for k in 0..nhk {
-                                s += crow[k] * rrow[k];
-                            }
-                            ctx.g[ic * nhb + h] = s;
+                } else {
+                    // Gather the signed R values once per lane, the outer axis
+                    // contiguous.
+                    let rm = &mut ctx.rm[..nhi * nho];
+                    for ((row, &base), &sgn) in rm.chunks_exact_mut(nho).zip(iidx).zip(isign) {
+                        for (r, &h) in row.iter_mut().zip(oidx) {
+                            *r = sgn * cube[base + h];
                         }
-                        ic += 1;
                     }
-                }
 
-                // cart[ia][ic] += pref · Σ_h B[ia][h] · g[ic][h].
-                let mut ia = 0usize;
-                for iaa in 0..nca {
-                    for iab in 0..ncb {
-                        let brow = bra.crow(kab, iaa, iab);
-                        for ic in 0..nccd {
-                            let grow = &ctx.g[ic * nhb..ic * nhb + nhb];
-                            let mut s = 0.0;
-                            for h in 0..nhb {
-                                s += brow[h] * grow[h];
+                    // g[ic][·] += C[ic][k] · R̃[k][·] over the non-zero C[ic][k].
+                    let coefs = inner.coefs(ki);
+                    for (r, &ic) in irows.iter().enumerate() {
+                        let grow = &mut g[ic * nho..(ic + 1) * nho];
+                        let nz = ipat.ptr[r]..ipat.ptr[r + 1];
+                        for (&c, &k) in coefs[nz.clone()].iter().zip(&ipat.col[nz]) {
+                            let rrow = &rm[k * nho..(k + 1) * nho];
+                            for (gv, &rv) in grow.iter_mut().zip(rrow) {
+                                *gv += c * rv;
                             }
-                            ctx.cart[ia * nccd + ic] += prefv * s;
                         }
-                        ia += 1;
                     }
                 }
-                lane += 1;
+            }
+
+            // cart[io][·] += B[io][h] · gᵀ[h][·] over the non-zero B[io][h],
+            // once per outer primitive pair.
+            let gt = &mut ctx.gt[..nho * nci];
+            for (ic, grow) in g.chunks_exact(nho).enumerate() {
+                for (h, &v) in grow.iter().enumerate() {
+                    gt[h * nci + ic] = v;
+                }
+            }
+            let coefs = outer.coefs(ko);
+            for (r, &io) in orows.iter().enumerate() {
+                let crow = &mut ctx.cart[io * nci..(io + 1) * nci];
+                let nz = opat.ptr[r]..opat.ptr[r + 1];
+                for (&c, &h) in coefs[nz.clone()].iter().zip(&opat.col[nz]) {
+                    let grow = &gt[h * nci..(h + 1) * nci];
+                    for (cv, &gv) in crow.iter_mut().zip(grow) {
+                        *cv += c * gv;
+                    }
+                }
             }
         }
 
-        // Spherical transform (identity for the all-s/p classes).
+        // Spherical transform in evaluation order (identity for s and p
+        // axes), last axis first so earlier strides stay valid.
+        let ls = plan.ls;
+        let (mut ahead, mut behind) = (nco * nci, 1);
+        for &lx in ls.iter().rev() {
+            ahead /= ncart(lx);
+            if lx >= 2 {
+                transform_axis_into(ctx.cart, ahead, behind, lx, ctx.tmp);
+                std::mem::swap(ctx.cart, ctx.tmp);
+            }
+            behind *= nsph(lx);
+        }
         let dst = &mut ctx.out[qi * nper..(qi + 1) * nper];
-        if all_sp {
-            dst.copy_from_slice(&ctx.cart[..nper]);
+        if plan.ket_outer {
+            // The block is (cd|ab): transpose to [ab][cd].
+            let nab = nsph(ls[2]) * nsph(ls[3]);
+            for (icd, row) in ctx.cart[..nper].chunks_exact(nab).enumerate() {
+                for (iab, &v) in row.iter().enumerate() {
+                    dst[iab * (nper / nab) + icd] = v;
+                }
+            }
         } else {
-            let (a8, b8, c8, d8) = (la as u8, lb as u8, lc as u8, ld as u8);
-            if d8 >= 2 {
-                transform_axis_into(ctx.cart, nca * ncb * ncc, 1, d8, ctx.tmp);
-                std::mem::swap(ctx.cart, ctx.tmp);
-            }
-            if c8 >= 2 {
-                transform_axis_into(ctx.cart, nca * ncb, nsph(d8), c8, ctx.tmp);
-                std::mem::swap(ctx.cart, ctx.tmp);
-            }
-            if b8 >= 2 {
-                transform_axis_into(ctx.cart, nca, nsph(c8) * nsph(d8), b8, ctx.tmp);
-                std::mem::swap(ctx.cart, ctx.tmp);
-            }
-            if a8 >= 2 {
-                transform_axis_into(ctx.cart, 1, nsph(b8) * nsph(c8) * nsph(d8), a8, ctx.tmp);
-                std::mem::swap(ctx.cart, ctx.tmp);
-            }
             dst.copy_from_slice(&ctx.cart[..nper]);
         }
     }
@@ -550,7 +614,16 @@ impl ClassBatcher {
     where
         F: FnMut([u32; 4], &[f64]),
     {
-        let mut items: Vec<(PairView<'_>, PairView<'_>)> = Vec::new();
+        let views = |q: [u32; 4]| {
+            (
+                pairs
+                    .view(q[0] as usize, q[1] as usize)
+                    .expect("queued bra pair present"),
+                pairs
+                    .view(q[2] as usize, q[3] as usize)
+                    .expect("queued ket pair present"),
+            )
+        };
         for idx in 0..NCLASSES {
             if self.buckets[idx].is_empty() {
                 continue;
@@ -558,28 +631,23 @@ impl ClassBatcher {
             let class = QuartetClass::from_index(idx);
             let bucket = std::mem::take(&mut self.buckets[idx]);
             let t0 = Instant::now();
-            let mut start = 0;
-            while start < bucket.len() {
-                items.clear();
+            let mut rest = &bucket[..];
+            while !rest.is_empty() {
                 let mut lanes = 0usize;
-                let mut end = start;
-                while end < bucket.len() && items.len() < MAX_CHUNK && lanes < LANE_BUDGET {
-                    let q = bucket[end];
-                    let bra = pairs
-                        .view(q[0] as usize, q[1] as usize)
-                        .expect("queued bra pair present");
-                    let ket = pairs
-                        .view(q[2] as usize, q[3] as usize)
-                        .expect("queued ket pair present");
+                let mut n = 0;
+                while n < rest.len() && n < MAX_CHUNK && lanes < LANE_BUDGET {
+                    let (bra, ket) = views(rest[n]);
                     lanes += bra.nprim_pairs() * ket.nprim_pairs();
-                    items.push((bra, ket));
-                    end += 1;
+                    n += 1;
                 }
-                let nper = self.kernel.eval(class, &items, &mut self.out);
-                for (i, &q) in bucket[start..end].iter().enumerate() {
-                    apply(q, &self.out[i * nper..(i + 1) * nper]);
+                let (chunk, tail) = rest.split_at(n);
+                let nper = self
+                    .kernel
+                    .eval_with(class, n, &|i| views(chunk[i]), &mut self.out);
+                for (&q, block) in chunk.iter().zip(self.out.chunks_exact(nper)) {
+                    apply(q, block);
                 }
-                start = end;
+                rest = tail;
             }
             self.stats
                 .add(idx, bucket.len() as u64, t0.elapsed().as_nanos() as u64);
@@ -590,12 +658,7 @@ impl ClassBatcher {
             let scalar = std::mem::take(&mut self.scalar);
             let t0 = Instant::now();
             for &q in &scalar {
-                let bra = pairs
-                    .view(q[0] as usize, q[1] as usize)
-                    .expect("queued bra pair present");
-                let ket = pairs
-                    .view(q[2] as usize, q[3] as usize)
-                    .expect("queued ket pair present");
+                let (bra, ket) = views(q);
                 eng.quartet_pair(&bra, &ket, &mut self.out);
                 apply(q, &self.out);
             }
@@ -685,6 +748,83 @@ mod tests {
         }
         // methane/cc-pVDZ has s, p and d shells: all 81 classes occur.
         assert_eq!(seen.len(), NCLASSES);
+    }
+
+    #[test]
+    fn heterogeneous_chunks_match_reference_per_class() {
+        // One chunk per class mixing what a real bucket mixes: quartets of
+        // different contraction depths (lane counts), pairs served in
+        // either stored orientation, and same-centre pairs, whose E
+        // coefficients carry exact zeros beyond the structural ones. A lane
+        // offset or orientation slip between items lands on another
+        // quartet's lanes and cannot survive the comparison.
+        let basis = BasisInstance::new(generators::linear_alkane(2), BasisSetKind::CcPvdz).unwrap();
+        let by_l: Vec<Vec<&chem::shells::Shell>> = (0..=CLASS_MAX_L)
+            .map(|l| basis.shells.iter().filter(|s| s.l == l).collect())
+            .collect();
+        let mut eng = EriEngine::new();
+        let mut kernel = BatchKernel::new();
+        let (mut out, mut want) = (Vec::new(), Vec::new());
+        let mut mixed_depth = 0;
+        for idx in 0..NCLASSES {
+            let class = QuartetClass::from_index(idx);
+            let (la, lb, lc, ld) = class.momenta();
+            let pick = |l: u8, j: usize| by_l[l as usize][j % by_l[l as usize].len()];
+            const NITEMS: usize = 7;
+            let shells: Vec<[&chem::shells::Shell; 4]> = (0..NITEMS)
+                .map(|j| {
+                    [
+                        pick(la, j),
+                        pick(lb, j / 2),
+                        pick(lc, 3 * j + 1),
+                        pick(ld, 5 * j + 2),
+                    ]
+                })
+                .collect();
+            // Odd items: the pair is stored reversed and viewed swapped.
+            let stored: Vec<(ShellPair, ShellPair)> = shells
+                .iter()
+                .enumerate()
+                .map(|(j, &[a, b, c, d])| {
+                    if j % 2 == 1 {
+                        (ShellPair::new(b, a), ShellPair::new(d, c))
+                    } else {
+                        (ShellPair::new(a, b), ShellPair::new(c, d))
+                    }
+                })
+                .collect();
+            let items: Vec<_> = stored
+                .iter()
+                .enumerate()
+                .map(|(j, (bra, ket))| (bra.view(j % 2 == 1), ket.view(j % 2 == 1)))
+                .collect();
+            let depths: std::collections::HashSet<usize> = items
+                .iter()
+                .map(|(b, k)| b.nprim_pairs() * k.nprim_pairs())
+                .collect();
+            mixed_depth += usize::from(depths.len() > 1);
+            assert!(
+                shells.iter().any(|s| s[0].atom == s[1].atom)
+                    && shells.iter().any(|s| s[0].atom != s[1].atom),
+                "{}: same-centre and two-centre bras",
+                class.name()
+            );
+            let nper = kernel.eval(class, &items, &mut out);
+            for (j, &[a, b, c, d]) in shells.iter().enumerate() {
+                eng.quartet_ref(a, b, c, d, &mut want);
+                assert_eq!(nper, want.len());
+                for (i, (&got, &w)) in out[j * nper..].iter().zip(&want).enumerate() {
+                    assert!(
+                        (got - w).abs() < 1e-12 * (1.0 + w.abs()),
+                        "{} item {j} [{i}]: {got} vs {w}",
+                        class.name()
+                    );
+                }
+            }
+        }
+        // cc-pVDZ d shells are single primitives; every class with an s or
+        // p shell mixes depths.
+        assert_eq!(mixed_depth, NCLASSES - 1);
     }
 
     #[test]

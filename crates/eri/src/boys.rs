@@ -74,16 +74,16 @@ pub const BOYS_TABLE_MAX_M: usize = 8;
 /// Orders stored per grid point: m + k reaches BOYS_TABLE_MAX_M + NTERMS − 1.
 const NORDERS: usize = BOYS_TABLE_MAX_M + NTERMS;
 
-/// 1/k! for the Taylor terms.
-const INV_FACT: [f64; NTERMS] = [
-    1.0,
+/// 1/k for k = 1..NTERMS−1: the nested Taylor form below multiplies the
+/// offset by these once per argument.
+const INV_K: [f64; NTERMS - 1] = [
     1.0,
     1.0 / 2.0,
+    1.0 / 3.0,
+    1.0 / 4.0,
+    1.0 / 5.0,
     1.0 / 6.0,
-    1.0 / 24.0,
-    1.0 / 120.0,
-    1.0 / 720.0,
-    1.0 / 5040.0,
+    1.0 / 7.0,
 ];
 
 fn boys_table() -> &'static [f64] {
@@ -113,22 +113,32 @@ pub fn boys_fast(m_max: usize, t: f64, out: &mut [f64]) {
     // F_m(≈0) — the reference panics, so the fast path must too.
     assert!(out.len() > m_max, "output buffer too small");
     assert!(t >= 0.0, "Boys argument must be non-negative");
+    boys_fast_row(boys_table(), t, &mut out[..=m_max]);
+}
+
+/// F_0..F_{row.len()−1}(t) for a checked t ≥ 0 and at most
+/// BOYS_TABLE_MAX_M + 1 orders.
+#[inline(always)]
+fn boys_fast_row(table: &[f64], t: f64, out: &mut [f64]) {
     if t > T_LARGE {
         let emt = (-t).exp();
         out[0] = 0.5 * (std::f64::consts::PI / t).sqrt();
-        for m in 0..m_max {
+        for m in 0..out.len() - 1 {
             out[m + 1] = ((2 * m + 1) as f64 * out[m] - emt) / (2.0 * t);
         }
         return;
     }
     let i = (t * (1.0 / STEP) + 0.5) as usize;
     let x = (i as f64 * STEP) - t; // −δ, |δ| ≤ STEP/2
-    let row = &boys_table()[i * NORDERS..(i + 1) * NORDERS];
-    for (m, o) in out.iter_mut().enumerate().take(m_max + 1) {
-        // Horner in −δ over a_k = F_{m+k}(T₀)/k!.
-        let mut s = row[m + NTERMS - 1] * INV_FACT[NTERMS - 1];
+    let row = &table[i * NORDERS..(i + 1) * NORDERS];
+    // Σ_k F_{m+k}(T₀)·x^k/k! nested as F_m + x/1·(F_{m+1} + x/2·(F_{m+2} + …)):
+    // the scaled offsets x/k are shared by every order.
+    let xk: [f64; NTERMS - 1] = std::array::from_fn(|k| x * INV_K[k]);
+    for (m, o) in out.iter_mut().enumerate() {
+        let taylor = &row[m..m + NTERMS];
+        let mut s = taylor[NTERMS - 1];
         for k in (0..NTERMS - 1).rev() {
-            s = s * x + row[m + k] * INV_FACT[k];
+            s = s * xk[k] + taylor[k];
         }
         *o = s;
     }
@@ -139,12 +149,24 @@ pub fn boys_fast(m_max: usize, t: f64, out: &mut [f64]) {
 /// gather each class chunk's T arguments into one contiguous array
 /// (SoA pass 1) and evaluate them here in a single sweep, so the table
 /// rows stream through cache instead of being re-fetched per primitive
-/// quartet deep inside the contraction loops.
+/// quartet deep inside the contraction loops. Same contract as
+/// [`boys_fast`], checked once for the whole array.
 pub fn boys_fast_batch(m_max: usize, ts: &[f64], out: &mut [f64]) {
     let stride = m_max + 1;
-    debug_assert!(out.len() >= ts.len() * stride);
-    for (row, &t) in out.chunks_exact_mut(stride).zip(ts.iter()) {
-        boys_fast(m_max, t, row);
+    assert!(out.len() >= ts.len() * stride, "output buffer too small");
+    if m_max > BOYS_TABLE_MAX_M {
+        for (row, &t) in out.chunks_exact_mut(stride).zip(ts) {
+            boys(m_max, t, row);
+        }
+        return;
+    }
+    assert!(
+        ts.iter().all(|&t| t >= 0.0),
+        "Boys argument must be non-negative"
+    );
+    let table = boys_table();
+    for (row, &t) in out.chunks_exact_mut(stride).zip(ts) {
+        boys_fast_row(table, t, row);
     }
 }
 

@@ -130,13 +130,6 @@ impl<'a> RTable<'a> {
     pub fn get(&self, t: usize, u: usize, v: usize) -> f64 {
         self.data[(t * self.dim + u) * self.dim + v]
     }
-
-    /// The dense (l+1)³ cube, addressed as `(t·dim + u)·dim + v` — the
-    /// batched kernels index it through precomputed per-class maps.
-    #[inline]
-    pub fn data(&self) -> &'a [f64] {
-        self.data
-    }
 }
 
 /// Number of Hermite triples (t, u, v) with t+u+v ≤ l: C(l+3, 3).
@@ -217,18 +210,100 @@ fn hermite_r_impl<'a>(
     hermite_r_from_boys(l, alpha, pq, boys_buf, scratch, reference)
 }
 
-/// [`hermite_r`] over *precomputed* Boys values `fs[0..=l]` — the batched
-/// kernels evaluate the Boys function over a whole lane array first
-/// ([`crate::boys::boys_fast_batch`]) and then build each lane's R cube
-/// here. Fast-path zeroing semantics (grow-only scratch).
-pub fn hermite_r_with_boys<'a>(
+/// One entry of the R recursion, flattened: `work[dst] = pq[axis] ·
+/// work[src] + fac · work[src2]`, all three offsets absolute into the
+/// (l+1) stacked cubes of [`RScratch`] (`src`, `src2` in table n+1 when
+/// `dst` is in table n). `fac` is t−1 (u−1, v−1) along the lowered axis;
+/// where that is 0 the entry has no second term and `src2` repeats `src`,
+/// so the product is an exact zero.
+struct RStep {
+    dst: u32,
+    src: u32,
+    src2: u32,
+    axis: u32,
+    fac: f64,
+}
+
+/// The steps that build R⁰_{tuv}, t+u+v ≤ l, in dependency order — what
+/// [`hermite_r_from_boys`] decides per entry with its three-way
+/// `t > 0 / u > 0 / else` branch, decided once per l.
+fn r_plan(l: usize) -> &'static [RStep] {
+    use std::sync::OnceLock;
+    const L_MAX: usize = 8;
+    static PLANS: OnceLock<Vec<Vec<RStep>>> = OnceLock::new();
+    let all = PLANS.get_or_init(|| {
+        (0..=L_MAX)
+            .map(|l| {
+                let dim = l + 1;
+                let size = dim * dim * dim;
+                let idx = |n: usize, t: usize, u: usize, v: usize| {
+                    (n * size + (t * dim + u) * dim + v) as u32
+                };
+                let mut steps = Vec::new();
+                for total in 1..=l {
+                    for n in 0..=(l - total) {
+                        for t in 0..=total {
+                            for u in 0..=(total - t) {
+                                let v = total - t - u;
+                                // Lower the first non-zero index.
+                                let (axis, k, low) = if t > 0 {
+                                    (0, t, [1, 0, 0])
+                                } else if u > 0 {
+                                    (1, u, [0, 1, 0])
+                                } else {
+                                    (2, v, [0, 0, 1])
+                                };
+                                let at = |m: usize| {
+                                    idx(n + 1, t - m * low[0], u - m * low[1], v - m * low[2])
+                                };
+                                steps.push(RStep {
+                                    dst: idx(n, t, u, v),
+                                    src: at(1),
+                                    src2: at(if k > 1 { 2 } else { 1 }),
+                                    axis,
+                                    fac: (k - 1) as f64,
+                                });
+                            }
+                        }
+                    }
+                }
+                steps
+            })
+            .collect()
+    });
+    &all[l]
+}
+
+/// The dense (l+1)³ cube of `scale`·R⁰_{tuv} (t+u+v ≤ l), addressed as
+/// `(t·dim + u)·dim + v`, over *precomputed* Boys values `fs[0..=l]` — the
+/// batched kernels evaluate the Boys function over a whole lane array first
+/// ([`crate::boys::boys_fast_batch`]) and then build each lane's cube here,
+/// folding the lane prefactor into the l+1 seeds. Same recursion and
+/// grow-only scratch as [`hermite_r`], driven from [`r_plan`].
+pub fn r_cube_planned<'a>(
     l: usize,
     alpha: f64,
     pq: Vec3,
+    scale: f64,
     fs: &[f64],
     scratch: &'a mut RScratch,
-) -> RTable<'a> {
-    hermite_r_from_boys(l, alpha, pq, fs, scratch, false)
+) -> &'a [f64] {
+    let dim = l + 1;
+    let size = dim * dim * dim;
+    if scratch.work.len() < (l + 1) * size {
+        scratch.work.resize((l + 1) * size, 0.0);
+    }
+    let r = &mut scratch.work[..(l + 1) * size];
+    let mut pref = scale;
+    for n in 0..=l {
+        r[n * size] = pref * fs[n];
+        pref *= -2.0 * alpha;
+    }
+    let x = [pq.x, pq.y, pq.z];
+    for s in r_plan(l) {
+        r[s.dst as usize] = x[s.axis as usize] * r[s.src as usize] + s.fac * r[s.src2 as usize];
+    }
+    &r[..size]
 }
 
 #[inline]
@@ -304,27 +379,28 @@ fn hermite_r_from_boys<'a>(
 /// dominate quartet streams — the closed forms of the MD recursion
 /// (c₁ = −2α·F₁, c₂ = (−2α)²·F₂):
 ///   R₀₀₀ = F₀;  R₁₀₀ = x·c₁;  R₂₀₀ = x²·c₂ + c₁;  R₁₁₀ = x·y·c₂.
-/// Writes the dense (l+1)³ cube into `cube` (triangle entries only — the
-/// per-class index maps of the batched kernels never read off-triangle).
+/// Writes the dense (l+1)³ cube of `scale`·R⁰ into `cube` (triangle
+/// entries only — the per-class index maps of the batched kernels never
+/// read off-triangle).
 #[inline(always)]
-pub fn r_cube_low(l: usize, alpha: f64, pq: Vec3, fs: &[f64], cube: &mut [f64]) {
+pub fn r_cube_low(l: usize, alpha: f64, pq: Vec3, scale: f64, fs: &[f64], cube: &mut [f64]) {
     let m2a = -2.0 * alpha;
     match l {
-        0 => cube[0] = fs[0],
+        0 => cube[0] = scale * fs[0],
         1 => {
             // dim = 2: idx(t,u,v) = (t·2 + u)·2 + v.
-            let c1 = m2a * fs[1];
-            cube[0] = fs[0];
+            let c1 = scale * m2a * fs[1];
+            cube[0] = scale * fs[0];
             cube[4] = pq.x * c1;
             cube[2] = pq.y * c1;
             cube[1] = pq.z * c1;
         }
         2 => {
             // dim = 3: idx(t,u,v) = (t·3 + u)·3 + v.
-            let c1 = m2a * fs[1];
-            let c2 = m2a * m2a * fs[2];
+            let c1 = scale * m2a * fs[1];
+            let c2 = scale * m2a * m2a * fs[2];
             let (x, y, z) = (pq.x, pq.y, pq.z);
-            cube[0] = fs[0];
+            cube[0] = scale * fs[0];
             cube[9] = x * c1;
             cube[3] = y * c1;
             cube[1] = z * c1;
@@ -489,7 +565,7 @@ mod tests {
             crate::boys::boys_fast(l, alpha * pq.norm2(), &mut fs);
             let dim = l + 1;
             let mut cube = vec![0.0; dim * dim * dim];
-            r_cube_low(l, alpha, pq, &fs, &mut cube);
+            r_cube_low(l, alpha, pq, 1.0, &fs, &mut cube);
             for (k, &(t, u, v)) in hermite_triples(l).iter().enumerate() {
                 let got = cube[((t as usize) * dim + u as usize) * dim + v as usize];
                 assert!(
@@ -502,13 +578,15 @@ mod tests {
     }
 
     #[test]
-    fn with_boys_variant_matches_hermite_r() {
+    fn planned_cube_matches_hermite_r() {
         let alpha = 1.21;
         let pq = Vec3::new(-0.3, 0.8, 0.55);
         let mut buf = Vec::new();
         let mut scr1 = RScratch::default();
         let mut scr2 = RScratch::default();
-        for l in 0..=4usize {
+        // Descending l: the grow-only scratch then holds stale values from
+        // the larger call, which no triangle entry may read.
+        for l in (0..=8usize).rev() {
             let mut fs = vec![0.0; l + 1];
             crate::boys::boys_fast(l, alpha * pq.norm2(), &mut fs);
             let want: Vec<f64> = {
@@ -518,9 +596,16 @@ mod tests {
                     .map(|&(t, u, v)| r.get(t as usize, u as usize, v as usize))
                     .collect()
             };
-            let r = hermite_r_with_boys(l, alpha, pq, &fs, &mut scr2);
+            let dim = l + 1;
+            let at = |t: u8, u: u8, v: u8| (t as usize * dim + u as usize) * dim + v as usize;
+            let cube = r_cube_planned(l, alpha, pq, 1.0, &fs, &mut scr2);
             for (k, &(t, u, v)) in hermite_triples(l).iter().enumerate() {
-                assert_eq!(r.get(t as usize, u as usize, v as usize), want[k], "l={l}");
+                assert_eq!(cube[at(t, u, v)], want[k], "l={l} ({t}{u}{v})");
+            }
+            // A power-of-two scale commutes with every rounding.
+            let cube = r_cube_planned(l, alpha, pq, 0.25, &fs, &mut scr2);
+            for (k, &(t, u, v)) in hermite_triples(l).iter().enumerate() {
+                assert_eq!(cube[at(t, u, v)], 0.25 * want[k], "l={l} ({t}{u}{v})");
             }
         }
     }

@@ -21,18 +21,20 @@
 //!
 //! Memory model: per primitive pair the tables occupy
 //! 3·(l_a+1)(l_b+1)(l_a+l_b+1) doubles (packed to the pair's true angular
-//! momenta, not the engine-wide maximum), plus one [`PrimPair`]. The K_ab
+//! momenta, not the engine-wide maximum), the structurally non-zero
+//! component coefficients of the batched kernels ([`CoefPattern`]), plus
+//! one [`PrimPair`]. The K_ab
 //! Gaussian overlap prefactor exp(−μ·AB²) stays folded into the E(0,0,0)
 //! seed exactly as in [`E1d::new`], so [`PrimPair::coef`] is the bare
 //! contraction product c_a·c_b and the pair-backed kernel reproduces the
 //! direct path to floating-point reassociation (≪ 1e-12 per integral).
 
-use crate::hermite::{cart_components_static, hermite_triples, nherm, E1d};
+use crate::hermite::{cart_components_static, hermite_triples, E1d};
 use crate::screening::Screening;
-use crate::spherical::ncart;
 use chem::shells::{BasisInstance, Shell};
 use chem::Vec3;
 use rayon::prelude::*;
+use std::sync::OnceLock;
 
 /// Per-primitive-pair quantities shared by every quartet the pair enters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,6 +46,62 @@ pub struct PrimPair {
     /// Contraction-coefficient product c_a·c_b (the K_ab overlap prefactor
     /// lives in the E tables' (0,0,0) seed).
     pub coef: f64,
+    /// `coef / p`: with it the batched kernels' lane prefactor
+    /// 2π^{5/2}·(c_ab/p)·(c_cd/q)/√(p+q) costs one division and one square
+    /// root per primitive quartet.
+    pub coef_over_p: f64,
+}
+
+/// The structural non-zeros of an (l_a, l_b) pair's component-coefficient
+/// matrix `B[(ka·ncart(lb) + kb)][h] = Ex(ax,bx,t)·Ey(ay,by,u)·Ez(az,bz,v)`
+/// (rows: Cartesian component pairs; columns: the canonical Hermite
+/// triples of la+lb). E_t^{ij} = 0 for t > i+j, so row (a, b) is non-zero
+/// only where t ≤ ax+bx, u ≤ ay+by and v ≤ az+bz — 3.7 of 10 columns on
+/// average for a pp pair, ≈ 10 of 35 for dd. The pattern depends on the
+/// angular momenta alone; every primitive pair stores its coefficients
+/// compacted to it, in CSR order.
+#[derive(Debug)]
+pub struct CoefPattern {
+    /// Row `r`'s non-zeros are entries `ptr[r]..ptr[r + 1]` of [`Self::col`]
+    /// and of every [`PairView::coefs`] block.
+    pub ptr: Vec<usize>,
+    /// Hermite-triple index of each non-zero.
+    pub col: Vec<usize>,
+    /// Stored row → row as the caller orders the pair: the identity, and
+    /// (ka, kb) → kb·ncart(la) + ka for the reversed view.
+    rows: [Vec<usize>; 2],
+}
+
+/// The [`CoefPattern`] of an (la, lb) pair, la, lb ≤ 2.
+pub fn coef_pattern(la: usize, lb: usize) -> &'static CoefPattern {
+    assert!(la <= 2 && lb <= 2, "angular momentum beyond s/p/d");
+    static PATTERNS: OnceLock<[CoefPattern; 9]> = OnceLock::new();
+    let all = PATTERNS.get_or_init(|| {
+        std::array::from_fn(|i| {
+            let (la, lb) = (i / 3, i % 3);
+            let comps_a = cart_components_static(la as u8);
+            let comps_b = cart_components_static(lb as u8);
+            let mut pat = CoefPattern {
+                ptr: vec![0],
+                col: Vec::new(),
+                rows: [Vec::new(), Vec::new()],
+            };
+            for (ka, &(ax, ay, az)) in comps_a.iter().enumerate() {
+                for (kb, &(bx, by, bz)) in comps_b.iter().enumerate() {
+                    for (h, &(t, u, v)) in hermite_triples(la + lb).iter().enumerate() {
+                        if t <= ax + bx && u <= ay + by && v <= az + bz {
+                            pat.col.push(h);
+                        }
+                    }
+                    pat.ptr.push(pat.col.len());
+                    pat.rows[0].push(ka * comps_b.len() + kb);
+                    pat.rows[1].push(kb * comps_a.len() + ka);
+                }
+            }
+            pat
+        })
+    });
+    &all[la * 3 + lb]
 }
 
 /// Precomputed data for one ordered shell pair (A, B): one [`PrimPair`]
@@ -60,18 +118,13 @@ pub struct ShellPair {
     /// consecutive), indexed as `E1d` packs them:
     /// `(i·(lb+1) + j)·(la+lb+1) + t`.
     etab: Vec<f64>,
-    /// Component-coefficient tables for the batched class kernels: per
-    /// primitive pair a dense row-major matrix
-    /// `B[(ka·ncart(lb) + kb)][h] = Ex(ax,bx,t)·Ey(ay,by,u)·Ez(az,bz,v)`
-    /// over the Cartesian component pairs (rows) and the canonical
-    /// Hermite triples `(t,u,v) = hermite_triples(la+lb)[h]` (columns) —
-    /// the full 3-D E product hoisted to pair-build time, so a batched
-    /// quartet reduces to dense dot products against the R cube.
+    /// Component coefficients for the batched class kernels: per primitive
+    /// pair the non-zeros of the matrix [`CoefPattern`] describes — the
+    /// full 3-D E product hoisted to pair-build time, so a batched quartet
+    /// reduces to sparse axpys against the R cube.
     ctab: Vec<f64>,
-    /// Doubles per `ctab` matrix: ncart(la)·ncart(lb)·nherm(la+lb).
+    /// Doubles per primitive pair in `ctab`: the pattern's non-zero count.
     cstride: usize,
-    /// Cached nherm(la+lb) (ctab row length).
-    cnh: usize,
 }
 
 /// Primitive pairs whose significance |c_a·c_b|·exp(−μ·AB²) falls below
@@ -103,8 +156,8 @@ impl ShellPair {
         self.la = la;
         self.lb = lb;
         self.estride = (la + 1) * (lb + 1) * (la + lb + 1);
-        self.cnh = nherm(la + lb);
-        self.cstride = ncart(a.l) * ncart(b.l) * self.cnh;
+        let pattern = coef_pattern(la, lb);
+        self.cstride = pattern.col.len();
         self.prims.clear();
         self.etab.clear();
         self.ctab.clear();
@@ -135,6 +188,7 @@ impl ShellPair {
                     p,
                     center: (a.center * ea + b.center * eb) / p,
                     coef: ca * cb,
+                    coef_over_p: ca * cb / p,
                 });
                 let ex = E1d::new(la, lb, ea, eb, ab.x);
                 let ey = E1d::new(la, lb, ea, eb, ab.y);
@@ -142,15 +196,18 @@ impl ShellPair {
                 for e in [&ex, &ey, &ez] {
                     self.etab.extend_from_slice(&e.packed()[..self.estride]);
                 }
+                let mut row = 0;
                 for &(ax, ay, az) in comps_a {
                     for &(bx, by, bz) in comps_b {
-                        for &(t, u, v) in triples {
+                        for &h in &pattern.col[pattern.ptr[row]..pattern.ptr[row + 1]] {
+                            let (t, u, v) = triples[h];
                             self.ctab.push(
                                 ex.get(ax as usize, bx as usize, t as usize)
                                     * ey.get(ay as usize, by as usize, u as usize)
                                     * ez.get(az as usize, bz as usize, v as usize),
                             );
                         }
+                        row += 1;
                     }
                 }
             }
@@ -205,6 +262,12 @@ impl<'a> PairView<'a> {
         &self.pair.prims[k]
     }
 
+    /// Every primitive pair's quantities, in storage order.
+    #[inline]
+    pub fn prims(&self) -> &'a [PrimPair] {
+        &self.pair.prims
+    }
+
     /// The x/y/z E tables of primitive pair `k`. Index through
     /// [`Self::eget`], which applies the orientation.
     #[inline]
@@ -224,30 +287,27 @@ impl<'a> PairView<'a> {
         tab[(i * (self.pair.lb + 1) + j) * (self.pair.la + self.pair.lb + 1) + t]
     }
 
-    /// Hermite triple count nherm(la+lb) — the column length of every
-    /// [`Self::crow`] (orientation-independent).
+    /// The non-zero pattern of this pair's component-coefficient matrix,
+    /// in *stored* row order (see [`Self::row_order`]).
     #[inline]
-    pub fn nherm_pair(&self) -> usize {
-        self.pair.cnh
+    pub fn pattern(&self) -> &'static CoefPattern {
+        coef_pattern(self.pair.la, self.pair.lb)
     }
 
-    /// The component-coefficient row of primitive pair `k` for the
-    /// caller's Cartesian components `(ia, ib)` (ia ≤ ncart(self.la),
-    /// ib ≤ ncart(self.lb)): the contiguous slice
-    /// `B[(ia,ib)][h] = Ex·Ey·Ez` over the canonical Hermite triples of
-    /// la+lb. The swapped orientation is a pure row permutation — by the
-    /// E transposition symmetry the matrix entries are identical, only
-    /// the (ia, ib) row index maps to the stored (ib, ia) row.
+    /// Stored row → row `ia·ncart(self.lb) + ib` in the caller's
+    /// orientation. The swapped orientation is a pure row permutation — by
+    /// the E transposition symmetry the matrix entries are identical.
     #[inline]
-    pub fn crow(&self, k: usize, ia: usize, ib: usize) -> &'a [f64] {
-        let ncb = ncart(self.pair.lb as u8);
-        let row = if self.swapped {
-            ib * ncb + ia
-        } else {
-            ia * ncb + ib
-        };
-        let base = k * self.pair.cstride + row * self.pair.cnh;
-        &self.pair.ctab[base..base + self.pair.cnh]
+    pub fn row_order(&self) -> &'static [usize] {
+        &self.pattern().rows[usize::from(self.swapped)]
+    }
+
+    /// The non-zero component coefficients of primitive pair `k`, laid out
+    /// as [`Self::pattern`] describes.
+    #[inline]
+    pub fn coefs(&self, k: usize) -> &'a [f64] {
+        let n = self.pair.cstride;
+        &self.pair.ctab[k * n..(k + 1) * n]
     }
 }
 
@@ -367,9 +427,10 @@ mod tests {
     }
 
     #[test]
-    fn component_rows_match_e_products() {
-        // crow must equal the per-component 3-D E product in the stored
-        // orientation, and the swapped view must be exactly the row
+    fn compacted_coefficients_match_e_products() {
+        // The compacted block must hold the per-component 3-D E product at
+        // every pattern position, everything off the pattern must be a
+        // structural zero, and the swapped view must be exactly the row
         // permutation (ia, ib) → (ib, ia) of the same matrix.
         let b = BasisInstance::new(generators::methane(), BasisSetKind::CcPvdz).unwrap();
         let d = b.shells.iter().find(|s| s.l == 2).unwrap();
@@ -378,18 +439,48 @@ mod tests {
         let fwd = sp.view(false);
         let rev = sp.view(true);
         let triples = hermite_triples(3);
-        assert_eq!(fwd.nherm_pair(), triples.len());
+        let pat = fwd.pattern();
+        assert_eq!(pat.ptr.len(), 6 * 3 + 1);
+        assert!(pat.col.len() < 6 * 3 * triples.len() / 2, "mostly zeros");
         for k in 0..fwd.nprim_pairs() {
             let (ex, ey, ez) = fwd.etables(k);
+            let ex = |i, j, t| {
+                if t > i + j {
+                    0.0
+                } else {
+                    fwd.eget(ex, i, j, t)
+                }
+            };
+            let ey = |i, j, t| {
+                if t > i + j {
+                    0.0
+                } else {
+                    fwd.eget(ey, i, j, t)
+                }
+            };
+            let ez = |i, j, t| {
+                if t > i + j {
+                    0.0
+                } else {
+                    fwd.eget(ez, i, j, t)
+                }
+            };
+            let coefs = fwd.coefs(k);
+            assert_eq!(coefs, rev.coefs(k), "one stored block serves both views");
             for (ia, &(ax, ay, az)) in cart_components_static(2).iter().enumerate() {
                 for (ib, &(bx, by, bz)) in cart_components_static(1).iter().enumerate() {
-                    let row = fwd.crow(k, ia, ib);
-                    assert_eq!(row, rev.crow(k, ib, ia), "swap is a row permutation");
+                    let row = ia * 3 + ib;
+                    assert_eq!(fwd.row_order()[row], row);
+                    assert_eq!(rev.row_order()[row], ib * 6 + ia);
+                    let nz = &pat.col[pat.ptr[row]..pat.ptr[row + 1]];
                     for (h, &(t, u, v)) in triples.iter().enumerate() {
-                        let want = fwd.eget(ex, ax as usize, bx as usize, t as usize)
-                            * fwd.eget(ey, ay as usize, by as usize, u as usize)
-                            * fwd.eget(ez, az as usize, bz as usize, v as usize);
-                        assert_eq!(row[h], want, "k={k} ia={ia} ib={ib} h={h}");
+                        let want = ex(ax as usize, bx as usize, t as usize)
+                            * ey(ay as usize, by as usize, u as usize)
+                            * ez(az as usize, bz as usize, v as usize);
+                        match nz.iter().position(|&c| c == h) {
+                            Some(j) => assert_eq!(coefs[pat.ptr[row] + j], want),
+                            None => assert_eq!(want, 0.0, "k={k} ia={ia} ib={ib} h={h}"),
+                        }
                     }
                 }
             }

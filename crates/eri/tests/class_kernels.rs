@@ -70,43 +70,43 @@ proptest! {
         }
     }
 
-    /// A quartet's block is independent of its batch: evaluating it inside
-    /// a batch of same-class quartets at different geometries gives the
-    /// same values as evaluating it alone (same lane arithmetic; only the
-    /// Boys batch around it differs).
+    /// A quartet's block depends on nothing else in its chunk: permuting
+    /// the items (quartets of different contraction depths, so every lane
+    /// offset moves) permutes the output blocks bit for bit, and a quartet
+    /// evaluated alone gives the same bits again.
     #[test]
-    fn batch_position_does_not_change_blocks(
+    fn permuting_a_chunk_permutes_its_blocks(
         seed in 0u64..u64::MAX,
-        la in 0u8..3, lb in 0u8..3,
+        la in 0u8..3, lb in 0u8..3, lc in 0u8..3, ld in 0u8..3,
         nitems in 2usize..6,
     ) {
         let mut rng = TestRng::deterministic(&format!("batch-{seed}"));
-        let class = QuartetClass::of(la, lb, la, lb);
+        let class = QuartetClass::of(la, lb, lc, ld);
         let mut kernel = BatchKernel::new();
-        let pairs: Vec<ShellPair> = (0..nitems)
+        let pairs: Vec<(ShellPair, ShellPair)> = (0..nitems)
             .map(|_| {
-                let a = rand_shell(&mut rng, la);
-                let b = rand_shell(&mut rng, lb);
-                ShellPair::new(&a, &b)
+                let [a, b, c, d] = [la, lb, lc, ld].map(|l| rand_shell(&mut rng, l));
+                (ShellPair::new(&a, &b), ShellPair::new(&c, &d))
             })
             .collect();
-        let items: Vec<_> = pairs
-            .iter()
-            .map(|p| (p.view(false), p.view(false)))
-            .collect();
-        let mut together = Vec::new();
-        let nper = kernel.eval(class, &items, &mut together);
-        for (qi, p) in pairs.iter().enumerate() {
-            let mut alone = Vec::new();
-            kernel.eval(class, &[(p.view(false), p.view(false))], &mut alone);
-            for i in 0..nper {
-                let (g, w) = (together[qi * nper + i], alone[i]);
-                prop_assert!(
-                    (g - w).abs() <= 1e-14 * (1.0 + w.abs()),
-                    "item {} [{}]: in-batch {} vs alone {}",
-                    qi, i, g, w
-                );
-            }
+        let mut order: Vec<usize> = (0..nitems).collect();
+        for i in (1..nitems).rev() {
+            order.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
         }
+        let item = |i: usize| (pairs[i].0.view(false), pairs[i].1.view(false));
+        let straight: Vec<_> = (0..nitems).map(item).collect();
+        let permuted: Vec<_> = order.iter().map(|&i| item(i)).collect();
+        let (mut got, mut shuffled, mut alone) = (Vec::new(), Vec::new(), Vec::new());
+        let nper = kernel.eval(class, &straight, &mut got);
+        kernel.eval(class, &permuted, &mut shuffled);
+        for (pos, &i) in order.iter().enumerate() {
+            prop_assert_eq!(
+                &shuffled[pos * nper..(pos + 1) * nper],
+                &got[i * nper..(i + 1) * nper],
+                "{}: item {} moved to {}", class.name(), i, pos
+            );
+        }
+        kernel.eval(class, &straight[nitems - 1..], &mut alone);
+        prop_assert_eq!(&alone[..], &got[(nitems - 1) * nper..]);
     }
 }

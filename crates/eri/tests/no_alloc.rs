@@ -1,6 +1,8 @@
 //! The ERI hot path must not allocate: after warm-up, repeated calls to
-//! `EriEngine::quartet`, `quartet_pair` and `schwarz_pair_value` reuse
-//! engine scratch only. A counting global allocator makes any regression
+//! `EriEngine::quartet`, `quartet_pair` and `schwarz_pair_value`, and the
+//! batched path every builder runs (`ClassBatcher::push`/`flush`,
+//! `BatchKernel::eval`), reuse their scratch only. A counting global
+//! allocator makes any regression
 //! (a fresh `Vec` in an inner loop, a buffer grown per call) an immediate
 //! test failure rather than a silent throughput loss.
 
@@ -36,7 +38,7 @@ fn alloc_count() -> u64 {
 fn hot_paths_do_not_allocate_after_warmup() {
     use chem::shells::BasisInstance;
     use chem::{generators, BasisSetKind};
-    use eri::{EriEngine, Screening, ShellPairData};
+    use eri::{BatchKernel, ClassBatcher, EriEngine, QuartetClass, Screening, ShellPairData};
 
     // cc-pVDZ methane exercises every angular class up to d and several
     // contraction depths.
@@ -46,30 +48,58 @@ fn hot_paths_do_not_allocate_after_warmup() {
     let sh = &basis.shells;
     let n = sh.len();
 
+    // The first and last shell of each angular momentum: every class,
+    // deep and shallow contractions.
+    let mut reps: Vec<usize> = (0..3u8)
+        .flat_map(|l| {
+            let of_l = |i: &usize| sh[*i].l == l;
+            [(0..n).find(of_l).unwrap(), (0..n).rev().find(of_l).unwrap()]
+        })
+        .collect();
+    reps.dedup();
+
     let mut eng = EriEngine::new();
+    let mut batcher = ClassBatcher::new();
+    let mut kernel = BatchKernel::new();
     let mut out = Vec::new();
 
-    let sweep = |eng: &mut EriEngine, out: &mut Vec<f64>| {
+    let mut sweep = || {
         let mut sink = 0.0;
         for m in 0..n {
             for p in 0..n {
                 if let (Some(bra), Some(ket)) = (pairs.view(m, p), pairs.view(p, m)) {
-                    eng.quartet_pair(&bra, &ket, out);
+                    eng.quartet_pair(&bra, &ket, &mut out);
+                    sink += out[0];
+                    let class = QuartetClass::of(sh[m].l, sh[p].l, sh[p].l, sh[m].l);
+                    kernel.eval(class, &[(bra, ket), (bra, ket)], &mut out);
                     sink += out[0];
                 }
-                eng.quartet(&sh[m], &sh[p], &sh[p], &sh[m], out);
+                eng.quartet(&sh[m], &sh[p], &sh[p], &sh[m], &mut out);
                 sink += out[0];
                 sink += eng.schwarz_pair_value(&sh[m], &sh[p]);
+            }
+            // The planner as the builders drive it, one flush per (M,:|N,:)
+            // task; over the sweep all 81 classes are flushed.
+            for &q in &reps {
+                for &p in &reps {
+                    for &r in &reps {
+                        if pairs.view(m, p).is_some() && pairs.view(q, r).is_some() {
+                            let class = QuartetClass::try_of(sh[m].l, sh[p].l, sh[q].l, sh[r].l);
+                            batcher.push(class, [m as u32, p as u32, q as u32, r as u32]);
+                        }
+                    }
+                }
+                batcher.flush(&mut eng, &pairs, |_, block| sink += block[0]);
             }
         }
         sink
     };
 
     // Warm-up: grows every scratch buffer to its high-water mark.
-    let warm = sweep(&mut eng, &mut out);
+    let warm = sweep();
 
     let before = alloc_count();
-    let hot = sweep(&mut eng, &mut out);
+    let hot = sweep();
     let after = alloc_count();
 
     assert_eq!(
@@ -79,4 +109,5 @@ fn hot_paths_do_not_allocate_after_warmup() {
         after - before
     );
     assert_eq!(warm, hot, "warm and hot sweeps must agree exactly");
+    assert_eq!(batcher.stats().entries().len(), eri::NCLASSES);
 }

@@ -30,6 +30,14 @@ pub struct Purification {
 /// occupied orbitals; `tol` — convergence threshold on tr(D − D²);
 /// `max_iter` — iteration cap (the paper observed ≈45 iterations on its
 /// test case).
+///
+/// In exact arithmetic tr(D − D²) = Σ λ(1−λ) falls at every step until D is
+/// idempotent, but it is computed as the difference of two traces of size
+/// `nocc` and so cannot resolve below ~`n`·`nocc`·ε. A `tol` near that
+/// floor (the SCF driver's 1e-14) is met or missed by rounding alone, and
+/// past the floor c is a ratio of two rounding errors. The iteration
+/// therefore also stops as soon as the measured error fails to decrease:
+/// that can only be the floor.
 pub fn purify_canonical(f_ortho: &Mat, nocc: usize, tol: f64, max_iter: usize) -> Purification {
     let n = f_ortho.nrows();
     assert_eq!(n, f_ortho.ncols());
@@ -62,15 +70,18 @@ pub fn purify_canonical(f_ortho: &Mat, nocc: usize, tol: f64, max_iter: usize) -
     d.axpy(-lambda / nf, f_ortho);
 
     let mut iterations = 0;
+    let mut prev_err = f64::INFINITY;
     for _ in 0..max_iter {
         iterations += 1;
         let d2 = gemm(1.0, &d, &d, 0.0, None);
         let d3 = gemm(1.0, &d2, &d, 0.0, None);
         let tr_d_d2 = d.trace() - d2.trace();
         let tr_d2_d3 = d2.trace() - d3.trace();
-        if tr_d_d2.abs() < tol {
+        let err = tr_d_d2.abs();
+        if err < tol || err >= prev_err {
             break;
         }
+        prev_err = err;
         let c = tr_d2_d3 / tr_d_d2;
         let mut next;
         if c >= 0.5 {
@@ -288,6 +299,48 @@ mod tests {
         let refined = mcweeny_step(&p.density);
         let d2 = gemm(1.0, &refined, &refined, 0.0, None);
         assert!(d2.max_abs_diff(&refined) <= p.idempotency_error);
+    }
+
+    #[test]
+    fn tolerance_at_the_rounding_floor_stops_by_stagnation() {
+        // Regression: with tol = 1e-14 (the SCF driver's) the stopping test
+        // sat on the rounding floor of tr(D) − tr(D²); inputs agreeing to
+        // 1e-12 took anything from ~20 iterations to the cap. (n, nocc, seed)
+        // are cases that ran to 200 before the stagnation stop.
+        for (n, nocc, seed) in [
+            (41usize, 11usize, 3u64),
+            (62, 20, 6),
+            (58, 15, 14),
+            (78, 26, 34),
+        ] {
+            let f = random_sym(n, seed);
+            let mut g = f.clone();
+            for i in 0..n {
+                for j in 0..n {
+                    g[(i, j)] += 1e-12 * f[(j, i)] * f[(i, j)];
+                }
+            }
+            let (pf, pg) = (
+                purify_canonical(&f, nocc, 1e-14, 200),
+                purify_canonical(&g, nocc, 1e-14, 200),
+            );
+            assert!(
+                pf.iterations.abs_diff(pg.iterations) <= 2,
+                "n={n}: {} vs {} iterations",
+                pf.iterations,
+                pg.iterations
+            );
+            for p in [&pf, &pg] {
+                assert!(p.iterations < 200, "n={n}: hit the cap");
+                assert!(
+                    p.idempotency_error < 1e-10,
+                    "n={n}: {}",
+                    p.idempotency_error
+                );
+                assert!((p.density.trace() - nocc as f64).abs() < 1e-10);
+            }
+            assert!(pf.density.max_abs_diff(&projector(&f, nocc)) < 1e-8);
+        }
     }
 
     #[test]
