@@ -1,21 +1,21 @@
-//! ERI kernel throughput: direct per-quartet kernel vs the precomputed
-//! shell-pair-data path vs the class-specialized batched kernels.
+//! ERI kernel throughput: the reference kernel vs the production
+//! class-batched kernel.
 //!
 //! Enumerates exactly the screened, symmetry-unique quartet stream a
 //! sequential Fock build walks (all (M,:|N,:) tasks, Φ-set partners,
-//! `quartet_selected`) and times three passes over it:
+//! `quartet_selected`) and times two passes over it:
 //!
-//! * **ref** — [`EriEngine::quartet_ref`], the pre-pair-data kernel that
-//!   rebuilds every Hermite E table per primitive quartet;
-//! * **pair** — [`EriEngine::quartet_pair`], the scalar kernel reading the
-//!   shared [`ShellPairData`] tables (built once, timed separately);
+//! * **ref** — [`EriEngine::quartet_ref`], the direct kernel that rebuilds
+//!   every Hermite E table per primitive quartet;
 //! * **batch** — [`ClassBatcher`] grouping each task's surviving quartets
 //!   by angular-momentum class and evaluating them through the batched
-//!   class kernels ([`eri::BatchKernel`]) — the production configuration.
+//!   class kernels ([`eri::BatchKernel`]) over the shared
+//!   [`eri::ShellPairData`] tables (built once, timed separately) — the
+//!   production configuration.
 //!
-//! The ref and pair passes are timed per quartet and attributed to their
-//! class; the batch pass reports the planner's own [`eri::ClassStats`],
-//! the fastest of [`BATCH_REPS`] identical passes per class.
+//! The ref pass is timed per quartet and attributed to its class; the
+//! batch pass reports the planner's own [`eri::ClassStats`], the fastest
+//! of [`BATCH_REPS`] identical passes per class.
 //! A class keys on angular momenta only, so its quartets span contraction
 //! depths of 1 to thousands of primitive quartets: every class row also
 //! carries its primitive-quartet count, and the batched cost is reported
@@ -69,7 +69,6 @@ struct ClassRow {
     /// after primitive screening) summed over the class's quartets.
     prim_quartets: u64,
     ref_ns: u64,
-    pair_ns: u64,
     /// Fastest of the [`BATCH_REPS`] passes.
     batch_ns: u64,
     max_abs_diff: f64,
@@ -88,7 +87,6 @@ struct Row {
     nbf: usize,
     quartets: u64,
     ref_secs: f64,
-    pair_secs: f64,
     /// Fastest of the [`BATCH_REPS`] passes.
     batch_secs: f64,
     pair_build_secs: f64,
@@ -164,20 +162,10 @@ fn run(molecule: chem::Molecule, kind: BasisSetKind, basis_name: &'static str, t
     let t1 = Instant::now();
     let pairs = prob.pairs();
     let pair_build_secs = t1.elapsed().as_secs_f64();
-
-    let t2 = Instant::now();
-    let mut sink2 = 0.0f64;
     for_each_quartet(&prob, |m, p, n, q| {
-        let bra = pairs.view(m, p).expect("phi pair present");
-        let ket = pairs.view(n, q).expect("phi pair present");
-        let tq = Instant::now();
-        eng.quartet_pair(&bra, &ket, &mut out);
-        let c = &mut classes[class_of(m, p, n, q)];
-        c.pair_ns += tq.elapsed().as_nanos() as u64;
-        c.prim_quartets += (bra.nprim_pairs() * ket.nprim_pairs()) as u64;
-        sink2 += out[0];
+        let nprim = |a, b| pairs.view(a, b).expect("phi pair present").nprim_pairs();
+        classes[class_of(m, p, n, q)].prim_quartets += (nprim(m, p) * nprim(n, q)) as u64;
     });
-    let pair_secs = t2.elapsed().as_secs_f64();
 
     // Batch pass: the production configuration — per (M,:|N,:) task, push
     // surviving quartets into the class planner and flush.
@@ -255,10 +243,9 @@ fn run(molecule: chem::Molecule, kind: BasisSetKind, basis_name: &'static str, t
     }
 
     // The passes walk identical streams; their first-element sums agree to
-    // reassociation error — a cheap whole-stream numerical check. Batch
-    // reorders the stream per class, so its sum differs by reassociation
-    // only as well.
-    let stream_rel_diff = ((sink - sink2).abs().max((sink - sink3).abs())) / sink.abs().max(1.0);
+    // reassociation error (batch reorders the stream per class) — a cheap
+    // whole-stream numerical check.
+    let stream_rel_diff = (sink - sink3).abs() / sink.abs().max(1.0);
 
     Row {
         molecule: name,
@@ -267,7 +254,6 @@ fn run(molecule: chem::Molecule, kind: BasisSetKind, basis_name: &'static str, t
         nbf: prob.nbf(),
         quartets,
         ref_secs,
-        pair_secs,
         batch_secs,
         pair_build_secs,
         pair_bytes: pairs.bytes(),
@@ -329,7 +315,7 @@ fn main() {
     let smoke = flag("--smoke");
     let gate = opt_str("--gate");
     let tau = opt_tau();
-    println!("== ERI throughput: direct kernel vs pair data vs batched class kernels ==");
+    println!("== ERI throughput: reference kernel vs batched class kernels ==");
     println!(
         "molecules: {} | τ = {tau:.0e}",
         if smoke {
@@ -370,44 +356,32 @@ fn main() {
     }
 
     println!(
-        "{:<10} {:>8} {:>6} {:>5} {:>10} {:>11} {:>11} {:>11} {:>8} {:>8}",
-        "molecule",
-        "basis",
-        "shells",
-        "nbf",
-        "quartets",
-        "ref q/s",
-        "pair q/s",
-        "batch q/s",
-        "pair ×",
-        "batch ×"
+        "{:<10} {:>8} {:>6} {:>5} {:>10} {:>11} {:>11} {:>8}",
+        "molecule", "basis", "shells", "nbf", "quartets", "ref q/s", "batch q/s", "batch ×"
     );
     for r in &rows {
         println!(
-            "{:<10} {:>8} {:>6} {:>5} {:>10} {:>11.0} {:>11.0} {:>11.0} {:>7.2}x {:>7.2}x",
+            "{:<10} {:>8} {:>6} {:>5} {:>10} {:>11.0} {:>11.0} {:>7.2}x",
             r.molecule,
             r.basis,
             r.nshells,
             r.nbf,
             r.quartets,
             r.quartets as f64 / r.ref_secs,
-            r.quartets as f64 / r.pair_secs,
             r.quartets as f64 / r.batch_secs,
-            r.ref_secs / r.pair_secs,
             r.ref_secs / r.batch_secs,
         );
     }
     println!();
     println!("per-class (batch; ns/pq = batched ns per primitive quartet):");
     println!(
-        "  {:<10} {:>8} {:<8} {:>10} {:>11} {:>9} {:>9} {:>9} {:>8} {:>8} {:>11}",
+        "  {:<10} {:>8} {:<8} {:>10} {:>11} {:>9} {:>9} {:>8} {:>8} {:>11}",
         "molecule",
         "basis",
         "class",
         "quartets",
         "prim q",
         "ref ns",
-        "pair ns",
         "batch ns",
         "speedup",
         "ns/pq",
@@ -419,14 +393,13 @@ fn main() {
                 continue;
             }
             println!(
-                "  {:<10} {:>8} {:<8} {:>10} {:>11} {:>9.0} {:>9.0} {:>9.0} {:>7.2}x {:>8.1} {:>11.1e}",
+                "  {:<10} {:>8} {:<8} {:>10} {:>11} {:>9.0} {:>9.0} {:>7.2}x {:>8.1} {:>11.1e}",
                 r.molecule,
                 r.basis,
                 QuartetClass::from_index(idx).name(),
                 c.quartets,
                 c.prim_quartets,
                 c.ref_ns as f64 / c.quartets as f64,
-                c.pair_ns as f64 / c.quartets as f64,
                 c.batch_ns as f64 / c.quartets as f64,
                 c.ref_ns as f64 / c.batch_ns.max(1) as f64,
                 c.batch_ns_per_primquartet(),
@@ -559,7 +532,6 @@ fn main() {
             r.batch_ns_per_primquartet()
         );
         let _ = writeln!(json, "      \"ref_secs\": {:.6},", r.ref_secs);
-        let _ = writeln!(json, "      \"pair_secs\": {:.6},", r.pair_secs);
         let _ = writeln!(json, "      \"batch_secs\": {:.6},", r.batch_secs);
         let _ = writeln!(
             json,
@@ -568,18 +540,8 @@ fn main() {
         );
         let _ = writeln!(
             json,
-            "      \"pair_quartets_per_sec\": {:.0},",
-            r.quartets as f64 / r.pair_secs
-        );
-        let _ = writeln!(
-            json,
             "      \"batch_quartets_per_sec\": {:.0},",
             r.quartets as f64 / r.batch_secs
-        );
-        let _ = writeln!(
-            json,
-            "      \"speedup_pair\": {:.3},",
-            r.ref_secs / r.pair_secs
         );
         let _ = writeln!(
             json,
@@ -602,12 +564,11 @@ fn main() {
             let c = &r.classes[idx];
             let _ = writeln!(
                 json,
-                "        {{\"class\": \"{}\", \"quartets\": {}, \"prim_quartets\": {}, \"ref_ns_per_quartet\": {:.1}, \"pair_ns_per_quartet\": {:.1}, \"batch_ns_per_quartet\": {:.1}, \"batch_ns_per_primquartet\": {:.2}, \"speedup\": {:.3}, \"max_abs_diff\": {:e}}}{}",
+                "        {{\"class\": \"{}\", \"quartets\": {}, \"prim_quartets\": {}, \"ref_ns_per_quartet\": {:.1}, \"batch_ns_per_quartet\": {:.1}, \"batch_ns_per_primquartet\": {:.2}, \"speedup\": {:.3}, \"max_abs_diff\": {:e}}}{}",
                 QuartetClass::from_index(idx).code(),
                 c.quartets,
                 c.prim_quartets,
                 c.ref_ns as f64 / c.quartets as f64,
-                c.pair_ns as f64 / c.quartets as f64,
                 c.batch_ns as f64 / c.quartets as f64,
                 c.batch_ns_per_primquartet(),
                 c.ref_ns as f64 / c.batch_ns.max(1) as f64,

@@ -4,8 +4,10 @@
 //!
 //! Substitution note: the paper compares the ERD Fortran package against
 //! NWChem's integral package; we have one engine, so we report (a) its
-//! measured t_int over the screened workload and (b) the calibrated cost
-//! model's prediction — the pair whose agreement the simulator relies on.
+//! measured t_int over the screened workload — the path the builds run:
+//! shared pair data, quartets grouped by class and flushed through the
+//! batched kernel — and (b) the calibrated cost model's prediction — the
+//! pair whose agreement the simulator relies on.
 //! The paper's observation that alkanes have cheaper average ERIs (deep
 //! s-contractions screened away, more primitive sparsity) should hold in
 //! sign here too.
@@ -14,7 +16,7 @@ use bench::{banner, flag_full, opt_tau};
 use chem::reorder::ShellOrdering;
 use chem::shells::BasisInstance;
 use chem::{generators, BasisSetKind};
-use eri::{CostModel, EriEngine};
+use eri::{ClassBatcher, CostModel, EriEngine, QuartetClass};
 use fock_core::tasks::FockProblem;
 use std::time::Instant;
 
@@ -42,18 +44,18 @@ fn main() {
 
         // Time a deterministic systematic sample of the unique significant
         // quartets (computing all ~10⁸ of them serially would take hours;
-        // a stride-sampled 10⁵ subset estimates the mean to ≪1%).
+        // a stride-sampled 10⁵ subset estimates the mean to ≪1%): queue the
+        // sample into the class planner, then time one flush — kernel time
+        // only, chunked per class as in a build.
         let total_quartets = prob.screening.unique_significant_quartets();
         let target_sample = 100_000u64;
         let stride = (total_quartets / target_sample).max(1);
         let mut eng = EriEngine::new();
-        let mut out = Vec::new();
+        let mut batcher = ClassBatcher::new();
         let n = prob.nshells();
         let sh = &prob.basis.shells;
-        let mut eris = 0u64;
         let mut model_secs = 0.0f64;
         let mut index = 0u64;
-        let start = Instant::now();
         for m in 0..n {
             for nn in 0..n {
                 for &p in prob.phi(m) {
@@ -66,12 +68,20 @@ fn main() {
                         if !index.is_multiple_of(stride) {
                             continue;
                         }
-                        eris += eng.quartet(&sh[m], &sh[p], &sh[nn], &sh[q], &mut out) as u64;
+                        batcher.push(
+                            QuartetClass::try_of(sh[m].l, sh[p].l, sh[nn].l, sh[q].l),
+                            [m as u32, p as u32, nn as u32, q as u32],
+                        );
                         model_secs += cost.quartet_cost(m, p, nn, q);
                     }
                 }
             }
         }
+        let mut eris = 0u64;
+        let start = Instant::now();
+        batcher.flush(&mut eng, prob.pairs(), |_, block| {
+            eris += block.len() as u64
+        });
         let secs = start.elapsed().as_secs_f64();
         println!(
             "{:<10} {:>18} {:>16} {:>11.3} µs {:>11.3} µs",

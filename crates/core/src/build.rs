@@ -50,14 +50,10 @@ pub(crate) fn record_dmax(rec: &Recorder, dmax: f64) {
 /// (pair tables + index), recorded once when a builder first touches it.
 pub const PAIRDATA_BYTES_COUNTER: &str = "eri.pairdata_bytes";
 
-/// Histogram of per-quartet ERI kernel wall time in nanoseconds, fed by
-/// every [`eri::EriEngine`] a builder runs with tracing enabled.
-pub const QUARTET_NS_HISTOGRAM: &str = "eri.quartet_ns";
-
 /// Prefix of the per-class batched-kernel metrics: each class present in
 /// a build gets `eri.class.<code>.quartets` (count) and
 /// `eri.class.<code>.ns` (summed kernel wall time) counters, `<code>`
-/// being the `psss`-style signature (or `fallback` for the scalar path).
+/// being the `psss`-style signature.
 pub const CLASS_METRIC_PREFIX: &str = "eri.class";
 
 /// Emit one worker's drained [`eri::ClassStats`] under

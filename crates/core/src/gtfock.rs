@@ -39,7 +39,7 @@
 
 use crate::build::{
     record_class_stats, record_dmax, record_pairdata, BuildError, BuildReport,
-    DENSITY_SKIPPED_COUNTER, QUARTETS_COUNTER, QUARTET_NS_HISTOGRAM,
+    DENSITY_SKIPPED_COUNTER, QUARTETS_COUNTER,
 };
 use crate::localbuf::{LocalBuffers, LocalSink, ShellDims};
 use crate::partition::{BinMap, StaticPartition};
@@ -255,7 +255,6 @@ pub fn try_build_fock_gtfock_rec(
                 let mut density_skipped = 0u64;
                 let mut steals = 0u64;
                 let mut eng = EriEngine::new();
-                eng.set_quartet_histogram(rec.histogram(QUARTET_NS_HISTOGRAM));
                 let mut batcher = ClassBatcher::new();
 
                 let death_after = fault.and_then(|p| p.death_after(rank));
@@ -610,7 +609,6 @@ pub fn try_build_fock_gtfock_rec(
                         let mut quartets = 0u64;
                         let mut density_skipped = 0u64;
                         let mut eng = EriEngine::new();
-                        eng.set_quartet_histogram(rec.histogram(QUARTET_NS_HISTOGRAM));
                         let mut batcher = ClassBatcher::new();
                         let mut bufs: HashMap<usize, (LocalBuffers, Vec<u32>)> = HashMap::new();
                         let mut flush_err = None;

@@ -38,7 +38,6 @@ pub mod diis;
 pub mod gtfock;
 pub mod localbuf;
 pub mod model;
-pub mod naive;
 pub mod nwchem;
 pub mod partition;
 pub mod scf;
@@ -54,7 +53,7 @@ pub use autotune::{
 pub use build::{
     gtfock_builder, nwchem_builder, record_class_stats, seq_builder, BuildError, BuildOutcome,
     BuildReport, FockBuild, SchedulerOpts, CLASS_METRIC_PREFIX, DENSITY_SKIPPED_COUNTER,
-    DMAX_HISTOGRAM, PAIRDATA_BYTES_COUNTER, QUARTETS_COUNTER, QUARTET_NS_HISTOGRAM,
+    DMAX_HISTOGRAM, PAIRDATA_BYTES_COUNTER, QUARTETS_COUNTER,
 };
 pub use df::{
     df_builder, DfBuild, DfData, DF_3C_NS_COUNTER, DF_FIT_ERROR_HISTOGRAM, DF_GEMM_NS_COUNTER,

@@ -12,7 +12,7 @@
 
 use crate::build::{
     record_class_stats, record_dmax, record_pairdata, BuildReport, DENSITY_SKIPPED_COUNTER,
-    QUARTETS_COUNTER, QUARTET_NS_HISTOGRAM,
+    QUARTETS_COUNTER,
 };
 use crate::sink::{apply_quartet, FockSink, TaskCounts, QUARTET_PERMS};
 use crate::tasks::FockProblem;
@@ -343,7 +343,6 @@ pub fn build_fock_nwchem_rec(
                 let mut quartets = 0u64;
                 let mut density_skipped = 0u64;
                 let mut eng = EriEngine::new();
-                eng.set_quartet_histogram(rec.histogram(QUARTET_NS_HISTOGRAM));
                 let mut batcher = ClassBatcher::new();
                 let queue_ns = rec.histogram(obs::analyze::QUEUE_NS_HISTOGRAM);
                 // Only `Retire` is meaningful under a centralized queue:

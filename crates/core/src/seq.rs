@@ -4,8 +4,11 @@
 //! Two references are provided:
 //!
 //! * [`build_g_bruteforce`] evaluates *every* ordered shell quartet (no
-//!   permutational symmetry, no screening) and applies the plain
-//!   full-enumeration update. O(n⁴) in shells — tests only.
+//!   permutational symmetry, no screening) with the reference kernel
+//!   `EriEngine::quartet_ref` (no pair data, no primitive pruning) and
+//!   applies the plain full-enumeration update — the oracle: it shares no
+//!   contraction, screening or image-expansion code with the builds it
+//!   checks. O(n⁴) in shells — tests only.
 //! * [`build_g_seq`] is the production sequential path: unique quartets
 //!   via the task predicate + screening, image-expanded updates. This is
 //!   what the parallel algorithms must match bit-for-bit in exact
@@ -13,7 +16,7 @@
 
 use crate::build::{
     record_class_stats, record_dmax, record_pairdata, BuildOutcome, BuildReport,
-    DENSITY_SKIPPED_COUNTER, QUARTETS_COUNTER, QUARTET_NS_HISTOGRAM,
+    DENSITY_SKIPPED_COUNTER, QUARTETS_COUNTER,
 };
 use crate::sink::{do_task, DenseSink, FockSink};
 use crate::tasks::FockProblem;
@@ -34,7 +37,7 @@ pub fn build_g_bruteforce(prob: &FockProblem, d: &[f64]) -> Vec<f64> {
         for b in 0..n {
             for c in 0..n {
                 for dd in 0..n {
-                    eng.quartet(&sh[a], &sh[b], &sh[c], &sh[dd], &mut block);
+                    eng.quartet_ref(&sh[a], &sh[b], &sh[c], &sh[dd], &mut block);
                     // Identity-image update for every ordered quadruple.
                     let mut sink = DenseSink { nbf, d, f: &mut f };
                     apply_identity(&mut sink, prob, [a, b, c, dd], &block);
@@ -99,7 +102,6 @@ pub fn build_g_seq_rec(prob: &FockProblem, d: &[f64], rec: &Recorder) -> BuildOu
     record_pairdata(rec, prob.pairs());
     let mut f = vec![0.0; nbf * nbf];
     let mut eng = EriEngine::new();
-    eng.set_quartet_histogram(rec.histogram(QUARTET_NS_HISTOGRAM));
     let mut batcher = ClassBatcher::new();
     let mut quartets = 0;
     let mut skipped = 0;

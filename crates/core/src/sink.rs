@@ -148,10 +148,9 @@ pub struct TaskCounts {
 ///
 /// Quartets surviving both screening tests are queued into the caller's
 /// [`ClassBatcher`] (grouped by angular-momentum class) and evaluated
-/// through the batched class kernels in one flush at task end; `eng` only
-/// runs for quartets outside the class taxonomy. The batcher's
-/// [`ClassStats`](eri::ClassStats) accumulate across tasks — builders
-/// drain them once per build for the `eri.class.*` metrics.
+/// through `eng`'s batched class kernel in one flush at task end. The
+/// batcher's [`ClassStats`](eri::ClassStats) accumulate across tasks —
+/// builders drain them once per build for the `eri.class.*` metrics.
 pub fn do_task<S: FockSink>(
     sink: &mut S,
     prob: &FockProblem,

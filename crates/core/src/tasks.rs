@@ -63,8 +63,9 @@ pub struct FockProblem {
     /// Screening tolerance τ used to build `screening`.
     pub tau: f64,
     /// Precomputed per-pair ERI data (combined exponents, product centres,
-    /// Hermite E tables) for every significant pair — built lazily on
-    /// first use, then shared read-only by all builders and iterations.
+    /// Hermite component coefficients) for every significant pair — built
+    /// lazily on first use, then shared read-only by all builders and
+    /// iterations.
     pairs: OnceLock<ShellPairData>,
     /// Memoized one-electron matrices (S, H, X) — lazily built, then
     /// shared by every SCF run over this problem.

@@ -24,19 +24,20 @@
 //!    coefficients ([`crate::pairdata::CoefPattern`]) — see
 //!    `contract_items`.
 //!
-//! [`BatchKernel::eval`] is the batched evaluator; the 16 all-s/p classes
-//! dispatch to monomorphized instantiations of the shared contraction
-//! body (literal dimensions), the d-bearing classes run the same body
-//! with runtime dimensions, and anything beyond the engine's l ≤ 2
-//! support would fall back to the scalar `quartet_pair` via
-//! [`ClassBatcher`]'s unclassified bucket.
+//! [`BatchKernel::eval`] is the batched evaluator and the crate's only
+//! production contraction: the 16 all-s/p classes dispatch to
+//! monomorphized instantiations of the shared contraction body (literal
+//! dimensions), the d-bearing classes run the same body with runtime
+//! dimensions. Each [`EriEngine`] owns one kernel; single-quartet callers
+//! reach it as a one-item batch (`EriEngine::quartet_views`). Angular
+//! momenta beyond l ≤ 2 have no class and no kernel.
 //!
 //! [`ClassBatcher`] is the batch planner the build paths drive at
 //! shell-pair-task granularity: quartets surviving (density-weighted)
-//! screening are pushed into per-class buckets and flushed through
-//! [`BatchKernel::eval`] in lane-budgeted chunks, with per-class quartet
-//! counts and wall time accumulated in [`ClassStats`] for the
-//! `eri.class.*` metrics.
+//! screening are pushed into per-class buckets and flushed through the
+//! engine's kernel in lane-budgeted chunks, with per-class quartet counts
+//! and wall time accumulated in [`ClassStats`] for the `eri.class.*`
+//! metrics.
 
 use crate::boys::boys_fast_batch;
 use crate::hermite::{
@@ -60,7 +61,7 @@ pub struct QuartetClass(u8);
 
 impl QuartetClass {
     /// Classify by the four shells' angular momenta; `None` beyond the
-    /// supported l ≤ 2 (those quartets take the scalar fallback).
+    /// supported l ≤ 2 (no kernel evaluates those).
     #[inline]
     pub fn try_of(la: u8, lb: u8, lc: u8, ld: u8) -> Option<QuartetClass> {
         if la > CLASS_MAX_L || lb > CLASS_MAX_L || lc > CLASS_MAX_L || ld > CLASS_MAX_L {
@@ -110,18 +111,17 @@ impl QuartetClass {
 }
 
 /// Per-class quartet counts and wall time, accumulated by
-/// [`ClassBatcher::flush`]. The extra slot past `NCLASSES` records the
-/// scalar fallback (classes outside the taxonomy).
+/// [`ClassBatcher::flush`].
 #[derive(Debug, Clone)]
 pub struct ClassStats {
-    quartets: [u64; NCLASSES + 1],
-    ns: [u64; NCLASSES + 1],
+    quartets: [u64; NCLASSES],
+    ns: [u64; NCLASSES],
 }
 
 /// One class's totals, resolved for reporting.
 #[derive(Debug, Clone)]
 pub struct ClassStatEntry {
-    /// `psss`-style code (or `fallback` for the scalar bucket).
+    /// `psss`-style code.
     pub code: String,
     /// `(ps|ss)`-style display name.
     pub name: String,
@@ -132,8 +132,8 @@ pub struct ClassStatEntry {
 impl Default for ClassStats {
     fn default() -> Self {
         ClassStats {
-            quartets: [0; NCLASSES + 1],
-            ns: [0; NCLASSES + 1],
+            quartets: [0; NCLASSES],
+            ns: [0; NCLASSES],
         }
     }
 }
@@ -147,7 +147,7 @@ impl ClassStats {
 
     /// Fold another accumulator in (per-worker stats → build totals).
     pub fn merge(&mut self, other: &ClassStats) {
-        for i in 0..=NCLASSES {
+        for i in 0..NCLASSES {
             self.quartets[i] += other.quartets[i];
             self.ns[i] += other.ns[i];
         }
@@ -155,18 +155,13 @@ impl ClassStats {
 
     /// Totals for every class that saw at least one quartet.
     pub fn entries(&self) -> Vec<ClassStatEntry> {
-        (0..=NCLASSES)
+        (0..NCLASSES)
             .filter(|&i| self.quartets[i] > 0)
             .map(|i| {
-                let (code, name) = if i == NCLASSES {
-                    ("fallback".to_string(), "fallback".to_string())
-                } else {
-                    let c = QuartetClass::from_index(i);
-                    (c.code(), c.name())
-                };
+                let c = QuartetClass::from_index(i);
                 ClassStatEntry {
-                    code,
-                    name,
+                    code: c.code(),
+                    name: c.name(),
                     quartets: self.quartets[i],
                     ns: self.ns[i],
                 }
@@ -248,8 +243,7 @@ struct Lane {
 }
 
 /// The batched class evaluator: reusable lane arrays plus contraction
-/// scratch. Create one per thread (the builders embed one in each
-/// worker's [`ClassBatcher`]).
+/// scratch. One per thread — every [`EriEngine`] owns one.
 #[derive(Default)]
 pub struct BatchKernel {
     t: Vec<f64>,
@@ -571,10 +565,7 @@ const LANE_BUDGET: usize = 8192;
 /// quartet's spherical block to the sink callback.
 pub struct ClassBatcher {
     buckets: Vec<Vec<[u32; 4]>>,
-    /// Quartets outside the class taxonomy → scalar `quartet_pair`.
-    scalar: Vec<[u32; 4]>,
     stats: ClassStats,
-    kernel: BatchKernel,
     out: Vec<f64>,
 }
 
@@ -588,28 +579,25 @@ impl ClassBatcher {
     pub fn new() -> Self {
         ClassBatcher {
             buckets: (0..NCLASSES).map(|_| Vec::new()).collect(),
-            scalar: Vec::new(),
             stats: ClassStats::default(),
-            kernel: BatchKernel::new(),
             out: Vec::new(),
         }
     }
 
     /// Queue one quartet (shell indices `[m, p, n, q]` as the sink's
     /// `apply_quartet` expects them). `class` is
-    /// `QuartetClass::try_of(...)` over the four shells' momenta.
+    /// `QuartetClass::try_of(...)` over the four shells' momenta; `None`
+    /// (a shell beyond d) panics — no kernel evaluates such a quartet.
     #[inline]
     pub fn push(&mut self, class: Option<QuartetClass>, quartet: [u32; 4]) {
-        match class {
-            Some(c) => self.buckets[c.index()].push(quartet),
-            None => self.scalar.push(quartet),
-        }
+        let class = class.expect("angular momentum beyond s/p/d");
+        self.buckets[class.index()].push(quartet);
     }
 
-    /// Evaluate everything queued since the last flush, invoking
-    /// `apply(quartet, spherical_block)` once per quartet. Deterministic
-    /// order: class index, then insertion order. Per-class wall time and
-    /// counts accumulate into [`Self::stats`].
+    /// Evaluate everything queued since the last flush through `eng`'s
+    /// kernel, invoking `apply(quartet, spherical_block)` once per quartet.
+    /// Deterministic order: class index, then insertion order. Per-class
+    /// wall time and counts accumulate into [`Self::stats`].
     pub fn flush<F>(&mut self, eng: &mut EriEngine, pairs: &ShellPairData, mut apply: F)
     where
         F: FnMut([u32; 4], &[f64]),
@@ -641,7 +629,7 @@ impl ClassBatcher {
                     n += 1;
                 }
                 let (chunk, tail) = rest.split_at(n);
-                let nper = self
+                let nper = eng
                     .kernel
                     .eval_with(class, n, &|i| views(chunk[i]), &mut self.out);
                 for (&q, block) in chunk.iter().zip(self.out.chunks_exact(nper)) {
@@ -653,22 +641,6 @@ impl ClassBatcher {
                 .add(idx, bucket.len() as u64, t0.elapsed().as_nanos() as u64);
             self.buckets[idx] = bucket;
             self.buckets[idx].clear();
-        }
-        if !self.scalar.is_empty() {
-            let scalar = std::mem::take(&mut self.scalar);
-            let t0 = Instant::now();
-            for &q in &scalar {
-                let (bra, ket) = views(q);
-                eng.quartet_pair(&bra, &ket, &mut self.out);
-                apply(q, &self.out);
-            }
-            self.stats.add(
-                NCLASSES,
-                scalar.len() as u64,
-                t0.elapsed().as_nanos() as u64,
-            );
-            self.scalar = scalar;
-            self.scalar.clear();
         }
     }
 
@@ -708,9 +680,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_matches_scalar_kernel_per_class() {
+    fn batched_matches_reference_kernel_per_class() {
         // Every class constructible from a d-bearing basis: batch three
-        // copies of a quartet and compare each block to quartet_pair.
+        // copies of a quartet and compare each block to quartet_ref.
         let basis = BasisInstance::new(generators::methane(), BasisSetKind::CcPvdz).unwrap();
         let s = &basis.shells;
         let mut eng = EriEngine::new();
@@ -730,7 +702,7 @@ mod tests {
                         let ket = ShellPair::new(&s[c], &s[d]);
                         let items = vec![(bra.view(false), ket.view(false)); 3];
                         let nper = kernel.eval(class, &items, &mut out);
-                        eng.quartet_pair(&bra.view(false), &ket.view(false), &mut want);
+                        eng.quartet_ref(&s[a], &s[b], &s[c], &s[d], &mut want);
                         assert_eq!(nper, want.len(), "{}", class.name());
                         for copy in 0..3 {
                             for (i, &w) in want.iter().enumerate() {
@@ -858,11 +830,13 @@ mod tests {
         });
         assert_eq!(got.len(), queued.len());
         assert_eq!(batcher.stats().total_quartets(), queued.len() as u64);
+        // Shell indices above and below the diagonal: the flush serves both
+        // stored orientations of a pair.
+        assert!(queued.iter().any(|q| q[0] > q[1]) && queued.iter().any(|q| q[0] < q[1]));
         let mut want = Vec::new();
         for q in queued {
-            let bra = pairs.view(q[0] as usize, q[1] as usize).unwrap();
-            let ket = pairs.view(q[2] as usize, q[3] as usize).unwrap();
-            eng.quartet_pair(&bra, &ket, &mut want);
+            let [a, b, c, d] = q.map(|i| &sh[i as usize]);
+            eng.quartet_ref(a, b, c, d, &mut want);
             let block = &got[&q];
             assert_eq!(block.len(), want.len());
             for (x, y) in block.iter().zip(&want) {
@@ -872,5 +846,11 @@ mod tests {
         let entries = batcher.stats().entries();
         assert!(!entries.is_empty());
         assert!(entries.iter().all(|e| e.quartets > 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "angular momentum beyond s/p/d")]
+    fn pushing_an_unclassified_quartet_panics() {
+        ClassBatcher::new().push(QuartetClass::try_of(3, 0, 0, 0), [0; 4]);
     }
 }

@@ -8,8 +8,11 @@
 //! * large T — asymptotic F_0 = ½√(π/T) with upward recursion
 //!   F_{m+1} = ((2m+1)·F_m − e^{−T}) / (2T), stable because e^{−T} ≈ 0.
 //!
-//! [`boys`] (above strategy) is the reference; the series loop runs O(T)
+//! [`boys`] (above strategy) is the reference, and what the reference ERI
+//! kernel `EriEngine::quartet_ref` calls; the series loop runs O(T)
 //! iterations, which dominates deep-contraction ERI classes. [`boys_fast`]
+//! (one argument: the one-electron integrals) and [`boys_fast_batch`] (a
+//! lane array: the batched ERI kernel) share one row evaluator that
 //! replaces the small/moderate branch with a precomputed grid (spacing
 //! 1/16) and an 8-term Taylor expansion
 //! F_m(T₀+δ) = Σ_k F_{m+k}(T₀)(−δ)^k/k! — error ≤ (Δ/2)⁸/8! ≈ 2e-17,
@@ -101,9 +104,9 @@ fn boys_table() -> &'static [f64] {
     })
 }
 
-/// Tabulated Boys evaluation — same contract as [`boys`], used by the ERI
-/// hot path. Falls back to the reference for orders beyond the table and
-/// shares the reference's asymptotic branch verbatim above T_LARGE.
+/// Tabulated Boys evaluation — same contract as [`boys`]. Falls back to
+/// the reference for orders beyond the table and shares the reference's
+/// asymptotic branch verbatim above T_LARGE.
 pub fn boys_fast(m_max: usize, t: f64, out: &mut [f64]) {
     if m_max > BOYS_TABLE_MAX_M {
         return boys(m_max, t, out);

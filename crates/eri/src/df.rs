@@ -8,12 +8,13 @@
 //! inside the McMurchie–Davidson recursions (its Gaussian-product
 //! prefactor is exp(0) = 1, the combined exponent is the partner's own,
 //! and the product centre is the partner's centre), so
-//! `(P|μν) = (Pδ|μν)` and `(P|Q) = (Pδ|Qδ)` fall out of
-//! [`EriEngine::quartet_pair`] with no new kernels. The bra `(P,δ)` pair
-//! is an ordinary [`ShellPair`] (Hermite E tables built once per aux
-//! shell), and the ket side streams the problem's existing
-//! [`ShellPairData`] views, so screening and primitive-pair pruning
-//! behave exactly as in the exact-exchange paths.
+//! `(P|μν) = (Pδ|μν)` and `(P|Q) = (Pδ|Qδ)` fall out of the production
+//! kernel ([`crate::batch`], reached one quartet at a time through
+//! [`EriEngine::quartet_views`] / [`EriEngine::quartet`]) with no new
+//! kernels. The bra `(P,δ)` pair is an ordinary [`ShellPair`] (component
+//! coefficients built once per aux shell), and the ket side streams the
+//! problem's existing [`ShellPairData`] views, so screening and
+//! primitive-pair pruning behave exactly as in the exact-exchange paths.
 
 use crate::pairdata::{ShellPair, ShellPairData};
 use crate::screening::Screening;
@@ -249,7 +250,7 @@ pub fn three_center(
                         continue;
                     }
                     computed += 1;
-                    eng.quartet_pair(&bra, &ket, &mut buf);
+                    eng.quartet_views(&bra, &ket, &mut buf);
                     let (nm, nn) = (basis.shells[m].nfuncs(), basis.shells[n].nfuncs());
                     let (om, on) = (basis.shells[m].bf_offset, basis.shells[n].bf_offset);
                     // buf is [np][1][nm][nn]; scatter both μν triangles.
@@ -305,7 +306,7 @@ pub fn max_diag_residual(
             let Some(view) = pairs.view(m, n) else {
                 continue;
             };
-            eng.quartet_pair(&view, &view, &mut buf);
+            eng.quartet_views(&view, &view, &mut buf);
             let (nm, nn) = (basis.shells[m].nfuncs(), basis.shells[n].nfuncs());
             let (om, on) = (basis.shells[m].bf_offset, basis.shells[n].bf_offset);
             for fm in 0..nm {

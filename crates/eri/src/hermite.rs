@@ -3,9 +3,10 @@
 //! * [`E1d`] — the 1-D Hermite expansion coefficients E_t^{ij} that express a
 //!   product of two Cartesian Gaussians as a sum of Hermite Gaussians;
 //! * [`hermite_r`] — the auxiliary integrals R⁰_{tuv} over Hermite Gaussians
-//!   built from the Boys function.
+//!   built from the Boys function, as a table (one-electron integrals and
+//!   the reference ERI kernel); [`r_cube_low`] / [`r_cube_planned`] build the
+//!   same values as a dense cube for the batched ERI kernels.
 
-use crate::boys::{boys, boys_fast};
 use chem::Vec3;
 
 /// Largest left angular momentum (d shells).
@@ -94,16 +95,6 @@ impl E1d {
         let k = self.idx(i, j, t);
         self.data[k] = v;
     }
-
-    /// The packed coefficient block: the first
-    /// (la+1)(lb+1)(la+lb+1) entries of the inline array, laid out exactly
-    /// as [`Self::idx`] addresses them — what
-    /// [`crate::pairdata::ShellPair`] copies into its per-primitive-pair
-    /// tables.
-    #[inline]
-    pub fn packed(&self) -> &[f64] {
-        &self.data[..(self.la + 1) * (self.lb + 1) * (self.la + self.lb + 1)]
-    }
 }
 
 /// Reusable workspace for [`hermite_r`] (avoids per-primitive-quartet heap
@@ -141,7 +132,7 @@ pub fn nherm(l: usize) -> usize {
 /// Canonical enumeration of the Hermite triples (t, u, v) with t+u+v ≤ l,
 /// ordered by total degree then lexicographically in (t, u) descending —
 /// the shared column order of the pair-data component-coefficient tables
-/// ([`crate::pairdata::PairView::crow`]) and the batched kernels'
+/// ([`crate::pairdata::CoefPattern`]) and the batched kernels'
 /// per-class index maps. Supports l up to the dddd total (8).
 pub fn hermite_triples(l: usize) -> &'static [(u8, u8, u8)] {
     use std::sync::OnceLock;
@@ -165,51 +156,6 @@ pub fn hermite_triples(l: usize) -> &'static [(u8, u8, u8)] {
     &all[l]
 }
 
-/// Build R⁰_{tuv} (t+u+v ≤ l) into `scratch`, returning a view of the
-/// n = 0 table. Uses the tabulated Boys fast path.
-pub fn hermite_r<'a>(
-    l: usize,
-    alpha: f64,
-    pq: Vec3,
-    boys_buf: &mut Vec<f64>,
-    scratch: &'a mut RScratch,
-) -> RTable<'a> {
-    hermite_r_impl(l, alpha, pq, boys_buf, scratch, false)
-}
-
-/// [`hermite_r`] evaluating the Boys function by the reference series —
-/// the pre-pair-data kernel retained as `EriEngine::quartet_ref` calls
-/// this so throughput baselines measure the original code path.
-pub fn hermite_r_ref<'a>(
-    l: usize,
-    alpha: f64,
-    pq: Vec3,
-    boys_buf: &mut Vec<f64>,
-    scratch: &'a mut RScratch,
-) -> RTable<'a> {
-    hermite_r_impl(l, alpha, pq, boys_buf, scratch, true)
-}
-
-#[inline]
-fn hermite_r_impl<'a>(
-    l: usize,
-    alpha: f64,
-    pq: Vec3,
-    boys_buf: &mut Vec<f64>,
-    scratch: &'a mut RScratch,
-    reference: bool,
-) -> RTable<'a> {
-    let t_arg = alpha * pq.norm2();
-    boys_buf.clear();
-    boys_buf.resize(l + 1, 0.0);
-    if reference {
-        boys(l, t_arg, boys_buf);
-    } else {
-        boys_fast(l, t_arg, boys_buf);
-    }
-    hermite_r_from_boys(l, alpha, pq, boys_buf, scratch, reference)
-}
-
 /// One entry of the R recursion, flattened: `work[dst] = pq[axis] ·
 /// work[src] + fac · work[src2]`, all three offsets absolute into the
 /// (l+1) stacked cubes of [`RScratch`] (`src`, `src2` in table n+1 when
@@ -225,7 +171,7 @@ struct RStep {
 }
 
 /// The steps that build R⁰_{tuv}, t+u+v ≤ l, in dependency order — what
-/// [`hermite_r_from_boys`] decides per entry with its three-way
+/// [`hermite_r`] decides per entry with its three-way
 /// `t > 0 / u > 0 / else` branch, decided once per l.
 fn r_plan(l: usize) -> &'static [RStep] {
     use std::sync::OnceLock;
@@ -306,27 +252,24 @@ pub fn r_cube_planned<'a>(
     &r[..size]
 }
 
-#[inline]
-fn hermite_r_from_boys<'a>(
+/// Build R⁰_{tuv} (t+u+v ≤ l) into `scratch` from the Boys values
+/// `fs[0..=l]` at T = alpha·|pq|², returning a view of the n = 0 table.
+/// The caller picks the Boys evaluator: the tabulated one for the
+/// one-electron integrals, the reference series for `quartet_ref`.
+pub fn hermite_r<'a>(
     l: usize,
     alpha: f64,
     pq: Vec3,
     fs: &[f64],
     scratch: &'a mut RScratch,
-    reference: bool,
 ) -> RTable<'a> {
     let dim = l + 1;
     // scratch.work[n·size ..] holds R^n_{tuv} for t+u+v ≤ l − n.
     let size = dim * dim * dim;
-    if reference {
-        scratch.work.clear();
-        scratch.work.resize((l + 1) * size, 0.0);
-    } else if scratch.work.len() < (l + 1) * size {
-        // Fast path: grow only. Every triangle entry (t+u+v ≤ l−n, the
-        // only positions the recursion and all callers read) is rewritten
-        // below, so stale off-triangle values from a previous, larger call
-        // are harmless and re-zeroing (l+1)⁴ doubles per primitive quartet
-        // is pure waste.
+    if scratch.work.len() < (l + 1) * size {
+        // Grow only. Every triangle entry (t+u+v ≤ l−n, the only positions
+        // the recursion and all callers read) is rewritten below, so stale
+        // off-triangle values from a previous, larger call are harmless.
         scratch.work.resize((l + 1) * size, 0.0);
     }
     let r = &mut scratch.work;
@@ -494,10 +437,11 @@ mod tests {
 
     #[test]
     fn r_table_zero_order_is_boys() {
-        let mut buf = Vec::new();
         let mut scr = RScratch::default();
-        let r = hermite_r(4, 0.8, Vec3::new(0.3, -0.2, 0.9), &mut buf, &mut scr);
         let t = 0.8 * (0.09 + 0.04 + 0.81);
+        let mut fs = [0.0; 5];
+        crate::boys::boys_fast(4, t, &mut fs);
+        let r = hermite_r(4, 0.8, Vec3::new(0.3, -0.2, 0.9), &fs, &mut scr);
         let f0 = crate::boys::boys_single(0, t);
         assert!((r.get(0, 0, 0) - f0).abs() < 1e-14);
     }
@@ -509,9 +453,10 @@ mod tests {
         // with respect to the x component.
         let alpha = 0.65;
         let pq = Vec3::new(0.4, 0.1, -0.7);
-        let mut buf = Vec::new();
         let mut scr = RScratch::default();
-        let r = hermite_r(2, alpha, pq, &mut buf, &mut scr);
+        let mut fs = [0.0; 3];
+        crate::boys::boys_fast(2, alpha * pq.norm2(), &mut fs);
+        let r = hermite_r(2, alpha, pq, &fs, &mut scr);
         let h = 1e-6;
         let f0 = |x: f64| {
             let t = alpha * (x * x + pq.y * pq.y + pq.z * pq.z);
@@ -551,18 +496,17 @@ mod tests {
     fn low_l_cube_matches_recursive_builder() {
         let alpha = 0.73;
         let pq = Vec3::new(0.4, -1.1, 0.25);
-        let mut buf = Vec::new();
         let mut scr = RScratch::default();
         for l in 0..=R_CUBE_LOW_MAX_L {
+            let mut fs = vec![0.0; l + 1];
+            crate::boys::boys_fast(l, alpha * pq.norm2(), &mut fs);
             let want: Vec<f64> = {
-                let r = hermite_r(l, alpha, pq, &mut buf, &mut scr);
+                let r = hermite_r(l, alpha, pq, &fs, &mut scr);
                 hermite_triples(l)
                     .iter()
                     .map(|&(t, u, v)| r.get(t as usize, u as usize, v as usize))
                     .collect()
             };
-            let mut fs = vec![0.0; l + 1];
-            crate::boys::boys_fast(l, alpha * pq.norm2(), &mut fs);
             let dim = l + 1;
             let mut cube = vec![0.0; dim * dim * dim];
             r_cube_low(l, alpha, pq, 1.0, &fs, &mut cube);
@@ -581,7 +525,6 @@ mod tests {
     fn planned_cube_matches_hermite_r() {
         let alpha = 1.21;
         let pq = Vec3::new(-0.3, 0.8, 0.55);
-        let mut buf = Vec::new();
         let mut scr1 = RScratch::default();
         let mut scr2 = RScratch::default();
         // Descending l: the grow-only scratch then holds stale values from
@@ -590,7 +533,7 @@ mod tests {
             let mut fs = vec![0.0; l + 1];
             crate::boys::boys_fast(l, alpha * pq.norm2(), &mut fs);
             let want: Vec<f64> = {
-                let r = hermite_r(l, alpha, pq, &mut buf, &mut scr1);
+                let r = hermite_r(l, alpha, pq, &fs, &mut scr1);
                 hermite_triples(l)
                     .iter()
                     .map(|&(t, u, v)| r.get(t as usize, u as usize, v as usize))

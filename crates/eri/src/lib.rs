@@ -10,6 +10,11 @@
 //! Supported angular momenta: s, p, d (spherical d), which covers STO-3G
 //! and cc-pVDZ — the paper's basis sets.
 //!
+//! ERIs have one production kernel — [`batch`]'s class-batched contraction
+//! over [`pairdata`], owned by each [`EriEngine`] and reached by builders
+//! in chunks ([`ClassBatcher`]) and by everything else one quartet at a
+//! time — and one reference, [`EriEngine::quartet_ref`].
+//!
 //! ```
 //! use chem::{generators, BasisInstance, BasisSetKind};
 //! use eri::teints::EriEngine;
@@ -24,7 +29,6 @@
 
 pub mod batch;
 pub mod boys;
-pub mod cache;
 pub mod cost;
 pub mod df;
 pub mod hermite;

@@ -2,6 +2,7 @@
 //! These form the core Hamiltonian H_core = T + V and the overlap matrix of
 //! Algorithm 1 (precomputed once before the SCF loop).
 
+use crate::boys::boys_fast;
 use crate::hermite::{cart_components, hermite_r, E1d, RScratch};
 use crate::spherical::{ncart, transform_pair};
 use chem::shells::{BasisInstance, Shell};
@@ -91,7 +92,7 @@ pub fn nuclear_pair(a: &Shell, b: &Shell, molecule: &Molecule) -> Vec<f64> {
     let comps_b = cart_components(b.l);
     let ab = a.center - b.center;
     let mut cart = vec![0.0; ncart(a.l) * ncart(b.l)];
-    let mut boys_buf = Vec::new();
+    let mut boys_buf = vec![0.0; l_total + 1];
     let mut r_scratch = RScratch::default();
     for (&ea, &ca) in a.exps.iter().zip(a.coefs.iter()) {
         for (&eb, &cb) in b.exps.iter().zip(b.coefs.iter()) {
@@ -104,7 +105,9 @@ pub fn nuclear_pair(a: &Shell, b: &Shell, molecule: &Molecule) -> Vec<f64> {
             ];
             let pref = 2.0 * std::f64::consts::PI / p * ca * cb;
             for atom in &molecule.atoms {
-                let r = hermite_r(l_total, p, pc - atom.pos, &mut boys_buf, &mut r_scratch);
+                let pc_c = pc - atom.pos;
+                boys_fast(l_total, p * pc_c.norm2(), &mut boys_buf);
+                let r = hermite_r(l_total, p, pc_c, &boys_buf, &mut r_scratch);
                 let z = atom.z as f64;
                 for (ka, &(ax, ay, az)) in comps_a.iter().enumerate() {
                     for (kb, &(bx, by, bz)) in comps_b.iter().enumerate() {

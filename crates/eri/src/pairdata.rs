@@ -3,9 +3,10 @@
 //! Every quartet (MN|PQ) the McMurchie–Davidson kernel evaluates needs,
 //! for each primitive pair of each side: the combined exponent p = α_a+α_b,
 //! the Gaussian product centre P, the contraction-coefficient product, and
-//! the three 1-D Hermite expansion tables E_t^{ij} (x, y, z). None of these
-//! depend on the partner pair, yet the direct kernel recomputes them per
-//! quartet — and rebuilt the *ket* tables inside the bra primitive loops,
+//! the 3-D product of the 1-D Hermite expansion coefficients E_t^{ij} for
+//! every Cartesian component pair. None of these depend on the partner
+//! pair, yet a direct kernel (`EriEngine::quartet_ref`) recomputes them per
+//! quartet — and rebuilds the *ket* tables inside the bra primitive loops,
 //! an O(K_a·K_b·K_c·K_d) redundancy in `E1d` constructions. The Hartree–
 //! Fock literature (e.g. Mironov et al., arXiv:1708.00033) treats
 //! precomputed pair data as the baseline optimization for MD/OS kernels.
@@ -16,18 +17,16 @@
 //! once per basis (in parallel) and then shared read-only across worker
 //! threads. A quartet is served by two [`PairView`]s, which also handle the
 //! (N,M) orientation of a stored (M,N) pair via the E-table transposition
-//! symmetry E_t^{ij}(α_a, α_b, AB) = E_t^{ji}(α_b, α_a, BA), so each pair
-//! is stored exactly once.
+//! symmetry E_t^{ij}(α_a, α_b, AB) = E_t^{ji}(α_b, α_a, BA) — a row
+//! permutation of the coefficient matrix — so each pair is stored exactly
+//! once.
 //!
-//! Memory model: per primitive pair the tables occupy
-//! 3·(l_a+1)(l_b+1)(l_a+l_b+1) doubles (packed to the pair's true angular
-//! momenta, not the engine-wide maximum), the structurally non-zero
-//! component coefficients of the batched kernels ([`CoefPattern`]), plus
-//! one [`PrimPair`]. The K_ab
-//! Gaussian overlap prefactor exp(−μ·AB²) stays folded into the E(0,0,0)
-//! seed exactly as in [`E1d::new`], so [`PrimPair::coef`] is the bare
-//! contraction product c_a·c_b and the pair-backed kernel reproduces the
-//! direct path to floating-point reassociation (≪ 1e-12 per integral).
+//! Memory model: per primitive pair one [`PrimPair`] plus the structurally
+//! non-zero component coefficients ([`CoefPattern`]) — the one pair-data
+//! format, read by `eri::batch`. The K_ab Gaussian overlap prefactor
+//! exp(−μ·AB²) stays folded into the E(0,0,0) seed exactly as in
+//! [`E1d::new`], so the kernel reproduces the direct path to floating-point
+//! reassociation (≪ 1e-12 per integral).
 
 use crate::hermite::{cart_components_static, hermite_triples, E1d};
 use crate::screening::Screening;
@@ -43,10 +42,9 @@ pub struct PrimPair {
     pub p: f64,
     /// Gaussian product centre P = (α_a·A + α_b·B) / p.
     pub center: Vec3,
-    /// Contraction-coefficient product c_a·c_b (the K_ab overlap prefactor
-    /// lives in the E tables' (0,0,0) seed).
-    pub coef: f64,
-    /// `coef / p`: with it the batched kernels' lane prefactor
+    /// c_a·c_b / p, the contraction-coefficient product over the combined
+    /// exponent (the K_ab overlap prefactor lives in the component
+    /// coefficients): with it the lane prefactor
     /// 2π^{5/2}·(c_ab/p)·(c_cd/q)/√(p+q) costs one division and one square
     /// root per primitive quartet.
     pub coef_over_p: f64,
@@ -105,19 +103,13 @@ pub fn coef_pattern(la: usize, lb: usize) -> &'static CoefPattern {
 }
 
 /// Precomputed data for one ordered shell pair (A, B): one [`PrimPair`]
-/// plus packed x/y/z Hermite E tables per *significant* primitive pair
+/// plus the component coefficients per *significant* primitive pair
 /// (see [`PRIM_TAU_REL`]), in (a-major, b-minor) primitive order.
 #[derive(Debug, Clone, Default)]
 pub struct ShellPair {
     la: usize,
     lb: usize,
-    /// Doubles per E table: (la+1)(lb+1)(la+lb+1).
-    estride: usize,
     prims: Vec<PrimPair>,
-    /// Packed tables, `3 * estride` per primitive pair (x, y, z
-    /// consecutive), indexed as `E1d` packs them:
-    /// `(i·(lb+1) + j)·(la+lb+1) + t`.
-    etab: Vec<f64>,
     /// Component coefficients for the batched class kernels: per primitive
     /// pair the non-zeros of the matrix [`CoefPattern`] describes — the
     /// full 3-D E product hoisted to pair-build time, so a batched quartet
@@ -149,17 +141,15 @@ impl ShellPair {
     }
 
     /// Recompute in place, reusing the existing allocations — the engine's
-    /// `Shell`-based compatibility wrapper calls this per quartet without
-    /// allocating after warm-up.
+    /// `Shell`-based entry points call this per quartet without allocating
+    /// after warm-up.
     pub fn rebuild(&mut self, a: &Shell, b: &Shell) {
         let (la, lb) = (a.l as usize, b.l as usize);
         self.la = la;
         self.lb = lb;
-        self.estride = (la + 1) * (lb + 1) * (la + lb + 1);
         let pattern = coef_pattern(la, lb);
         self.cstride = pattern.col.len();
         self.prims.clear();
-        self.etab.clear();
         self.ctab.clear();
         let comps_a = cart_components_static(a.l);
         let comps_b = cart_components_static(b.l);
@@ -176,7 +166,7 @@ impl ShellPair {
                 vmax = vmax.max(signif(ea, ca, eb, cb));
             }
         }
-        // Pass 2: build tables for the survivors only.
+        // Pass 2: build coefficients for the survivors only.
         let cut = vmax * PRIM_TAU_REL;
         for (&ea, &ca) in a.exps.iter().zip(a.coefs.iter()) {
             for (&eb, &cb) in b.exps.iter().zip(b.coefs.iter()) {
@@ -187,15 +177,11 @@ impl ShellPair {
                 self.prims.push(PrimPair {
                     p,
                     center: (a.center * ea + b.center * eb) / p,
-                    coef: ca * cb,
                     coef_over_p: ca * cb / p,
                 });
                 let ex = E1d::new(la, lb, ea, eb, ab.x);
                 let ey = E1d::new(la, lb, ea, eb, ab.y);
                 let ez = E1d::new(la, lb, ea, eb, ab.z);
-                for e in [&ex, &ey, &ez] {
-                    self.etab.extend_from_slice(&e.packed()[..self.estride]);
-                }
                 let mut row = 0;
                 for &(ax, ay, az) in comps_a {
                     for &(bx, by, bz) in comps_b {
@@ -215,7 +201,7 @@ impl ShellPair {
     }
 
     /// View in stored (A, B) order (`swapped = false`) or as the reversed
-    /// pair (B, A) (`swapped = true`), served from the same tables via
+    /// pair (B, A) (`swapped = true`), served from the same coefficients via
     /// E_t^{ij}(α_a, α_b, AB) = E_t^{ji}(α_b, α_a, BA).
     #[inline]
     pub fn view(&self, swapped: bool) -> PairView<'_> {
@@ -235,7 +221,7 @@ impl ShellPair {
     /// Heap bytes held by this pair's tables.
     pub fn bytes(&self) -> usize {
         self.prims.capacity() * std::mem::size_of::<PrimPair>()
-            + (self.etab.capacity() + self.ctab.capacity()) * std::mem::size_of::<f64>()
+            + self.ctab.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -256,35 +242,10 @@ impl<'a> PairView<'a> {
         self.pair.prims.len()
     }
 
-    /// Primitive-pair quantities (orientation-independent).
-    #[inline]
-    pub fn prim(&self, k: usize) -> &'a PrimPair {
-        &self.pair.prims[k]
-    }
-
     /// Every primitive pair's quantities, in storage order.
     #[inline]
     pub fn prims(&self) -> &'a [PrimPair] {
         &self.pair.prims
-    }
-
-    /// The x/y/z E tables of primitive pair `k`. Index through
-    /// [`Self::eget`], which applies the orientation.
-    #[inline]
-    pub fn etables(&self, k: usize) -> (&'a [f64], &'a [f64], &'a [f64]) {
-        let s = self.pair.estride;
-        let base = k * 3 * s;
-        let t = &self.pair.etab[base..base + 3 * s];
-        (&t[..s], &t[s..2 * s], &t[2 * s..])
-    }
-
-    /// E_t^{ij} from one of this view's tables, with `i` ≤ `self.la`,
-    /// `j` ≤ `self.lb`, `t` ≤ i+j (callers' loop bounds guarantee this —
-    /// no out-of-range zero branch, unlike [`E1d::get`]).
-    #[inline]
-    pub fn eget(&self, tab: &[f64], i: usize, j: usize, t: usize) -> f64 {
-        let (i, j) = if self.swapped { (j, i) } else { (i, j) };
-        tab[(i * (self.pair.lb + 1) + j) * (self.pair.la + self.pair.lb + 1) + t]
     }
 
     /// The non-zero pattern of this pair's component-coefficient matrix,
@@ -385,103 +346,57 @@ mod tests {
     use chem::BasisSetKind;
 
     #[test]
-    fn pair_tables_match_e1d() {
-        let b = BasisInstance::new(generators::methane(), BasisSetKind::CcPvdz).unwrap();
-        // A d shell against an s shell, both orientations.
-        let d = b.shells.iter().find(|s| s.l == 2).unwrap();
-        let s = b.shells.iter().find(|s| s.l == 0 && s.nprim() > 1).unwrap();
-        let sp = ShellPair::new(d, s);
-        let fwd = sp.view(false);
-        let rev = sp.view(true);
-        assert_eq!((fwd.la, fwd.lb), (2, 0));
-        assert_eq!((rev.la, rev.lb), (0, 2));
-        let ab = d.center - s.center;
-        let mut k = 0;
-        for &ea in d.exps.iter() {
-            for &eb in s.exps.iter() {
-                let (ex, ey, ez) = fwd.etables(k);
-                let (rx, _, _) = rev.etables(k);
-                let ref_x = E1d::new(2, 0, ea, eb, ab.x);
-                let ref_y = E1d::new(2, 0, ea, eb, ab.y);
-                let ref_z = E1d::new(2, 0, ea, eb, ab.z);
-                // The swapped orientation must equal the E table built from
-                // the reversed operands directly.
-                let swap_x = E1d::new(0, 2, eb, ea, -ab.x);
-                for i in 0..=2 {
-                    for t in 0..=i {
-                        assert_eq!(fwd.eget(ex, i, 0, t), ref_x.get(i, 0, t));
-                        assert_eq!(fwd.eget(ey, i, 0, t), ref_y.get(i, 0, t));
-                        assert_eq!(fwd.eget(ez, i, 0, t), ref_z.get(i, 0, t));
-                        let got = rev.eget(rx, 0, i, t);
-                        let want = swap_x.get(0, i, t);
-                        assert!(
-                            (got - want).abs() <= 1e-15 * (1.0 + want.abs()),
-                            "swap i={i} t={t}: {got} vs {want}"
-                        );
-                    }
-                }
-                k += 1;
-            }
-        }
-        assert_eq!(k, fwd.nprim_pairs());
-    }
-
-    #[test]
     fn compacted_coefficients_match_e_products() {
-        // The compacted block must hold the per-component 3-D E product at
-        // every pattern position, everything off the pattern must be a
-        // structural zero, and the swapped view must be exactly the row
-        // permutation (ia, ib) → (ib, ia) of the same matrix.
+        // The compacted block must hold the per-component 3-D product of
+        // the 1-D E tables at every pattern position, everything off the
+        // pattern must be a structural zero, and the swapped view must be
+        // exactly the row permutation (ia, ib) → (ib, ia) of the same
+        // matrix — for a same-centre pair (AB = 0: exact zeros beyond the
+        // structural ones) and a two-centre pair.
         let b = BasisInstance::new(generators::methane(), BasisSetKind::CcPvdz).unwrap();
         let d = b.shells.iter().find(|s| s.l == 2).unwrap();
-        let p = b.shells.iter().find(|s| s.l == 1).unwrap();
-        let sp = ShellPair::new(d, p);
-        let fwd = sp.view(false);
-        let rev = sp.view(true);
+        let mut ps = b.shells.iter().filter(|s| s.l == 1);
+        let (p_same, p_far) = (ps.next().unwrap(), ps.next_back().unwrap());
+        assert_eq!(p_same.atom, d.atom);
+        assert_ne!(p_far.atom, d.atom);
         let triples = hermite_triples(3);
-        let pat = fwd.pattern();
-        assert_eq!(pat.ptr.len(), 6 * 3 + 1);
-        assert!(pat.col.len() < 6 * 3 * triples.len() / 2, "mostly zeros");
-        for k in 0..fwd.nprim_pairs() {
-            let (ex, ey, ez) = fwd.etables(k);
-            let ex = |i, j, t| {
-                if t > i + j {
-                    0.0
-                } else {
-                    fwd.eget(ex, i, j, t)
-                }
-            };
-            let ey = |i, j, t| {
-                if t > i + j {
-                    0.0
-                } else {
-                    fwd.eget(ey, i, j, t)
-                }
-            };
-            let ez = |i, j, t| {
-                if t > i + j {
-                    0.0
-                } else {
-                    fwd.eget(ez, i, j, t)
-                }
-            };
-            let coefs = fwd.coefs(k);
-            assert_eq!(coefs, rev.coefs(k), "one stored block serves both views");
-            for (ia, &(ax, ay, az)) in cart_components_static(2).iter().enumerate() {
-                for (ib, &(bx, by, bz)) in cart_components_static(1).iter().enumerate() {
-                    let row = ia * 3 + ib;
-                    assert_eq!(fwd.row_order()[row], row);
-                    assert_eq!(rev.row_order()[row], ib * 6 + ia);
-                    let nz = &pat.col[pat.ptr[row]..pat.ptr[row + 1]];
-                    for (h, &(t, u, v)) in triples.iter().enumerate() {
-                        let want = ex(ax as usize, bx as usize, t as usize)
-                            * ey(ay as usize, by as usize, u as usize)
-                            * ez(az as usize, bz as usize, v as usize);
-                        match nz.iter().position(|&c| c == h) {
-                            Some(j) => assert_eq!(coefs[pat.ptr[row] + j], want),
-                            None => assert_eq!(want, 0.0, "k={k} ia={ia} ib={ib} h={h}"),
+        for p in [p_same, p_far] {
+            let sp = ShellPair::new(d, p);
+            let fwd = sp.view(false);
+            let rev = sp.view(true);
+            assert_eq!((fwd.la, fwd.lb), (2, 1));
+            assert_eq!((rev.la, rev.lb), (1, 2));
+            let pat = fwd.pattern();
+            assert_eq!(pat.ptr.len(), 6 * 3 + 1);
+            assert!(pat.col.len() < 6 * 3 * triples.len() / 2, "mostly zeros");
+            // Neither pair is pruned, so primitive pair k is (a-major,
+            // b-minor) over the shells' own primitives.
+            assert_eq!(fwd.nprim_pairs(), d.nprim() * p.nprim());
+            let ab = d.center - p.center;
+            let mut k = 0;
+            for &ea in d.exps.iter() {
+                for &eb in p.exps.iter() {
+                    let e = [ab.x, ab.y, ab.z].map(|x| E1d::new(2, 1, ea, eb, x));
+                    let coefs = fwd.coefs(k);
+                    assert_eq!(coefs, rev.coefs(k), "one stored block serves both views");
+                    for (ia, &(ax, ay, az)) in cart_components_static(2).iter().enumerate() {
+                        for (ib, &(bx, by, bz)) in cart_components_static(1).iter().enumerate() {
+                            let row = ia * 3 + ib;
+                            assert_eq!(fwd.row_order()[row], row);
+                            assert_eq!(rev.row_order()[row], ib * 6 + ia);
+                            let nz = &pat.col[pat.ptr[row]..pat.ptr[row + 1]];
+                            for (h, &(t, u, v)) in triples.iter().enumerate() {
+                                let want = e[0].get(ax as usize, bx as usize, t as usize)
+                                    * e[1].get(ay as usize, by as usize, u as usize)
+                                    * e[2].get(az as usize, bz as usize, v as usize);
+                                match nz.iter().position(|&c| c == h) {
+                                    Some(j) => assert_eq!(coefs[pat.ptr[row] + j], want),
+                                    None => assert_eq!(want, 0.0, "k={k} ia={ia} ib={ib} h={h}"),
+                                }
+                            }
                         }
                     }
+                    k += 1;
                 }
             }
         }

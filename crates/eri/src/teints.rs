@@ -2,46 +2,46 @@
 //! computed by the McMurchie–Davidson scheme in shell-quartet batches —
 //! the minimal units of work of the paper's task model.
 //!
-//! The production kernel is [`EriEngine::quartet_pair`], which consumes
-//! precomputed [`PairView`]s (combined exponents, product centres,
-//! contraction products, Hermite E tables — see [`crate::pairdata`]) so a
-//! quartet costs only the R-table recursion plus the two contractions.
-//! [`EriEngine::quartet`] is the `Shell`-based compatibility wrapper: it
-//! rebuilds the two pair tables into engine scratch per call (still
-//! allocation-free after warm-up). [`EriEngine::quartet_ref`] retains the
-//! original direct kernel — which rebuilt every E table per primitive
-//! quartet — as the numerical reference and the before/after baseline for
-//! `bench/src/bin/eri_throughput.rs`.
+//! There is one production kernel, [`crate::batch`]'s class-batched
+//! contraction, and [`EriEngine`] owns the per-thread instance of it: the
+//! builders' [`crate::batch::ClassBatcher`] evaluates its chunks through the
+//! engine it is handed, and every single-quartet caller (Schwarz set-up,
+//! the DF 2-/3-centre integrals, tests) reaches the same kernel as a
+//! one-item batch — [`EriEngine::quartet_views`] from precomputed
+//! [`PairView`]s, [`EriEngine::quartet`] from four `Shell`s (pair data
+//! rebuilt into engine scratch per call, allocation-free after warm-up).
+//!
+//! [`EriEngine::quartet_ref`] is the one reference: the direct kernel that
+//! rebuilds every E table per primitive quartet, prunes no primitive pair
+//! and evaluates the Boys function by its series. It shares no contraction
+//! code with the production kernel, so parity tests, the brute-force Fock
+//! oracle and `bench/src/bin/eri_throughput.rs` compare against it.
 
-use crate::boys::boys_fast;
-use crate::hermite::{cart_components_static, hermite_r, hermite_r_ref, E1d, RScratch};
+use crate::batch::{BatchKernel, QuartetClass};
+use crate::boys::boys;
+use crate::hermite::{cart_components_static, hermite_r, E1d, RScratch};
 use crate::pairdata::{PairView, ShellPair};
-use crate::spherical::{ncart, nsph, transform_axis_into, transform_quartet};
+use crate::spherical::{ncart, transform_quartet};
 use chem::shells::{odd_double_factorial, Shell};
-use obs::Histogram;
-use std::time::Instant;
 
 pub(crate) const TWO_PI_POW_2_5: f64 = 34.986_836_655_249_725; // 2 * pi^{5/2}
 
-/// Reusable ERI evaluator. Holds scratch buffers so repeated quartet
-/// evaluations don't allocate; create one per thread.
+/// Reusable ERI evaluator. Holds the batched kernel and scratch buffers so
+/// repeated quartet evaluations don't allocate; create one per thread.
 #[derive(Default)]
 pub struct EriEngine {
-    boys_buf: Vec<f64>,
-    cart_buf: Vec<f64>,
-    sph_buf: Vec<f64>,
-    half_buf: Vec<f64>,
-    bra_sum: Vec<f64>,
-    r_scratch: RScratch,
-    /// Scratch pair tables for the `Shell`-based wrapper paths.
+    /// The production kernel; [`crate::batch::ClassBatcher::flush`] drives
+    /// it with whole class chunks.
+    pub(crate) kernel: BatchKernel,
+    /// Scratch pair tables and block for the `Shell`-based entry points.
     pair_bra: ShellPair,
     pair_ket: ShellPair,
-    schwarz_buf: Vec<f64>,
-    /// Per-quartet wall-time histogram (ns). Disabled by default — one
-    /// branch per quartet; attach a live one with
-    /// [`Self::set_quartet_histogram`] to expose the cost distribution in
-    /// traces.
-    quartet_ns: Histogram,
+    block: Vec<f64>,
+    /// Scratch of [`Self::quartet_ref`].
+    boys_buf: Vec<f64>,
+    cart_buf: Vec<f64>,
+    half_buf: Vec<f64>,
+    r_scratch: RScratch,
 }
 
 impl EriEngine {
@@ -49,19 +49,12 @@ impl EriEngine {
         Self::default()
     }
 
-    /// Attach a histogram receiving one nanosecond sample per evaluated
-    /// quartet (`eri.quartet_ns` in the builders). A disabled histogram
-    /// (the default) skips the clock reads entirely.
-    pub fn set_quartet_histogram(&mut self, h: Histogram) {
-        self.quartet_ns = h;
-    }
-
     /// Compute the shell quartet (ab|cd) into `out` as a row-major
     /// `[na][nb][nc][nd]` block of *spherical* integrals
     /// (chemists' notation: (ab|cd) = ∫∫ a(1)b(1) r₁₂⁻¹ c(2)d(2)).
     ///
-    /// Compatibility wrapper over [`Self::quartet_pair`]: rebuilds the two
-    /// pair tables into engine scratch (no allocation after warm-up).
+    /// Rebuilds the two pair tables into engine scratch (no allocation
+    /// after warm-up) and evaluates them through [`Self::quartet_views`].
     /// Returns the number of integrals written.
     pub fn quartet(
         &mut self,
@@ -75,228 +68,24 @@ impl EriEngine {
         let mut ket = std::mem::take(&mut self.pair_ket);
         bra.rebuild(a, b);
         ket.rebuild(c, d);
-        let n = self.quartet_pair(&bra.view(false), &ket.view(false), out);
+        let n = self.quartet_views(&bra.view(false), &ket.view(false), out);
         self.pair_bra = bra;
         self.pair_ket = ket;
         n
     }
 
-    /// The production kernel: compute the quartet (ab|cd) from precomputed
-    /// pair data. Identical contract to [`Self::quartet`]; the E tables,
-    /// combined exponents, product centres and contraction products come
-    /// from the views, so per quartet only the Boys/R recursion and the
-    /// two Hermite contractions remain.
-    #[allow(clippy::needless_range_loop)] // index used across two buffers
-    pub fn quartet_pair(&mut self, bra: &PairView, ket: &PairView, out: &mut Vec<f64>) -> usize {
-        let timer = if self.quartet_ns.is_enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let (la, lb, lc, ld) = (bra.la, bra.lb, ket.la, ket.lb);
-        let l_total = la + lb + lc + ld;
-        let (nca, ncb, ncc, ncd) = (
-            ncart(la as u8),
-            ncart(lb as u8),
-            ncart(lc as u8),
-            ncart(ld as u8),
-        );
-        let ncart_total = nca * ncb * ncc * ncd;
-
-        self.cart_buf.clear();
-        self.cart_buf.resize(ncart_total, 0.0);
-
-        // All-s fast path: every E table collapses to its (0,0,0) entry
-        // (the Gaussian-product prefactor), the R table to F₀ alone, and
-        // both Hermite contractions to a plain double sum over primitive
-        // pairs. Deeply contracted s classes dominate cc-pVDZ quartet
-        // streams, so skipping the general machinery here matters.
-        if l_total == 0 {
-            self.half_buf.clear();
-            self.half_buf.resize(ket.nprim_pairs(), 0.0);
-            for kcd in 0..ket.nprim_pairs() {
-                let kp = ket.prim(kcd);
-                let (ex, ey, ez) = ket.etables(kcd);
-                self.half_buf[kcd] = kp.coef * ex[0] * ey[0] * ez[0];
-            }
-            let mut acc = 0.0;
-            let mut f0 = [0.0f64];
-            for kab in 0..bra.nprim_pairs() {
-                let bp = bra.prim(kab);
-                let (ex, ey, ez) = bra.etables(kab);
-                let eab = bp.coef * ex[0] * ey[0] * ez[0];
-                for kcd in 0..ket.nprim_pairs() {
-                    let kp = ket.prim(kcd);
-                    let (p, q) = (bp.p, kp.p);
-                    let alpha = p * q / (p + q);
-                    boys_fast(0, alpha * (bp.center - kp.center).norm2(), &mut f0);
-                    acc += TWO_PI_POW_2_5 / (p * q * (p + q).sqrt())
-                        * eab
-                        * self.half_buf[kcd]
-                        * f0[0];
-                }
-            }
-            self.cart_buf[0] = acc;
-            let n = self.spherical_into([0, 0, 0, 0], out);
-            if let Some(t0) = timer {
-                self.quartet_ns.record(t0.elapsed().as_nanos() as u64);
-            }
-            return n;
-        }
-
-        let comps_a = cart_components_static(la as u8);
-        let comps_b = cart_components_static(lb as u8);
-        let comps_c = cart_components_static(lc as u8);
-        let comps_d = cart_components_static(ld as u8);
-
-        // Dimensions of the Hermite index space of the bra and ket.
-        let tb = la + lb + 1; // bra t,u,v each < tb
-                              // g[cd_comp][t][u][v]: ket side contracted with R.
-        self.half_buf.clear();
-        self.half_buf.resize(ncc * ncd * tb * tb * tb, 0.0);
-        self.bra_sum.clear();
-        self.bra_sum.resize(ncc * ncd, 0.0);
-
-        for kab in 0..bra.nprim_pairs() {
-            let bp = bra.prim(kab);
-            let (eab_x, eab_y, eab_z) = bra.etables(kab);
-            for kcd in 0..ket.nprim_pairs() {
-                let kp = ket.prim(kcd);
-                let (ecd_x, ecd_y, ecd_z) = ket.etables(kcd);
-                let (p, q) = (bp.p, kp.p);
-                let alpha = p * q / (p + q);
-                let r = hermite_r(
-                    l_total,
-                    alpha,
-                    bp.center - kp.center,
-                    &mut self.boys_buf,
-                    &mut self.r_scratch,
-                );
-                let pref = TWO_PI_POW_2_5 / (p * q * (p + q).sqrt()) * bp.coef * kp.coef;
-
-                // Ket half-contraction: for each (c,d) cartesian
-                // component, fold E^{cd} and the (-1)^(τ+ν+φ) sign
-                // into g(t,u,v).
-                let g = &mut self.half_buf;
-                g.iter_mut().for_each(|x| *x = 0.0);
-                for (kc, &(cx, cy, cz)) in comps_c.iter().enumerate() {
-                    for (kd, &(dx, dy, dz)) in comps_d.iter().enumerate() {
-                        let base = (kc * ncd + kd) * tb * tb * tb;
-                        for tau in 0..=(cx + dx) as usize {
-                            let ex = ket.eget(ecd_x, cx as usize, dx as usize, tau);
-                            if ex == 0.0 {
-                                continue;
-                            }
-                            for nu in 0..=(cy + dy) as usize {
-                                let exy = ex * ket.eget(ecd_y, cy as usize, dy as usize, nu);
-                                if exy == 0.0 {
-                                    continue;
-                                }
-                                for phi in 0..=(cz + dz) as usize {
-                                    let e3 = exy * ket.eget(ecd_z, cz as usize, dz as usize, phi);
-                                    if e3 == 0.0 {
-                                        continue;
-                                    }
-                                    let sign = if (tau + nu + phi) % 2 == 1 { -1.0 } else { 1.0 };
-                                    let w = sign * e3;
-                                    for t in 0..tb {
-                                        for u in 0..tb {
-                                            for v in 0..tb {
-                                                if t + u + v > la + lb {
-                                                    continue;
-                                                }
-                                                g[base + (t * tb + u) * tb + v] +=
-                                                    w * r.get(t + tau, u + nu, v + phi);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // Bra contraction into the cartesian output block.
-                for (ka, &(ax, ay, az)) in comps_a.iter().enumerate() {
-                    for (kb, &(bx, by, bz)) in comps_b.iter().enumerate() {
-                        self.bra_sum.iter_mut().for_each(|x| *x = 0.0);
-                        for t in 0..=(ax + bx) as usize {
-                            let ex = bra.eget(eab_x, ax as usize, bx as usize, t);
-                            if ex == 0.0 {
-                                continue;
-                            }
-                            for u in 0..=(ay + by) as usize {
-                                let exy = ex * bra.eget(eab_y, ay as usize, by as usize, u);
-                                if exy == 0.0 {
-                                    continue;
-                                }
-                                for v in 0..=(az + bz) as usize {
-                                    let e3 = exy * bra.eget(eab_z, az as usize, bz as usize, v);
-                                    if e3 == 0.0 {
-                                        continue;
-                                    }
-                                    let off = (t * tb + u) * tb + v;
-                                    for kcd in 0..ncc * ncd {
-                                        self.bra_sum[kcd] +=
-                                            e3 * self.half_buf[kcd * tb * tb * tb + off];
-                                    }
-                                }
-                            }
-                        }
-                        let out_base = (ka * ncb + kb) * ncc * ncd;
-                        for (kcd, &s) in self.bra_sum.iter().enumerate() {
-                            self.cart_buf[out_base + kcd] += pref * s;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Spherical transform (includes per-component normalization),
-        // ping-ponging between the two engine buffers — identity axes
-        // (s, p) are skipped outright.
-        let n = self.spherical_into([la as u8, lb as u8, lc as u8, ld as u8], out);
-        if let Some(t0) = timer {
-            self.quartet_ns.record(t0.elapsed().as_nanos() as u64);
-        }
-        n
+    /// The quartet (ab|cd) from precomputed pair data, as a one-item batch
+    /// of the production kernel. Identical contract to [`Self::quartet`].
+    pub fn quartet_views(&mut self, bra: &PairView, ket: &PairView, out: &mut Vec<f64>) -> usize {
+        let class = QuartetClass::of(bra.la as u8, bra.lb as u8, ket.la as u8, ket.lb as u8);
+        self.kernel.eval(class, &[(*bra, *ket)], out)
     }
 
-    /// Transform `cart_buf` (a `[ncart]⁴` block for `ls`) to spherical,
-    /// writing the result to `out`. Allocation-free after warm-up.
-    fn spherical_into(&mut self, ls: [u8; 4], out: &mut Vec<f64>) -> usize {
-        let [la, lb, lc, ld] = ls;
-        let mut data = std::mem::take(&mut self.cart_buf);
-        let mut tmp = std::mem::take(&mut self.sph_buf);
-        // Transform the last axis first so earlier strides stay valid.
-        if ld >= 2 {
-            transform_axis_into(&data, ncart(la) * ncart(lb) * ncart(lc), 1, ld, &mut tmp);
-            std::mem::swap(&mut data, &mut tmp);
-        }
-        if lc >= 2 {
-            transform_axis_into(&data, ncart(la) * ncart(lb), nsph(ld), lc, &mut tmp);
-            std::mem::swap(&mut data, &mut tmp);
-        }
-        if lb >= 2 {
-            transform_axis_into(&data, ncart(la), nsph(lc) * nsph(ld), lb, &mut tmp);
-            std::mem::swap(&mut data, &mut tmp);
-        }
-        if la >= 2 {
-            transform_axis_into(&data, 1, nsph(lb) * nsph(lc) * nsph(ld), la, &mut tmp);
-            std::mem::swap(&mut data, &mut tmp);
-        }
-        out.clear();
-        out.extend_from_slice(&data);
-        self.cart_buf = data;
-        self.sph_buf = tmp;
-        out.len()
-    }
-
-    /// The original direct kernel, kept verbatim as the numerical
-    /// reference: every bra/ket E table is rebuilt per primitive pair —
-    /// the ket ones inside the bra loops, the O(K_a·K_b·K_c·K_d)
-    /// redundancy the pair-data layer removes. Used by the proptest
-    /// cross-check and as the "before" side of `eri_throughput`.
+    /// The direct kernel, kept as the numerical reference: every bra/ket E
+    /// table is rebuilt per primitive pair — the ket ones inside the bra
+    /// loops, the O(K_a·K_b·K_c·K_d) redundancy the pair-data layer
+    /// removes — no primitive pair is pruned and the Boys function is the
+    /// reference series. Same contract as [`Self::quartet`]; allocates.
     #[allow(clippy::needless_range_loop)] // index used across two buffers
     pub fn quartet_ref(
         &mut self,
@@ -328,6 +117,8 @@ impl EriEngine {
         self.half_buf.resize(ncc * ncd * tb * tb * tb, 0.0);
 
         let mut bra_sum = vec![0.0f64; ncc * ncd];
+        self.boys_buf.clear();
+        self.boys_buf.resize(l_total + 1, 0.0);
 
         for (&ea, &ca) in a.exps.iter().zip(a.coefs.iter()) {
             for (&eb, &cb) in b.exps.iter().zip(b.coefs.iter()) {
@@ -344,13 +135,9 @@ impl EriEngine {
                         let ecd_y = E1d::new(lc, ld, ec, ed, cd.y);
                         let ecd_z = E1d::new(lc, ld, ec, ed, cd.z);
                         let alpha = p * q / (p + q);
-                        let r = hermite_r_ref(
-                            l_total,
-                            alpha,
-                            pc - qc,
-                            &mut self.boys_buf,
-                            &mut self.r_scratch,
-                        );
+                        let pq = pc - qc;
+                        boys(l_total, alpha * pq.norm2(), &mut self.boys_buf);
+                        let r = hermite_r(l_total, alpha, pq, &self.boys_buf, &mut self.r_scratch);
                         let pref = TWO_PI_POW_2_5 / (p * q * (p + q).sqrt()) * ca * cb * cc * cdc;
 
                         // Ket half-contraction.
@@ -448,8 +235,8 @@ impl EriEngine {
     pub fn schwarz_pair_value(&mut self, m: &Shell, n: &Shell) -> f64 {
         let mut pair = std::mem::take(&mut self.pair_bra);
         pair.rebuild(m, n);
-        let mut buf = std::mem::take(&mut self.schwarz_buf);
-        self.quartet_pair(&pair.view(false), &pair.view(false), &mut buf);
+        let mut buf = std::mem::take(&mut self.block);
+        self.quartet_views(&pair.view(false), &pair.view(false), &mut buf);
         let (nm, nn) = (m.nfuncs(), n.nfuncs());
         let mut best = 0.0f64;
         for i in 0..nm {
@@ -459,18 +246,9 @@ impl EriEngine {
                 best = best.max(buf[idx].abs());
             }
         }
-        self.schwarz_buf = buf;
+        self.block = buf;
         self.pair_bra = pair;
         best.sqrt()
-    }
-}
-
-impl std::fmt::Debug for EriEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EriEngine")
-            .field("cart_capacity", &self.cart_buf.capacity())
-            .field("half_capacity", &self.half_buf.capacity())
-            .finish()
     }
 }
 
@@ -633,14 +411,14 @@ mod tests {
     }
 
     #[test]
-    fn pair_kernel_matches_reference_kernel() {
-        // Wrapper (pair-data path) vs the retained direct kernel on every
-        // shell-quartet shape in a d-bearing basis, including swapped
-        // orientations served from the same stored pair.
+    fn shell_entry_point_matches_reference_kernel() {
+        // `quartet` (pair data rebuilt, one-item batch) vs the direct
+        // reference kernel on several shell-quartet shapes of a d-bearing
+        // basis.
         let basis = BasisInstance::new(generators::methane(), BasisSetKind::CcPvdz).unwrap();
         let s = &basis.shells;
         let mut eng = EriEngine::new();
-        let mut pair_out = Vec::new();
+        let mut got = Vec::new();
         let mut ref_out = Vec::new();
         let picks = [
             (0usize, 1usize, 2usize, 3usize),
@@ -649,10 +427,10 @@ mod tests {
             (1, 0, 5, 2),
         ];
         for &(a, b, c, d) in &picks {
-            eng.quartet(&s[a], &s[b], &s[c], &s[d], &mut pair_out);
+            eng.quartet(&s[a], &s[b], &s[c], &s[d], &mut got);
             eng.quartet_ref(&s[a], &s[b], &s[c], &s[d], &mut ref_out);
-            assert_eq!(pair_out.len(), ref_out.len());
-            for (x, y) in pair_out.iter().zip(&ref_out) {
+            assert_eq!(got.len(), ref_out.len());
+            for (x, y) in got.iter().zip(&ref_out) {
                 assert!((x - y).abs() < 1e-12, "({a}{b}|{c}{d}): {x} vs {y}");
             }
         }
@@ -661,7 +439,7 @@ mod tests {
     #[test]
     fn swapped_view_matches_rebuilt_pair() {
         // Serving (b,a) from the stored (a,b) tables must equal rebuilding
-        // the (b,a) pair outright.
+        // the (b,a) pair outright, and both must equal the reference.
         let basis = BasisInstance::new(generators::methane(), BasisSetKind::CcPvdz).unwrap();
         let s = &basis.shells;
         let d = s.iter().position(|x| x.l == 2).unwrap();
@@ -670,28 +448,16 @@ mod tests {
         let stored = ShellPair::new(&s[d], &s[p]);
         let rebuilt = ShellPair::new(&s[p], &s[d]);
         let ket = ShellPair::new(&s[0], &s[1]);
-        let mut via_swap = Vec::new();
-        let mut via_rebuild = Vec::new();
-        eng.quartet_pair(&stored.view(true), &ket.view(false), &mut via_swap);
-        eng.quartet_pair(&rebuilt.view(false), &ket.view(false), &mut via_rebuild);
-        assert_eq!(via_swap.len(), via_rebuild.len());
-        for (x, y) in via_swap.iter().zip(&via_rebuild) {
-            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
+        let (mut via_swap, mut via_rebuild, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        eng.quartet_views(&stored.view(true), &ket.view(false), &mut via_swap);
+        eng.quartet_views(&rebuilt.view(false), &ket.view(false), &mut via_rebuild);
+        eng.quartet_ref(&s[p], &s[d], &s[0], &s[1], &mut want);
+        assert_eq!(via_swap.len(), want.len());
+        assert_eq!(via_rebuild.len(), want.len());
+        for ((x, y), w) in via_swap.iter().zip(&via_rebuild).zip(&want) {
+            assert!((x - w).abs() < 1e-12, "swapped {x} vs reference {w}");
+            assert!((y - w).abs() < 1e-12, "rebuilt {y} vs reference {w}");
         }
-    }
-
-    #[test]
-    fn quartet_histogram_counts_quartets() {
-        let metrics = obs::Metrics::new();
-        let basis = BasisInstance::new(generators::water(), BasisSetKind::Sto3g).unwrap();
-        let s = &basis.shells;
-        let mut eng = EriEngine::new();
-        let mut out = Vec::new();
-        eng.set_quartet_histogram(metrics.histogram("eri.quartet_ns"));
-        eng.quartet(&s[0], &s[1], &s[2], &s[3], &mut out);
-        eng.quartet(&s[1], &s[1], &s[1], &s[1], &mut out);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.histograms["eri.quartet_ns"].count, 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! The ERI hot path must not allocate: after warm-up, repeated calls to
-//! `EriEngine::quartet`, `quartet_pair` and `schwarz_pair_value`, and the
-//! batched path every builder runs (`ClassBatcher::push`/`flush`,
-//! `BatchKernel::eval`), reuse their scratch only. A counting global
-//! allocator makes any regression
+//! The ERI hot path must not allocate: after warm-up, the batched path
+//! every builder runs (`ClassBatcher::push`/`flush`, `BatchKernel::eval`)
+//! and the one-item routes into the same kernel (`EriEngine::quartet`,
+//! `quartet_views`, `schwarz_pair_value`, the DF dummy-shell views) reuse
+//! their scratch only. A counting global allocator makes any regression
 //! (a fresh `Vec` in an inner loop, a buffer grown per call) an immediate
 //! test failure rather than a silent throughput loss.
 
@@ -38,7 +38,10 @@ fn alloc_count() -> u64 {
 fn hot_paths_do_not_allocate_after_warmup() {
     use chem::shells::BasisInstance;
     use chem::{generators, BasisSetKind};
-    use eri::{BatchKernel, ClassBatcher, EriEngine, QuartetClass, Screening, ShellPairData};
+    use eri::{
+        AuxBasis, AuxSpec, BatchKernel, ClassBatcher, EriEngine, QuartetClass, Screening,
+        ShellPair, ShellPairData,
+    };
 
     // cc-pVDZ methane exercises every angular class up to d and several
     // contraction depths.
@@ -50,6 +53,18 @@ fn hot_paths_do_not_allocate_after_warmup() {
 
     // The first and last shell of each angular momentum: every class,
     // deep and shallow contractions.
+    // The DF route: (P δ| bra pairs of aux shells with the zero-exponent
+    // dummy s shell, as `eri::df::three_center` builds them.
+    let aux = AuxBasis::generate(&basis, &AuxSpec::default());
+    let aux_pairs: Vec<ShellPair> = (0..3u8)
+        .map(|l| {
+            let p = aux.shells.iter().find(|s| s.l == l).unwrap();
+            let mut dummy = p.clone();
+            (dummy.l, dummy.exps, dummy.coefs) = (0, Box::new([0.0]), Box::new([1.0]));
+            ShellPair::new(p, &dummy)
+        })
+        .collect();
+
     let mut reps: Vec<usize> = (0..3u8)
         .flat_map(|l| {
             let of_l = |i: &usize| sh[*i].l == l;
@@ -68,8 +83,12 @@ fn hot_paths_do_not_allocate_after_warmup() {
         for m in 0..n {
             for p in 0..n {
                 if let (Some(bra), Some(ket)) = (pairs.view(m, p), pairs.view(p, m)) {
-                    eng.quartet_pair(&bra, &ket, &mut out);
+                    eng.quartet_views(&bra, &ket, &mut out);
                     sink += out[0];
+                    for aux_bra in &aux_pairs {
+                        eng.quartet_views(&aux_bra.view(false), &ket, &mut out);
+                        sink += out[0];
+                    }
                     let class = QuartetClass::of(sh[m].l, sh[p].l, sh[p].l, sh[m].l);
                     kernel.eval(class, &[(bra, ket), (bra, ket)], &mut out);
                     sink += out[0];

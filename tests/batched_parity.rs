@@ -1,8 +1,9 @@
-//! The batched class-kernel build path vs the scalar kernel under full
+//! The batched class-kernel build path vs the reference kernel under full
 //! production screening: `build_g_seq` (which routes every surviving
 //! quartet through `ClassBatcher`/`BatchKernel`) must match a manual
 //! scalar loop that evaluates exactly the same screened quartet stream
-//! with `EriEngine::quartet_pair` and applies the same image expansion.
+//! with `EriEngine::quartet_ref` (no pair data, no primitive pruning,
+//! series Boys) and applies the same image expansion.
 
 use fock_repro::chem::reorder::ShellOrdering;
 use fock_repro::chem::{generators, BasisSetKind};
@@ -22,14 +23,14 @@ fn density(nbf: usize) -> Vec<f64> {
 }
 
 /// The scalar build: same task enumeration, same Schwarz + density-weighted
-/// screening as `do_task`, quartet-at-a-time through `quartet_pair`.
+/// screening as `do_task`, quartet-at-a-time through `quartet_ref`.
 fn build_g_scalar(prob: &FockProblem, d: &[f64]) -> (Vec<f64>, u64) {
     let nbf = prob.nbf();
     let dn = DensityNorms::compute(&prob.basis, d);
     let mut f = vec![0.0; nbf * nbf];
     let mut eng = EriEngine::new();
     let mut block = Vec::new();
-    let pairs = prob.pairs();
+    let sh = &prob.basis.shells;
     let n = prob.nshells();
     let mut quartets = 0;
     let mut sink = DenseSink { nbf, d, f: &mut f };
@@ -37,7 +38,6 @@ fn build_g_scalar(prob: &FockProblem, d: &[f64]) -> (Vec<f64>, u64) {
         for nn in 0..n {
             for &p in prob.phi(m) {
                 let p = p as usize;
-                let bra = pairs.view(m, p).expect("phi pair has pair data");
                 for &q in prob.phi(nn) {
                     let q = q as usize;
                     if !prob.quartet_selected(m, p, nn, q)
@@ -45,8 +45,7 @@ fn build_g_scalar(prob: &FockProblem, d: &[f64]) -> (Vec<f64>, u64) {
                     {
                         continue;
                     }
-                    let ket = pairs.view(nn, q).expect("phi pair has pair data");
-                    eng.quartet_pair(&bra, &ket, &mut block);
+                    eng.quartet_ref(&sh[m], &sh[p], &sh[nn], &sh[q], &mut block);
                     apply_quartet(&mut sink, prob, [m, p, nn, q], &block);
                     quartets += 1;
                 }
@@ -70,8 +69,9 @@ fn check(prob: &FockProblem) {
         .zip(&batched)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0, f64::max);
-    // Same quartets, same per-quartet blocks to ~1e-15 relative; the only
-    // difference is F-accumulation order within a task. 1e-10 is generous.
+    // Same quartets, per-quartet blocks equal to 1e-12 (the kernels share
+    // no contraction code); F-accumulation order within a task differs
+    // too. 1e-10 is generous.
     assert!(max < 1e-10, "G mismatch between batched and scalar: {max}");
 }
 

@@ -223,7 +223,8 @@ proptest! {
     ) {
         // Every integral of every quartet (random shells from real
         // molecules, d shells and deep contractions included) must agree
-        // between the direct kernel and the pair-data paths to 1e-12.
+        // between the reference kernel and both one-item routes into the
+        // production kernel to 1e-12.
         let (basis, pd) = &pair_test_bases()[which];
         let sh = &basis.shells;
         let n = sh.len();
@@ -249,7 +250,7 @@ proptest! {
 
         // Shared-table path, exercising stored/swapped orientations.
         if let (Some(bra), Some(ket)) = (pd.view(m, p), pd.view(nn, q)) {
-            let npair = eng.quartet_pair(&bra, &ket, &mut opair);
+            let npair = eng.quartet_views(&bra, &ket, &mut opair);
             prop_assert_eq!(nref, npair);
             for (k, (&r, &w)) in oref.iter().zip(opair.iter()).enumerate() {
                 prop_assert!(

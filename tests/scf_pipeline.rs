@@ -13,8 +13,8 @@ use fock_repro::distrt::ProcessGrid;
 #[test]
 fn converged_energies_match_pre_pairdata_kernel() {
     // References captured with the direct (pre-shell-pair-data) ERI kernel
-    // at these exact settings; the pair-data path (precomputed E tables,
-    // tabulated Boys, primitive screening) must reproduce them to 1e-10 Ha.
+    // at these exact settings; the pair-data path (precomputed Hermite
+    // coefficients, tabulated Boys, primitive screening) must reproduce them to 1e-10 Ha.
     for (name, mol, kind, want) in [
         (
             "water/sto3g",
