@@ -81,9 +81,7 @@ pub fn core_counts(_full: bool) -> Vec<usize> {
     vec![12, 48, 192, 768, 1728, 3888]
 }
 
-/// The static configurations of the `ablation_scheduler` sweep — one
-/// shared definition so the sweep bin and the autotune bench score the
-/// same points.
+/// The static configurations of the `ablation_scheduler` sweep.
 pub fn scheduler_sweep_configs() -> Vec<(String, StealConfig)> {
     let cfg = |policy, fraction| StealConfig {
         enabled: true,
@@ -113,7 +111,7 @@ pub fn scheduler_sweep_configs() -> Vec<(String, StealConfig)> {
 }
 
 /// The chunk sizes of the `ablation_granularity` sweep (atom quartets per
-/// task) — shared with the autotune bench.
+/// task).
 pub fn granularity_sweep_chunks() -> Vec<usize> {
     vec![1, 2, 5, 20, 100]
 }

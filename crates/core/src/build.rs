@@ -19,7 +19,7 @@ use crate::nwchem::{build_fock_nwchem_rec, NwchemConfig};
 use crate::seq::build_g_seq_rec;
 use crate::sim_exec::{StealConfig, VictimPolicy};
 use crate::tasks::FockProblem;
-use distrt::{CommStats, FaultPlan, GaError, MigrationPlan, ProcessGrid};
+use distrt::{CommStats, FaultPlan, GaError, ProcessGrid};
 use obs::Recorder;
 
 /// Name of the metrics counter every builder bumps with its computed
@@ -117,11 +117,6 @@ pub struct BuildReport {
     pub tasks_requeued: Vec<u64>,
     /// Ranks the fault plan killed during this build.
     pub ranks_died: u64,
-    /// Task bins reassigned to a new owner by planned migration steps.
-    pub bins_migrated: u64,
-    /// Ranks that retired mid-build (flushed, handed their GA blocks and
-    /// remaining queue to a target, and fenced).
-    pub ranks_retired: u64,
 }
 
 impl BuildReport {
@@ -138,8 +133,6 @@ impl BuildReport {
             comm: vec![CommStats::default(); nprocs],
             tasks_requeued: vec![0; nprocs],
             ranks_died: 0,
-            bins_migrated: 0,
-            ranks_retired: 0,
         }
     }
 
@@ -198,16 +191,6 @@ impl BuildReport {
 
     pub fn with_ranks_died(mut self, n: u64) -> Self {
         self.ranks_died = n;
-        self
-    }
-
-    pub fn with_bins_migrated(mut self, n: u64) -> Self {
-        self.bins_migrated = n;
-        self
-    }
-
-    pub fn with_ranks_retired(mut self, n: u64) -> Self {
-        self.ranks_retired = n;
         self
     }
 
@@ -439,14 +422,6 @@ pub struct SchedulerOpts {
     pub steal_fraction: f64,
     /// Fault-injection plan applied to the build, if any.
     pub fault: Option<Arc<FaultPlan>>,
-    /// Planned elastic-rescaling schedule (bin moves, retirements, joins)
-    /// actuated mid-build, if any.
-    pub migration: Option<Arc<MigrationPlan>>,
-    /// Bins per static-block side for the elastic bin map (`split²` bins
-    /// per rank). 1 — the default — makes the bin map *be* the static
-    /// partition; builders only materialize a map when this exceeds 1 or
-    /// a migration plan is attached.
-    pub bin_split: usize,
 }
 
 impl Default for SchedulerOpts {
@@ -458,8 +433,6 @@ impl Default for SchedulerOpts {
             victim_policy: VictimPolicy::RowScan,
             steal_fraction: 0.5,
             fault: None,
-            migration: None,
-            bin_split: 1,
         }
     }
 }
@@ -503,26 +476,12 @@ impl SchedulerOpts {
         self
     }
 
-    pub fn migration(mut self, plan: Arc<MigrationPlan>) -> Self {
-        self.migration = Some(plan);
-        self
-    }
-
-    pub fn bin_split(mut self, split: usize) -> Self {
-        assert!(split >= 1, "bin split must be at least 1");
-        self.bin_split = split;
-        self
-    }
-
     /// View as a GTFock configuration.
     pub fn gtfock(&self) -> GtfockConfig {
         GtfockConfig {
             grid: self.grid,
             steal: self.steal,
             fault: self.fault.clone(),
-            migration: self.migration.clone(),
-            bin_split: self.bin_split,
-            bins: None,
         }
     }
 
@@ -532,7 +491,6 @@ impl SchedulerOpts {
         NwchemConfig {
             nprocs: self.grid.nprocs(),
             chunk: self.chunk,
-            migration: self.migration.clone(),
         }
     }
 

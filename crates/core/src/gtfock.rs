@@ -42,18 +42,16 @@ use crate::build::{
     DENSITY_SKIPPED_COUNTER, QUARTETS_COUNTER,
 };
 use crate::localbuf::{LocalBuffers, LocalSink, ShellDims};
-use crate::partition::{BinMap, StaticPartition};
+use crate::partition::StaticPartition;
 use crate::sink::do_task;
 use crate::tasks::{CompletionBoard, FockProblem};
 use crossbeam_deque::{Steal, Stealer, Worker};
-use distrt::migrate::{MigrationPlan, MigrationStep, MigrationTrigger};
 use distrt::{FaultPlan, GaError, GlobalArray, ProcessGrid};
 use eri::{ClassBatcher, DensityNorms, EriEngine};
-use obs::{fault_code, migrate_code, EventKind, Recorder};
+use obs::{fault_code, EventKind, Recorder};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of a threaded GTFock build.
@@ -66,16 +64,6 @@ pub struct GtfockConfig {
     /// Deterministic fault plan injected into this build (None, the
     /// default, is the fault-free fast path).
     pub fault: Option<Arc<FaultPlan>>,
-    /// Planned elastic-rescaling schedule actuated mid-build: bin moves
-    /// between ranks, rank retirements with GA block handoff, joins.
-    pub migration: Option<Arc<MigrationPlan>>,
-    /// Bins per static-block side (`split²` bins per rank) for the
-    /// elastic bin map. With 1 the map *is* the static partition; a map
-    /// is only materialized when this exceeds 1 or a plan is attached.
-    pub bin_split: usize,
-    /// Explicit initial bin ownership (e.g. a grow scenario where a rank
-    /// starts empty). Derived from `bin_split` when None.
-    pub bins: Option<Arc<BinMap>>,
 }
 
 impl Default for GtfockConfig {
@@ -84,9 +72,6 @@ impl Default for GtfockConfig {
             grid: ProcessGrid::new(1, 1),
             steal: true,
             fault: None,
-            migration: None,
-            bin_split: 1,
-            bins: None,
         }
     }
 }
@@ -146,27 +131,9 @@ pub fn try_build_fock_gtfock_rec(
     record_pairdata(rec, prob.pairs());
 
     let fault: Option<&FaultPlan> = cfg.fault.as_deref().filter(|p| p.is_active());
-    let migration: Option<&MigrationPlan> = cfg.migration.as_deref().filter(|p| p.is_active());
-    // Elastic bin map: only materialized when the build can actually
-    // remap ownership, so the default path stays the plain partition.
-    let bins: Option<Arc<BinMap>> = cfg.bins.clone().or_else(|| {
-        (migration.is_some() || cfg.bin_split > 1)
-            .then(|| Arc::new(BinMap::new(part, cfg.bin_split.max(1))))
-    });
-    if let Some(b) = &bins {
-        assert_eq!(b.part, part, "bin map must cover this build's grid");
-    }
-    if let Some(p) = migration {
-        assert!(
-            p.max_rank() < nprocs,
-            "migration plan references rank {} beyond the grid",
-            p.max_rank()
-        );
-    }
-    // Exactly-once ledger, maintained whenever tasks can change hands in
-    // ways the static partition does not describe (faults or migration).
-    let board =
-        (fault.is_some() || migration.is_some()).then(|| CompletionBoard::new(nshells * nshells));
+    // Exactly-once ledger, maintained only when a fault plan can lose
+    // tasks the static partition assigned.
+    let board = fault.map(|_| CompletionBoard::new(nshells * nshells));
 
     let mut ga_d = GlobalArray::from_dense(cfg.grid, nbf, nbf, d_dense);
     let mut ga_f = GlobalArray::zeros(cfg.grid, nbf, nbf);
@@ -179,36 +146,15 @@ pub fn try_build_fock_gtfock_rec(
     }
     let (ga_d, ga_f) = (ga_d, ga_f);
 
-    // Task deques: one per process, pre-populated from the bin map (when
-    // elastic) or the static partition — identical task sets and order for
-    // a split-1 map with unmoved owners.
+    // Task deques: one per process, pre-populated from the static
+    // partition.
     let workers: Vec<Worker<(u32, u32)>> = (0..nprocs).map(|_| Worker::new_fifo()).collect();
     let stealers: Vec<Stealer<(u32, u32)>> = workers.iter().map(|w| w.stealer()).collect();
     for (rank, w) in workers.iter().enumerate() {
-        match &bins {
-            Some(b) => {
-                for (m, n) in b.tasks_of(rank) {
-                    w.push((m as u32, n as u32));
-                }
-            }
-            None => {
-                for (m, n) in part.tasks_of(rank) {
-                    w.push((m as u32, n as u32));
-                }
-            }
+        for (m, n) in part.tasks_of(rank) {
+            w.push((m as u32, n as u32));
         }
     }
-
-    // Migration mailboxes: sources deliver moved/handed-off tasks here;
-    // targets drain them once their own queue is dry. `pending_inbound`
-    // counts deliveries a rank must still wait for before it may flush
-    // and finish (each planned step delivers — or is cancelled — exactly
-    // once).
-    let inboxes: Vec<Mutex<Vec<(u32, u32)>>> =
-        (0..nprocs).map(|_| Mutex::new(Vec::new())).collect();
-    let pending_inbound: Vec<AtomicUsize> = (0..nprocs)
-        .map(|r| AtomicUsize::new(migration.map_or(0, |p| p.inbound_steps(r))))
-        .collect();
 
     struct ThreadOut {
         rank: usize,
@@ -223,17 +169,11 @@ pub fn try_build_fock_gtfock_rec(
         end_t: f64,
         /// The fault plan killed this rank mid-build (nothing flushed).
         died: bool,
-        /// This rank retired mid-build: flushed, handed its GA blocks and
-        /// remaining queue to a target, and fenced itself.
-        retired: bool,
-        /// Bins this rank shipped to other ranks via `Move` steps.
-        bins_moved: u64,
         /// A flush acc failed past its retry budget — F is torn.
         flush_err: Option<GaError>,
     }
 
     let board_ref = board.as_ref();
-    let bins_ref = bins.as_deref();
     let outs: Vec<ThreadOut> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (rank, worker) in workers.into_iter().enumerate() {
@@ -243,8 +183,6 @@ pub fn try_build_fock_gtfock_rec(
             let dims = &dims;
             let part = &part;
             let dn = &dn;
-            let inboxes = &inboxes;
-            let pending_inbound = &pending_inbound;
             handles.push(scope.spawn(move || {
                 let mut w = rec.worker(rank);
                 let steal_ns = rec.histogram(obs::analyze::STEAL_NS_HISTOGRAM);
@@ -272,15 +210,6 @@ pub fn try_build_fock_gtfock_rec(
                 // once that owner buffer flushes.
                 let mut executed: HashMap<usize, Vec<u32>> = HashMap::new();
 
-                // Planned migration steps this rank must fire, in trigger
-                // order; a step fires when the executed count reaches its
-                // trigger or when the queue runs dry, whichever first.
-                let steps: Vec<&MigrationTrigger> =
-                    migration.map_or_else(Vec::new, |p| p.steps_for(rank));
-                let mut step_cursor = 0usize;
-                let mut retire_to: Option<usize> = None;
-                let mut bins_moved = 0u64;
-
                 // Buffers keyed by the rank whose region they cover.
                 let mut bufs: HashMap<usize, LocalBuffers> = HashMap::new();
                 let mut own = LocalBuffers::for_process(prob, part, rank);
@@ -300,9 +229,7 @@ pub fn try_build_fock_gtfock_rec(
                 loop {
                     // Scheduled death fires between tasks: the worker
                     // vanishes without flushing, losing its buffered F
-                    // updates and its remaining queue. Its unfired
-                    // migration steps are cancelled so waiting targets
-                    // don't park forever.
+                    // updates and its remaining queue.
                     if death_after == Some(executed_count) {
                         died = true;
                         rec.counter(obs::names::FAULT_INJECTED).add(1);
@@ -310,53 +237,11 @@ pub fn try_build_fock_gtfock_rec(
                             code: fault_code::RANK_DEATH,
                             detail: executed_count as u32,
                         });
-                        for trig in &steps[step_cursor..] {
-                            release_step_targets(trig, pending_inbound);
-                        }
                         break;
-                    }
-                    // Fire due migration steps (by count, or all remaining
-                    // once the queue is dry). A retirement breaks out to
-                    // the flush + handoff below.
-                    if step_cursor < steps.len() {
-                        if let Some(to) = fire_due_steps(
-                            &steps,
-                            &mut step_cursor,
-                            executed_count,
-                            worker.is_empty(),
-                            rank,
-                            &worker,
-                            bins_ref,
-                            inboxes,
-                            pending_inbound,
-                            rec,
-                            &mut bins_moved,
-                        ) {
-                            retire_to = Some(to);
-                            break;
-                        }
                     }
                     let task = match worker.pop() {
                         Some(t) => Some(t),
                         None => {
-                            // Drain migration deliveries before stealing:
-                            // handed-off tasks carry flush duty the board
-                            // tracks, steals are merely opportunistic.
-                            let delivered = std::mem::take(
-                                &mut *inboxes[rank].lock().unwrap_or_else(|e| e.into_inner()),
-                            );
-                            if !delivered.is_empty() {
-                                if w.is_enabled() {
-                                    w.event(EventKind::Migration {
-                                        code: migrate_code::RANK_JOIN,
-                                        detail: delivered.len() as u32,
-                                    });
-                                }
-                                for t in delivered {
-                                    worker.push(t);
-                                }
-                                continue;
-                            }
                             let mut got = None;
                             if cfg.steal {
                                 // Row-wise victim scan (Section III-F).
@@ -364,13 +249,9 @@ pub fn try_build_fock_gtfock_rec(
                                 for v in cfg.grid.steal_order(rank) {
                                     // Fence: never steal from a rank the
                                     // plan will kill (its queue dies with
-                                    // it) or a migration source (its queue
-                                    // is being repartitioned) — both keep
-                                    // the moved/lost task sets
+                                    // it), keeping the lost task set
                                     // deterministic.
-                                    if fault.is_some_and(|p| p.is_doomed(v))
-                                        || migration.is_some_and(|p| p.is_source(v))
-                                    {
+                                    if fault.is_some_and(|p| p.is_doomed(v)) {
                                         continue;
                                     }
                                     w.steal_attempt(v);
@@ -390,17 +271,7 @@ pub fn try_build_fock_gtfock_rec(
                                     }
                                 }
                             }
-                            match got {
-                                Some(t) => Some(t),
-                                // Still owed a delivery: park until the
-                                // source fires (or dies/retires, which
-                                // cancels and releases us).
-                                None if pending_inbound[rank].load(Ordering::Acquire) > 0 => {
-                                    std::thread::yield_now();
-                                    continue;
-                                }
-                                None => None,
-                            }
+                            got
                         }
                     };
                     let Some((m, n)) = task else { break };
@@ -479,40 +350,6 @@ pub fn try_build_fock_gtfock_rec(
                         calls: post.acc_calls - pre.acc_calls,
                     });
                 }
-                // Retirement: everything computed here is now flushed (and
-                // board-marked), so transfer GA block ownership, fence this
-                // rank against further one-sided ops, and hand the
-                // unexecuted remainder of the queue to the target. The
-                // write-lock inside `handoff_block` drains in-flight ops
-                // on each block before ownership flips.
-                if let Some(to) = retire_to {
-                    if flush_err.is_none() {
-                        ga_d.handoff_block(rank, to);
-                        ga_f.handoff_block(rank, to);
-                        ga_d.fence(rank);
-                        ga_f.fence(rank);
-                        let mut rest: Vec<(u32, u32)> = Vec::new();
-                        while let Some(t) = worker.pop() {
-                            rest.push(t);
-                        }
-                        inboxes[to]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .extend(rest);
-                        if w.is_enabled() {
-                            w.event(EventKind::Migration {
-                                code: migrate_code::RANK_RETIRE,
-                                detail: to as u32,
-                            });
-                        }
-                    }
-                    // Release the retire target, then cancel anything the
-                    // plan scheduled after the retirement.
-                    pending_inbound[to].fetch_sub(1, Ordering::AcqRel);
-                    for trig in &steps[step_cursor..] {
-                        release_step_targets(trig, pending_inbound);
-                    }
-                }
                 w.event(EventKind::WorkerEnd);
                 let end_t = w.now();
                 rec.counter(QUARTETS_COUNTER).add(quartets);
@@ -527,8 +364,6 @@ pub fn try_build_fock_gtfock_rec(
                     victims,
                     end_t,
                     died,
-                    retired: retire_to.is_some(),
-                    bins_moved,
                     flush_err,
                 }
             }));
@@ -547,8 +382,6 @@ pub fn try_build_fock_gtfock_rec(
 
     let mut report = BuildReport::zeros(nprocs);
     report.ranks_died = outs.iter().filter(|o| o.died).count() as u64;
-    report.ranks_retired = outs.iter().filter(|o| o.retired).count() as u64;
-    report.bins_migrated = outs.iter().map(|o| o.bins_moved).sum();
 
     // Recovery: re-execute every task whose contribution never reached F,
     // on the surviving ranks. Disjoint round-robin assignment plus the
@@ -556,13 +389,7 @@ pub fn try_build_fock_gtfock_rec(
     if let Some(board) = &board {
         let missing = board.missing();
         if !missing.is_empty() {
-            // Retired ranks are fenced — recovery must run on ranks that
-            // can still issue one-sided ops.
-            let live: Vec<usize> = outs
-                .iter()
-                .filter(|o| !o.died && !o.retired)
-                .map(|o| o.rank)
-                .collect();
+            let live: Vec<usize> = outs.iter().filter(|o| !o.died).map(|o| o.rank).collect();
             if live.is_empty() {
                 return Err(BuildError::Incomplete {
                     tasks_lost: missing.len() as u64,
@@ -722,101 +549,6 @@ pub fn try_build_fock_gtfock_rec(
     Ok((ga_f.to_dense(), report))
 }
 
-/// Fire every migration step of `rank` that is due: its trigger count
-/// reached, or the queue dry (so every planned step fires exactly once
-/// per live source). `Move` steps repartition the unexecuted queue by bin
-/// and mail the moved tasks to their targets; a `Retire` returns the
-/// handoff target for the caller to flush, hand off, and fence.
-#[allow(clippy::too_many_arguments)]
-fn fire_due_steps(
-    steps: &[&MigrationTrigger],
-    cursor: &mut usize,
-    executed_count: u64,
-    dry: bool,
-    rank: usize,
-    worker: &Worker<(u32, u32)>,
-    bins: Option<&BinMap>,
-    inboxes: &[Mutex<Vec<(u32, u32)>>],
-    pending_inbound: &[AtomicUsize],
-    rec: &Recorder,
-    bins_moved: &mut u64,
-) -> Option<usize> {
-    while *cursor < steps.len() {
-        let trig = steps[*cursor];
-        if trig.after_tasks > executed_count && !dry {
-            return None;
-        }
-        *cursor += 1;
-        match &trig.step {
-            MigrationStep::Move { moves } => {
-                let b = bins.expect("Move steps require a bin map");
-                // Repartition the unexecuted queue: kept tasks go back,
-                // moved tasks are grouped per target. Sources are fenced
-                // from thieves, so this pop-all is race-free.
-                let mut kept: Vec<(u32, u32)> = Vec::new();
-                let mut per_tgt: Vec<(usize, Vec<(u32, u32)>)> = Vec::new();
-                while let Some((m, n)) = worker.pop() {
-                    let bin = b.bin_of_task(m as usize, n as usize);
-                    match moves.iter().find(|mv| mv.bin == bin) {
-                        Some(mv) => match per_tgt.iter_mut().find(|(t, _)| *t == mv.to) {
-                            Some((_, v)) => v.push((m, n)),
-                            None => per_tgt.push((mv.to, vec![(m, n)])),
-                        },
-                        None => kept.push((m, n)),
-                    }
-                }
-                for t in kept {
-                    worker.push(t);
-                }
-                let mut tgts: Vec<usize> = moves.iter().map(|mv| mv.to).collect();
-                tgts.sort_unstable();
-                tgts.dedup();
-                for &to in &tgts {
-                    let ids = per_tgt
-                        .iter_mut()
-                        .find(|(t, _)| *t == to)
-                        .map(|(_, v)| std::mem::take(v))
-                        .unwrap_or_default();
-                    let nbins = moves.iter().filter(|mv| mv.to == to).count() as u64;
-                    *bins_moved += nbins;
-                    rec.counter(obs::names::MIGRATE_BINS).add(nbins);
-                    if rec.is_enabled() {
-                        rec.side_event(
-                            rank,
-                            EventKind::Migration {
-                                code: migrate_code::BIN_MOVE,
-                                detail: nbins as u32,
-                            },
-                        );
-                    }
-                    inboxes[to]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .extend(ids);
-                    pending_inbound[to].fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            MigrationStep::Retire { to } => return Some(*to),
-        }
-    }
-    None
-}
-
-/// Decrement `pending_inbound` for every distinct target of a cancelled
-/// step (its source died or retired before it could fire), releasing
-/// targets parked on the delivery.
-fn release_step_targets(trig: &MigrationTrigger, pending_inbound: &[AtomicUsize]) {
-    let mut tgts: Vec<usize> = match &trig.step {
-        MigrationStep::Move { moves } => moves.iter().map(|mv| mv.to).collect(),
-        MigrationStep::Retire { to } => vec![*to],
-    };
-    tgts.sort_unstable();
-    tgts.dedup();
-    for to in tgts {
-        pending_inbound[to].fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -950,7 +682,6 @@ mod tests {
                     grid: ProcessGrid::new(2, 2),
                     steal: true,
                     fault: Some(plan),
-                    ..GtfockConfig::default()
                 },
                 &Recorder::disabled(),
             )
@@ -978,7 +709,6 @@ mod tests {
                     grid: ProcessGrid::new(2, 2),
                     steal: true,
                     fault: Some(plan),
-                    ..GtfockConfig::default()
                 },
                 &Recorder::disabled(),
             )
@@ -990,143 +720,6 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(run(), a);
         }
-    }
-
-    #[test]
-    fn migration_move_matches_sequential() {
-        // Rank 0 hands two of its four bins (split=2) to ranks 1 and 2
-        // after two own tasks; the result must stay quartet-exact.
-        let prob = problem(ShellOrdering::cells_default());
-        let d = density(prob.nbf());
-        let (want, wq) = build_g_seq(&prob, &d);
-        use distrt::migrate::BinMove;
-        let plan = Arc::new(MigrationPlan::new().move_bins(
-            0,
-            2,
-            vec![BinMove { bin: 1, to: 1 }, BinMove { bin: 2, to: 2 }],
-        ));
-        for steal in [false, true] {
-            let (got, rep) = build_fock_gtfock(
-                &prob,
-                &d,
-                GtfockConfig {
-                    grid: ProcessGrid::new(2, 2),
-                    steal,
-                    bin_split: 2,
-                    migration: Some(plan.clone()),
-                    ..GtfockConfig::default()
-                },
-            );
-            assert_eq!(rep.total_quartets(), wq, "steal={steal}");
-            assert_eq!(rep.bins_migrated, 2, "steal={steal}");
-            assert_eq!(rep.ranks_retired, 0, "steal={steal}");
-            assert!(
-                max_diff(&want, &got) < 1e-11,
-                "steal={steal}: diff {}",
-                max_diff(&want, &got)
-            );
-        }
-    }
-
-    #[test]
-    fn migration_retire_hands_queue_and_blocks() {
-        // Rank 3 retires to rank 0 after one own task: its remaining queue
-        // and GA block ownership move, and the build stays exact.
-        let prob = problem(ShellOrdering::cells_default());
-        let d = density(prob.nbf());
-        let (want, wq) = build_g_seq(&prob, &d);
-        let plan = Arc::new(MigrationPlan::new().retire(3, 1, 0));
-        let (got, rep) = build_fock_gtfock(
-            &prob,
-            &d,
-            GtfockConfig {
-                grid: ProcessGrid::new(2, 2),
-                steal: true,
-                migration: Some(plan),
-                ..GtfockConfig::default()
-            },
-        );
-        assert_eq!(rep.total_quartets(), wq);
-        assert_eq!(rep.ranks_retired, 1);
-        assert!(
-            max_diff(&want, &got) < 1e-11,
-            "diff {}",
-            max_diff(&want, &got)
-        );
-    }
-
-    #[test]
-    fn migration_grow_delivers_work_to_joiner() {
-        // Rank 3 starts with nothing (its bins are parked on rank 0 via a
-        // custom bin map) and joins when rank 0 hands the bins over.
-        let prob = problem(ShellOrdering::cells_default());
-        let d = density(prob.nbf());
-        let (want, wq) = build_g_seq(&prob, &d);
-        use distrt::migrate::BinMove;
-        let grid = ProcessGrid::new(2, 2);
-        let part = StaticPartition::new(grid, prob.nshells());
-        let mut bins = BinMap::new(part, 2);
-        let parked: Vec<BinMove> = bins
-            .bins_of(3)
-            .into_iter()
-            .map(|b| BinMove { bin: b, to: 0 })
-            .collect();
-        bins.apply(&parked);
-        let back: Vec<BinMove> = parked
-            .iter()
-            .map(|m| BinMove { bin: m.bin, to: 3 })
-            .collect();
-        let plan = Arc::new(MigrationPlan::new().move_bins(0, 2, back).join(3, 0));
-        let (got, rep) = build_fock_gtfock(
-            &prob,
-            &d,
-            GtfockConfig {
-                grid,
-                steal: false,
-                bins: Some(Arc::new(bins)),
-                migration: Some(plan),
-                ..GtfockConfig::default()
-            },
-        );
-        assert_eq!(rep.total_quartets(), wq);
-        assert_eq!(rep.bins_migrated, 4);
-        assert!(rep.quartets[3] > 0, "joiner must execute delivered work");
-        assert!(
-            max_diff(&want, &got) < 1e-11,
-            "diff {}",
-            max_diff(&want, &got)
-        );
-    }
-
-    #[test]
-    fn migration_kill_target_mid_handoff_still_exactly_once() {
-        // The rank receiving a retirement dies right after the handoff
-        // fires: recovery must replay its unfinished work exactly once.
-        let prob = problem(ShellOrdering::cells_default());
-        let d = density(prob.nbf());
-        let (want, _) = build_g_seq(&prob, &d);
-        let plan = Arc::new(MigrationPlan::new().retire(3, 1, 1));
-        let fault = Arc::new(FaultPlan::new(7).kill(1, 2));
-        let (got, rep) = try_build_fock_gtfock_rec(
-            &prob,
-            &d,
-            GtfockConfig {
-                grid: ProcessGrid::new(2, 2),
-                steal: true,
-                fault: Some(fault),
-                migration: Some(plan),
-                ..GtfockConfig::default()
-            },
-            &Recorder::disabled(),
-        )
-        .expect("build must survive");
-        assert_eq!(rep.ranks_died, 1);
-        assert_eq!(rep.ranks_retired, 1);
-        assert!(
-            max_diff(&want, &got) < 1e-11,
-            "diff {}",
-            max_diff(&want, &got)
-        );
     }
 
     #[test]
@@ -1147,7 +740,6 @@ mod tests {
                 grid: ProcessGrid::new(2, 2),
                 steal: true,
                 fault: Some(plan),
-                ..GtfockConfig::default()
             },
             &Recorder::disabled(),
         )

@@ -22,16 +22,11 @@
 //!   5-atom-quartet tasks, centralized dynamic scheduler (Algorithm 2),
 //! * [`scf`] — the Hartree-Fock SCF driver (Algorithm 1) with
 //!   diagonalization or purification,
-//! * [`model`] — the performance model of Section III-G (equations 6–12)
-//!   plus trace-driven calibration ([`model::Calibration`]),
-//! * [`autotune`] — the online scheduler autotuner: profile a build's
-//!   trace, calibrate, and pick [`build::SchedulerOpts`] by simulated
-//!   candidate search,
+//! * [`model`] — the performance model of Section III-G (equations 6–12),
 //! * [`sim_exec`] — discrete-event cluster-scale execution of both
 //!   algorithms, producing the timing/communication/load-balance data of
 //!   Tables III–VIII and Figure 2.
 
-pub mod autotune;
 pub mod build;
 pub mod df;
 pub mod diis;
@@ -46,10 +41,6 @@ pub mod sim_exec;
 pub mod sink;
 pub mod tasks;
 
-pub use autotune::{
-    autotuned, autotuned_builder, AutoTuneConfig, AutoTunedBuild, AutoTuner, RescaleConfig,
-    RescaleDecision, RescaleRegulator, Selection, TuneDecision, TunedFamily,
-};
 pub use build::{
     gtfock_builder, nwchem_builder, record_class_stats, seq_builder, BuildError, BuildOutcome,
     BuildReport, FockBuild, SchedulerOpts, CLASS_METRIC_PREFIX, DENSITY_SKIPPED_COUNTER,
@@ -62,9 +53,9 @@ pub use df::{
 pub use gtfock::{
     build_fock_gtfock, build_fock_gtfock_rec, try_build_fock_gtfock_rec, GtfockConfig, GtfockReport,
 };
-pub use model::{Calibration, ModelParams, ResidualPoint, ResidualReport};
+pub use model::ModelParams;
 pub use nwchem::{build_fock_nwchem, build_fock_nwchem_rec, NwchemConfig, NwchemReport};
-pub use partition::{BinMap, StaticPartition};
+pub use partition::StaticPartition;
 pub use scf::{
     run_scf, run_scf_on, ScfCheckpoint, ScfConfig, ScfConfigBuilder, ScfError, ScfResult,
 };

@@ -5,15 +5,8 @@
 //! |Φ(M) ∩ Φ(M+1)|; `s` — average number of steal victims per process;
 //! `beta` — interconnect bandwidth (bytes/s); `nshells` — problem size.
 //!
-//! Two ways to obtain a [`ModelParams`]:
-//! * [`ModelParams::from_problem`] — A, B, q measured from screening data;
-//!   `t_int`, `beta`, `s` supplied analytically (the pre-calibration path),
-//! * [`Calibration::from_profile`] — the same structural parameters, but
-//!   `t_int`, `beta` and `s` fitted from a recorded [`TraceProfile`], i.e.
-//!   from what a real (or simulated) build actually did. The fit quality is
-//!   reported per evaluation point by a [`ResidualReport`].
-
-use obs::TraceProfile;
+//! [`ModelParams::from_problem`] measures A, B, q from screening data;
+//! `t_int`, `beta` and `s` are supplied analytically.
 
 /// Parameters of the model, measurable from a [`crate::tasks::FockProblem`]
 /// and a calibrated cost model.
@@ -101,191 +94,6 @@ impl ModelParams {
         // L scales as 1/t_int, so the factor is simply L(n²)⁻¹... i.e.
         // t_int may shrink by L(n²)^{-1} before L reaches 1.
         1.0 / self.l_max_parallelism()
-    }
-
-    /// Predicted build wall time on `cores` cores packed `cores_per_node`
-    /// to a node. Computation splits across every core (equation (6) is
-    /// linear in 1/p), while the communication terms of equations (7)–(10)
-    /// are per-*process* — GTFock runs one multithreaded process per node,
-    /// so T_comm is evaluated at the node count.
-    pub fn t_total(&self, cores: f64, cores_per_node: f64) -> f64 {
-        let nodes = (cores / cores_per_node).max(1.0);
-        self.t_comp(cores) + self.t_comm(nodes)
-    }
-}
-
-/// Model parameters fitted from a recorded trace rather than analytic
-/// estimates — the "calibration" half of the telemetry→model→scheduler
-/// loop. Structural parameters (A, B, q, n) still come from the problem's
-/// screening data; the per-machine rates come from what the profiled build
-/// actually measured:
-///
-/// * `t_int` — total in-task seconds divided by quartets·A⁴ (the same
-///   normalization `from_problem` assumes), i.e. the realized seconds per
-///   ERI including screening overhead and cache effects,
-/// * `s` — the measured average number of distinct steal victims,
-/// * `beta` — effective bytes/s: recorded comm volume over the non-busy,
-///   non-barrier time it had to fit inside. This folds latency and
-///   contention into one rate, so it is an *effective* bandwidth (a lower
-///   bound on the link rate); when the trace moved no bytes the analytic
-///   fallback is kept and [`Calibration::beta_measured`] is false.
-#[derive(Debug, Clone)]
-pub struct Calibration {
-    /// The fitted model, ready for equations (6)–(12).
-    pub params: ModelParams,
-    /// Whether `beta` came from the trace (false → analytic fallback).
-    pub beta_measured: bool,
-    /// Whether `t_int` came from the trace (false → analytic fallback).
-    pub t_int_measured: bool,
-    /// Mean steal-scan latency from the `gtfock.steal_ns` histogram, if
-    /// the trace carried one.
-    pub steal_scan_secs: Option<f64>,
-    /// Mean centralized-queue claim latency from the `nwchem.queue_ns`
-    /// histogram, if the trace carried one.
-    pub queue_claim_secs: Option<f64>,
-    /// Wall-clock span of the profiled window (seconds).
-    pub profile_wall_secs: f64,
-}
-
-impl Calibration {
-    /// Fit `t_int`, `beta`, `s` from `profile`; `fallback_t_int` /
-    /// `fallback_beta` are used (and flagged) when the trace lacks the
-    /// corresponding signal — e.g. a steal-free run measures no `s`, a
-    /// zero-comm run measures no `beta`.
-    pub fn from_profile(
-        prob: &crate::tasks::FockProblem,
-        profile: &TraceProfile,
-        fallback_t_int: f64,
-        fallback_beta: f64,
-    ) -> Calibration {
-        let a = prob.nbf() as f64 / prob.nshells() as f64;
-        let (t_int, t_int_measured) = if profile.quartets_total > 0 && profile.busy_total > 0.0 {
-            (
-                profile.busy_total / (profile.quartets_total as f64 * a.powi(4)),
-                true,
-            )
-        } else {
-            (fallback_t_int, false)
-        };
-        let (beta, beta_measured) = if profile.comm_bytes_total > 0 && profile.idle_total > 0.0 {
-            (profile.comm_bytes_total as f64 / profile.idle_total, true)
-        } else {
-            (fallback_beta, false)
-        };
-        Calibration {
-            params: ModelParams::from_problem(prob, t_int, beta, profile.avg_victims()),
-            beta_measured,
-            t_int_measured,
-            steal_scan_secs: profile.steal_scan_secs(),
-            queue_claim_secs: profile.queue_claim_secs(),
-            profile_wall_secs: profile.wall_secs,
-        }
-    }
-
-    /// One-line digest of the fit, for logs and bench output.
-    pub fn summary(&self) -> String {
-        format!(
-            "t_int {:.3e}s{} · beta {:.3e} B/s{} · s {:.2} · A {:.2} B {:.1} q {:.1} n {}{}{}",
-            self.params.t_int,
-            if self.t_int_measured {
-                ""
-            } else {
-                " (fallback)"
-            },
-            self.params.beta,
-            if self.beta_measured {
-                ""
-            } else {
-                " (fallback)"
-            },
-            self.params.s_steals,
-            self.params.a_funcs,
-            self.params.b_phi,
-            self.params.q_overlap,
-            self.params.nshells as u64,
-            self.steal_scan_secs
-                .map_or(String::new(), |s| format!(" · steal-scan {s:.2e}s")),
-            self.queue_claim_secs
-                .map_or(String::new(), |s| format!(" · queue-claim {s:.2e}s")),
-        )
-    }
-}
-
-/// One predicted-vs-measured evaluation point of a calibrated model.
-#[derive(Debug, Clone)]
-pub struct ResidualPoint {
-    /// Which configuration this point is (e.g. "C30H62 @ 384 cores").
-    pub label: String,
-    /// Core count the prediction was evaluated at.
-    pub cores: usize,
-    /// Model-predicted build time, seconds.
-    pub predicted: f64,
-    /// Measured (or simulated) build time, seconds.
-    pub measured: f64,
-}
-
-impl ResidualPoint {
-    /// Signed residual: predicted − measured, seconds.
-    pub fn residual(&self) -> f64 {
-        self.predicted - self.measured
-    }
-
-    /// |predicted − measured| / measured (0 when measured is 0).
-    pub fn rel_err(&self) -> f64 {
-        if self.measured > 0.0 {
-            (self.predicted - self.measured).abs() / self.measured
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Predicted-vs-measured build times per evaluation point — the fit-quality
-/// report the autotune bench prints alongside each calibration.
-#[derive(Debug, Clone, Default)]
-pub struct ResidualReport {
-    pub points: Vec<ResidualPoint>,
-}
-
-impl ResidualReport {
-    pub fn push(&mut self, label: impl Into<String>, cores: usize, predicted: f64, measured: f64) {
-        self.points.push(ResidualPoint {
-            label: label.into(),
-            cores,
-            predicted,
-            measured,
-        });
-    }
-
-    /// Worst relative error across points (0 for an empty report).
-    pub fn max_rel_err(&self) -> f64 {
-        self.points.iter().map(|p| p.rel_err()).fold(0.0, f64::max)
-    }
-
-    /// Mean relative error across points (0 for an empty report).
-    pub fn mean_rel_err(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|p| p.rel_err()).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Fixed-width text table of the residuals.
-    pub fn table(&self) -> String {
-        let mut out = String::from(
-            "label                          cores   predicted    measured     rel_err\n",
-        );
-        for p in &self.points {
-            out.push_str(&format!(
-                "{:<30} {:>5} {:>11.4e} {:>11.4e} {:>10.1}%\n",
-                p.label,
-                p.cores,
-                p.predicted,
-                p.measured,
-                p.rel_err() * 100.0
-            ));
-        }
-        out
     }
 }
 
@@ -383,9 +191,6 @@ mod tests {
         assert!((m.tint_headroom() * m.l_max_parallelism() - 1.0).abs() < 1e-12);
         // Isoefficiency: n scales like √p.
         assert!((m.isoefficiency_shells(4.0, 16.0) - 200.0).abs() < 1e-9);
-        // t_total: comp at cores, comm at nodes.
-        let t = m.t_total(48.0, 12.0);
-        assert!((t - (m.t_comp(48.0) + m.t_comm(4.0))).abs() < 1e-12);
     }
 
     #[test]
@@ -415,78 +220,6 @@ mod tests {
         // Volume is positive and decreasing; L increases with p.
         assert!(m.volume(4.0) > m.volume(16.0));
         assert!(m.l_ratio(4.0) < m.l_ratio(16.0));
-    }
-
-    #[test]
-    fn calibration_fits_profile_and_falls_back() {
-        use chem::generators;
-        use chem::reorder::ShellOrdering;
-        use chem::BasisSetKind;
-        use obs::analyze::WorkerBreakdown;
-        let prob = crate::tasks::FockProblem::new(
-            generators::water(),
-            BasisSetKind::Sto3g,
-            1e-12,
-            ShellOrdering::Natural,
-        )
-        .unwrap();
-        let a = prob.nbf() as f64 / prob.nshells() as f64;
-
-        // A profile with measurable signal in every channel.
-        let profile = TraceProfile {
-            nworkers: 2,
-            wall_secs: 2.0,
-            busy_total: 3.0,
-            idle_total: 0.5,
-            quartets_total: 1000,
-            comm_bytes_total: 1_000_000,
-            steals_total: 4,
-            workers: vec![
-                WorkerBreakdown {
-                    rank: 0,
-                    steals: 2,
-                    distinct_victims: 2,
-                    ..WorkerBreakdown::default()
-                },
-                WorkerBreakdown {
-                    rank: 1,
-                    steals: 2,
-                    distinct_victims: 4,
-                    ..WorkerBreakdown::default()
-                },
-            ],
-            ..TraceProfile::default()
-        };
-        let cal = Calibration::from_profile(&prob, &profile, 9.9e-6, 5.0e9);
-        assert!(cal.t_int_measured && cal.beta_measured);
-        let want_t_int = 3.0 / (1000.0 * a.powi(4));
-        assert!((cal.params.t_int - want_t_int).abs() / want_t_int < 1e-12);
-        assert!((cal.params.beta - 2.0e6).abs() < 1e-6);
-        assert!((cal.params.s_steals - 3.0).abs() < 1e-12);
-        assert!(!cal.summary().contains("fallback"));
-
-        // An empty profile keeps the analytic fallbacks, flagged.
-        let empty = TraceProfile::default();
-        let cal2 = Calibration::from_profile(&prob, &empty, 9.9e-6, 5.0e9);
-        assert!(!cal2.t_int_measured && !cal2.beta_measured);
-        assert_eq!(cal2.params.t_int, 9.9e-6);
-        assert_eq!(cal2.params.beta, 5.0e9);
-        assert_eq!(cal2.params.s_steals, 0.0);
-        assert!(cal2.summary().contains("fallback"));
-    }
-
-    #[test]
-    fn residual_report_accounting() {
-        let mut r = ResidualReport::default();
-        assert_eq!(r.max_rel_err(), 0.0);
-        assert_eq!(r.mean_rel_err(), 0.0);
-        r.push("a", 48, 1.1, 1.0);
-        r.push("b", 192, 0.5, 1.0);
-        assert!((r.points[0].residual() - 0.1).abs() < 1e-12);
-        assert!((r.max_rel_err() - 0.5).abs() < 1e-12);
-        assert!((r.mean_rel_err() - 0.3).abs() < 1e-12);
-        let t = r.table();
-        assert!(t.contains("label") && t.contains('a') && t.contains("192"));
     }
 
     #[test]

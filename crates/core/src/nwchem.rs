@@ -16,14 +16,12 @@ use crate::build::{
 };
 use crate::sink::{apply_quartet, FockSink, TaskCounts, QUARTET_PERMS};
 use crate::tasks::FockProblem;
-use distrt::migrate::{MigrationPlan, MigrationStep};
 use distrt::{GlobalArray, ProcessGrid};
 use eri::{ClassBatcher, DensityNorms, EriEngine, QuartetClass};
-use obs::{migrate_code, EventKind, Recorder};
+use obs::{EventKind, Recorder};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Configuration of the baseline build.
@@ -33,14 +31,6 @@ pub struct NwchemConfig {
     pub nprocs: usize,
     /// Atom quartets per task (the paper's choice is 5).
     pub chunk: usize,
-    /// Planned elastic schedule. The centralized scheduler honours
-    /// `Retire` steps (the rank stops claiming after its local task
-    /// count, hands its GA D/F blocks to the target and fences itself)
-    /// and joins (the rank starts claiming only once the global counter
-    /// passes the threshold). `Move` steps are meaningless for a
-    /// centralized queue — remaining work is rebalanced by the queue
-    /// itself — and are ignored.
-    pub migration: Option<Arc<MigrationPlan>>,
 }
 
 impl Default for NwchemConfig {
@@ -48,7 +38,6 @@ impl Default for NwchemConfig {
         NwchemConfig {
             nprocs: 1,
             chunk: 5,
-            migration: None,
         }
     }
 }
@@ -297,27 +286,6 @@ pub fn build_fock_nwchem_rec(
     let next_task = AtomicU64::new(0);
     let queue_accesses = AtomicU64::new(0);
 
-    let migration = cfg.migration.as_deref().filter(|p| p.is_active());
-    if let Some(p) = migration {
-        assert!(
-            p.max_rank() < cfg.nprocs,
-            "migration plan mentions rank {} but the build has {} ranks",
-            p.max_rank(),
-            cfg.nprocs
-        );
-    }
-    // Joiners activate once the global claim counter passes their
-    // threshold. Every finishing worker over-claims once, so the counter
-    // always reaches the total task count — capping the threshold there
-    // keeps any plan deadlock-free.
-    let total_tasks: u64 = if migration.is_some_and(|p| !p.joins.is_empty()) {
-        let mut n = 0u64;
-        atom_task_loop(&atoms, prob, cfg.chunk, |_, _, _, _, _| n += 1);
-        n
-    } else {
-        0
-    };
-
     struct Out {
         rank: usize,
         t_fock: f64,
@@ -325,7 +293,6 @@ pub fn build_fock_nwchem_rec(
         quartets: u64,
         density_skipped: u64,
         end_t: f64,
-        retired: bool,
     }
 
     let outs: Vec<Out> = std::thread::scope(|scope| {
@@ -345,37 +312,11 @@ pub fn build_fock_nwchem_rec(
                 let mut eng = EriEngine::new();
                 let mut batcher = ClassBatcher::new();
                 let queue_ns = rec.histogram(obs::analyze::QUEUE_NS_HISTOGRAM);
-                // Only `Retire` is meaningful under a centralized queue:
-                // the rank stops claiming after `after_tasks` own tasks and
-                // hands its GA blocks away. `Move` steps are ignored — the
-                // shared counter rebalances remaining work by itself.
-                let retire_after: Option<(u64, usize)> = migration.and_then(|p| {
-                    p.steps_for(rank).iter().find_map(|t| match t.step {
-                        MigrationStep::Retire { to } => Some((t.after_tasks, to)),
-                        MigrationStep::Move { .. } => None,
-                    })
-                });
-                if let Some(j) = migration.and_then(|p| p.join_for(rank)) {
-                    let join_at = j.after_total_tasks.min(total_tasks);
-                    while next_task.load(Ordering::Acquire) < join_at {
-                        std::thread::yield_now();
-                    }
-                    w.event(EventKind::Migration {
-                        code: migrate_code::RANK_JOIN,
-                        detail: rank as u32,
-                    });
-                }
-                let mut executed: u64 = 0;
-                let mut my_task = if retire_after.is_some_and(|(n, _)| n == 0) {
-                    u64::MAX
-                } else {
-                    queue_accesses.fetch_add(1, Ordering::Relaxed);
-                    w.event(EventKind::QueueAccess);
-                    let claim = Instant::now();
-                    let t = next_task.fetch_add(1, Ordering::Relaxed);
-                    queue_ns.record_secs(claim.elapsed().as_secs_f64());
-                    t
-                };
+                queue_accesses.fetch_add(1, Ordering::Relaxed);
+                w.event(EventKind::QueueAccess);
+                let claim = Instant::now();
+                let mut my_task = next_task.fetch_add(1, Ordering::Relaxed);
+                queue_ns.record_secs(claim.elapsed().as_secs_f64());
                 let mut id: u64 = 0;
                 atom_task_loop(atoms, prob, cfg.chunk, |i, j, k, l_lo, l_hi| {
                     if id == my_task {
@@ -403,32 +344,14 @@ pub fn build_fock_nwchem_rec(
                         }
                         w.task_end(i, j, task_q);
                         quartets += task_q;
-                        executed += 1;
-                        if retire_after.is_some_and(|(n, _)| executed >= n) {
-                            my_task = u64::MAX;
-                        } else {
-                            queue_accesses.fetch_add(1, Ordering::Relaxed);
-                            w.event(EventKind::QueueAccess);
-                            let claim = Instant::now();
-                            my_task = next_task.fetch_add(1, Ordering::Relaxed);
-                            queue_ns.record_secs(claim.elapsed().as_secs_f64());
-                        }
+                        queue_accesses.fetch_add(1, Ordering::Relaxed);
+                        w.event(EventKind::QueueAccess);
+                        let claim = Instant::now();
+                        my_task = next_task.fetch_add(1, Ordering::Relaxed);
+                        queue_ns.record_secs(claim.elapsed().as_secs_f64());
                     }
                     id += 1;
                 });
-                let retired = if let Some((_, to)) = retire_after {
-                    ga_d.handoff_block(rank, to);
-                    ga_f.handoff_block(rank, to);
-                    ga_d.fence(rank);
-                    ga_f.fence(rank);
-                    w.event(EventKind::Migration {
-                        code: migrate_code::RANK_RETIRE,
-                        detail: to as u32,
-                    });
-                    true
-                } else {
-                    false
-                };
                 w.event(EventKind::WorkerEnd);
                 let end_t = w.now();
                 rec.counter(QUARTETS_COUNTER).add(quartets);
@@ -441,7 +364,6 @@ pub fn build_fock_nwchem_rec(
                     quartets,
                     density_skipped,
                     end_t,
-                    retired,
                 }
             }));
         }
@@ -455,7 +377,6 @@ pub fn build_fock_nwchem_rec(
     report.queue_accesses = queue_accesses.load(Ordering::Relaxed);
     let t_last = outs.iter().map(|o| o.end_t).fold(0.0, f64::max);
     for o in outs {
-        report.ranks_retired += o.retired as u64;
         report.t_fock[o.rank] = o.t_fock;
         report.t_comp[o.rank] = o.t_comp;
         report.quartets[o.rank] = o.quartets;
@@ -668,48 +589,13 @@ mod tests {
         let d = density(prob.nbf());
         let (want, _) = build_g_seq(&prob, &d);
         for nprocs in [2usize, 3, 5] {
-            let (got, _) = build_fock_nwchem(
-                &prob,
-                &d,
-                NwchemConfig {
-                    nprocs,
-                    chunk: 2,
-                    ..Default::default()
-                },
-            );
+            let (got, _) = build_fock_nwchem(&prob, &d, NwchemConfig { nprocs, chunk: 2 });
             assert!(
                 max_diff(&want, &got) < 1e-11,
                 "nprocs={nprocs}: diff {}",
                 max_diff(&want, &got)
             );
         }
-    }
-
-    #[test]
-    fn migration_retire_and_join_stay_exact() {
-        // Rank 2 retires to rank 0 after one claimed task; rank 1 joins
-        // only once five tasks have been claimed globally. The shared
-        // counter rebalances the rest — result and quartet count exact.
-        let prob = problem();
-        let d = density(prob.nbf());
-        let (want, wq) = build_g_seq(&prob, &d);
-        let plan = Arc::new(MigrationPlan::new().retire(2, 1, 0).join(1, 5));
-        let (got, rep) = build_fock_nwchem(
-            &prob,
-            &d,
-            NwchemConfig {
-                nprocs: 3,
-                chunk: 2,
-                migration: Some(plan),
-            },
-        );
-        assert_eq!(rep.total_quartets(), wq);
-        assert_eq!(rep.ranks_retired, 1);
-        assert!(
-            max_diff(&want, &got) < 1e-11,
-            "diff {}",
-            max_diff(&want, &got)
-        );
     }
 
     #[test]
@@ -722,7 +608,6 @@ mod tests {
             NwchemConfig {
                 nprocs: 2,
                 chunk: 1,
-                ..Default::default()
             },
         );
         let (b, _) = build_fock_nwchem(
@@ -731,7 +616,6 @@ mod tests {
             NwchemConfig {
                 nprocs: 2,
                 chunk: 7,
-                ..Default::default()
             },
         );
         assert!(max_diff(&a, &b) < 1e-11);
@@ -747,7 +631,6 @@ mod tests {
             NwchemConfig {
                 nprocs: 2,
                 chunk: 5,
-                ..Default::default()
             },
         );
         // At least one access per process, and roughly one per task.
@@ -770,7 +653,6 @@ mod tests {
             NwchemConfig {
                 nprocs: 3,
                 chunk: 5,
-                ..Default::default()
             },
         );
         let (b, _) = crate::gtfock::build_fock_gtfock(
@@ -780,7 +662,6 @@ mod tests {
                 grid: distrt::ProcessGrid::new(2, 2),
                 steal: true,
                 fault: None,
-                ..crate::gtfock::GtfockConfig::default()
             },
         );
         assert!(max_diff(&a, &b) < 1e-10, "diff {}", max_diff(&a, &b));

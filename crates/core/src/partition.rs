@@ -7,9 +7,7 @@
 //! task counts give approximately equal work — the property the
 //! work-stealing scheduler then refines.
 
-use distrt::grid::block_owner;
-use distrt::migrate::BinMove;
-use distrt::{block_range, ProcessGrid};
+use distrt::ProcessGrid;
 use std::ops::Range;
 
 /// The static map from tasks (M, N) to owning processes.
@@ -50,179 +48,6 @@ impl StaticPartition {
     }
 }
 
-/// The elastic-rescaling refinement of [`StaticPartition`]: each rank's
-/// static task block is cut into `split × split` contiguous *bins*, and a
-/// bin → rank owner map (initially the static owner) makes a rescale a bin
-/// remap rather than a repartition. With `split == 1` the map *is* the
-/// static partition — same blocks, same row-major task order — so the
-/// no-migration path is byte-identical to the paper's layout.
-///
-/// Bin `b` decomposes as `b = rank·split² + si·split + sj` where `rank` is
-/// the bin's *home* (initial static owner) and `(si, sj)` indexes the
-/// sub-block — geometry never changes under remapping, only `owner` does.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BinMap {
-    pub part: StaticPartition,
-    pub split: usize,
-    /// Current owner rank of each bin, indexable by bin id.
-    owner: Vec<usize>,
-}
-
-/// `block_range` re-based into a parent range: part `k` of `parent` cut
-/// into `parts` contiguous pieces whose sizes differ by at most one.
-fn sub_range(parent: &Range<usize>, parts: usize, k: usize) -> Range<usize> {
-    let r = block_range(parent.len(), parts, k);
-    parent.start + r.start..parent.start + r.end
-}
-
-impl BinMap {
-    /// The static bin map: every bin owned by its home rank.
-    pub fn new(part: StaticPartition, split: usize) -> Self {
-        assert!(split > 0, "bin split must be positive");
-        let nbins = part.grid.nprocs() * split * split;
-        let owner = (0..nbins).map(|b| b / (split * split)).collect();
-        BinMap { part, split, owner }
-    }
-
-    pub fn nbins(&self) -> usize {
-        self.owner.len()
-    }
-
-    pub fn nranks(&self) -> usize {
-        self.part.grid.nprocs()
-    }
-
-    /// The bin's home rank (initial static owner; geometry, not ownership).
-    pub fn home_of_bin(&self, bin: usize) -> usize {
-        bin / (self.split * self.split)
-    }
-
-    /// Current owner rank of `bin`.
-    pub fn owner_of_bin(&self, bin: usize) -> usize {
-        self.owner[bin]
-    }
-
-    /// The (row-shells, col-shells) task block of `bin`.
-    pub fn bin_block(&self, bin: usize) -> (Range<usize>, Range<usize>) {
-        let s2 = self.split * self.split;
-        let (home, sub) = (bin / s2, bin % s2);
-        let (si, sj) = (sub / self.split, sub % self.split);
-        let (rows, cols) = self.part.task_block(home);
-        (
-            sub_range(&rows, self.split, si),
-            sub_range(&cols, self.split, sj),
-        )
-    }
-
-    /// All tasks of `bin`, row-major within its block.
-    pub fn tasks_of_bin(&self, bin: usize) -> impl Iterator<Item = (usize, usize)> {
-        let (rows, cols) = self.bin_block(bin);
-        rows.flat_map(move |m| cols.clone().map(move |n| (m, n)))
-    }
-
-    /// Which bin task (m, n) falls in (geometry; independent of owners).
-    pub fn bin_of_task(&self, m: usize, n: usize) -> usize {
-        let home = self.part.owner_of_task(m, n);
-        let (rows, cols) = self.part.task_block(home);
-        let si = block_owner(rows.len(), self.split, m - rows.start);
-        let sj = block_owner(cols.len(), self.split, n - cols.start);
-        home * self.split * self.split + si * self.split + sj
-    }
-
-    /// Which rank currently owns task (m, n).
-    pub fn owner_of_task(&self, m: usize, n: usize) -> usize {
-        self.owner[self.bin_of_task(m, n)]
-    }
-
-    /// Bins currently owned by `rank`, in bin-id order.
-    pub fn bins_of(&self, rank: usize) -> Vec<usize> {
-        (0..self.nbins())
-            .filter(|&b| self.owner[b] == rank)
-            .collect()
-    }
-
-    /// All tasks currently owned by `rank`: bins in id order, row-major
-    /// within each bin. With `split == 1` and the static owner map this is
-    /// exactly [`StaticPartition::tasks_of`]'s order.
-    pub fn tasks_of(&self, rank: usize) -> Vec<(usize, usize)> {
-        self.bins_of(rank)
-            .into_iter()
-            .flat_map(|b| self.tasks_of_bin(b).collect::<Vec<_>>())
-            .collect()
-    }
-
-    /// Task count of each bin.
-    pub fn bin_sizes(&self) -> Vec<usize> {
-        (0..self.nbins())
-            .map(|b| {
-                let (r, c) = self.bin_block(b);
-                r.len() * c.len()
-            })
-            .collect()
-    }
-
-    /// True if every bin is owned by its home rank.
-    pub fn is_static(&self) -> bool {
-        (0..self.nbins()).all(|b| self.owner[b] == self.home_of_bin(b))
-    }
-
-    /// Apply a batch of bin moves (a fired migration step).
-    pub fn apply(&mut self, moves: &[BinMove]) {
-        for mv in moves {
-            assert!(mv.bin < self.nbins(), "bin {} out of range", mv.bin);
-            self.owner[mv.bin] = mv.to;
-        }
-    }
-
-    /// Greedy LPT (longest-processing-time-first) rebalance: assign bins,
-    /// heaviest first, to the least-loaded of `ranks` ranks. Deterministic
-    /// tie-breaking (stable weight sort by bin id; lowest rank wins a load
-    /// tie) so two runs plan identical remaps. `weights[b]` is the
-    /// predicted cost of bin `b` (e.g. modeled task seconds).
-    pub fn rebalance_lpt(&self, weights: &[f64], ranks: usize) -> BinMap {
-        assert_eq!(weights.len(), self.nbins());
-        assert!(ranks > 0);
-        let mut order: Vec<usize> = (0..self.nbins()).collect();
-        order.sort_by(|&a, &b| {
-            weights[b]
-                .partial_cmp(&weights[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        let mut load = vec![0.0f64; ranks];
-        let mut owner = vec![0usize; self.nbins()];
-        for b in order {
-            let r = (0..ranks)
-                .min_by(|&x, &y| {
-                    load[x]
-                        .partial_cmp(&load[y])
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                })
-                .unwrap();
-            owner[b] = r;
-            load[r] += weights[b];
-        }
-        BinMap {
-            part: self.part,
-            split: self.split,
-            owner,
-        }
-    }
-
-    /// The bin moves that turn this map into `target` (same geometry).
-    pub fn diff(&self, target: &BinMap) -> Vec<BinMove> {
-        assert_eq!(self.nbins(), target.nbins(), "geometry mismatch");
-        assert_eq!(self.split, target.split, "geometry mismatch");
-        (0..self.nbins())
-            .filter(|&b| self.owner[b] != target.owner[b])
-            .map(|b| BinMove {
-                bin: b,
-                to: target.owner[b],
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,105 +80,5 @@ mod tests {
     fn single_process_owns_everything() {
         let p = StaticPartition::new(ProcessGrid::new(1, 1), 7);
         assert_eq!(p.tasks_of(0).count(), 49);
-    }
-
-    #[test]
-    fn split_one_binmap_is_the_static_partition() {
-        // Geometry AND task order must match byte-for-byte — the property
-        // that makes the no-migration path identical to the paper's layout.
-        for &(pr, pc, n) in &[(3usize, 4usize, 25usize), (4, 4, 18), (2, 2, 7)] {
-            let part = StaticPartition::new(ProcessGrid::new(pr, pc), n);
-            let bins = BinMap::new(part, 1);
-            assert!(bins.is_static());
-            assert_eq!(bins.nbins(), pr * pc);
-            for rank in 0..part.grid.nprocs() {
-                let a: Vec<_> = part.tasks_of(rank).collect();
-                assert_eq!(bins.tasks_of(rank), a, "rank {rank}");
-            }
-            for m in 0..n {
-                for nn in 0..n {
-                    assert_eq!(bins.owner_of_task(m, nn), part.owner_of_task(m, nn));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bins_tile_the_task_grid_at_any_split() {
-        for split in [1usize, 2, 3] {
-            let part = StaticPartition::new(ProcessGrid::new(2, 3), 17);
-            let bins = BinMap::new(part, split);
-            let mut owned = vec![false; 17 * 17];
-            for b in 0..bins.nbins() {
-                for (m, n) in bins.tasks_of_bin(b) {
-                    assert!(!owned[m * 17 + n], "task ({m},{n}) in two bins");
-                    owned[m * 17 + n] = true;
-                    assert_eq!(bins.bin_of_task(m, n), b);
-                }
-            }
-            assert!(owned.iter().all(|&o| o), "split {split}: tasks uncovered");
-            assert_eq!(bins.bin_sizes().iter().sum::<usize>(), 17 * 17);
-        }
-    }
-
-    #[test]
-    fn apply_and_diff_roundtrip() {
-        let part = StaticPartition::new(ProcessGrid::new(2, 2), 12);
-        let bins = BinMap::new(part, 2);
-        let weights: Vec<f64> = bins.bin_sizes().iter().map(|&s| s as f64).collect();
-        let target = bins.rebalance_lpt(&weights, 3);
-        let moves = bins.diff(&target);
-        let mut applied = bins.clone();
-        applied.apply(&moves);
-        assert_eq!(applied, target);
-        assert!(bins.diff(&bins).is_empty());
-    }
-
-    #[test]
-    fn lpt_rebalance_is_deterministic_and_balanced() {
-        let part = StaticPartition::new(ProcessGrid::new(2, 2), 16);
-        let bins = BinMap::new(part, 2);
-        // Skewed weights: home-rank-0 bins are 10× heavier.
-        let weights: Vec<f64> = (0..bins.nbins())
-            .map(|b| {
-                let s = bins.bin_sizes()[b] as f64;
-                if bins.home_of_bin(b) == 0 {
-                    10.0 * s
-                } else {
-                    s
-                }
-            })
-            .collect();
-        let a = bins.rebalance_lpt(&weights, 4);
-        let b = bins.rebalance_lpt(&weights, 4);
-        assert_eq!(a, b, "LPT must be deterministic");
-        // Every rank gets at least one bin; LPT spread the heavy bins.
-        let loads: Vec<f64> = (0..4)
-            .map(|r| a.bins_of(r).iter().map(|&x| weights[x]).sum())
-            .collect();
-        let (mn, mx) = (
-            loads.iter().cloned().fold(f64::INFINITY, f64::min),
-            loads.iter().cloned().fold(0.0, f64::max),
-        );
-        assert!(mn > 0.0, "a rank was left idle");
-        // Static layout piles all heavy bins on rank 0 (load ratio 10);
-        // LPT must do far better.
-        assert!(mx / mn < 2.0, "LPT imbalance {mx}/{mn}");
-    }
-
-    #[test]
-    fn rescale_to_fewer_ranks_covers_all_tasks() {
-        let part = StaticPartition::new(ProcessGrid::new(2, 2), 10);
-        let bins = BinMap::new(part, 2);
-        let weights: Vec<f64> = bins.bin_sizes().iter().map(|&s| s as f64).collect();
-        let shrunk = bins.rebalance_lpt(&weights, 2);
-        let mut total = 0;
-        for r in 0..2 {
-            total += shrunk.tasks_of(r).len();
-        }
-        assert_eq!(total, 100);
-        for r in 2..4 {
-            assert!(shrunk.tasks_of(r).is_empty(), "rank {r} must be drained");
-        }
     }
 }

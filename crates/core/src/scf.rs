@@ -315,16 +315,6 @@ impl ScfConfigBuilder {
         self
     }
 
-    /// Use an online-autotuned builder: the first iteration's build is
-    /// profiled, the §III-G model is calibrated from its trace, and the
-    /// remaining iterations run with the tuned
-    /// [`SchedulerOpts`](crate::build::SchedulerOpts) (re-tuned if the
-    /// quartet stream drifts). Shorthand for
-    /// `fock_builder(autotuned_builder(cfg))`.
-    pub fn autotune(self, cfg: crate::autotune::AutoTuneConfig) -> Self {
-        self.fock_builder(crate::autotune::autotuned_builder(cfg))
-    }
-
     pub fn density(mut self, method: DensityMethod) -> Self {
         self.cfg.density = method;
         self
@@ -746,7 +736,6 @@ mod tests {
                     grid: ProcessGrid::new(2, 2),
                     steal: true,
                     fault: None,
-                    ..GtfockConfig::default()
                 }),
                 ordering: ShellOrdering::cells_default(),
                 ..base.clone()
@@ -760,7 +749,6 @@ mod tests {
                 builder: nwchem_builder(NwchemConfig {
                     nprocs: 2,
                     chunk: 5,
-                    ..Default::default()
                 }),
                 ..base
             },

@@ -16,13 +16,13 @@
 //! an atom-type-averaged cost per quartet.
 
 use crate::nwchem::AtomMap;
-use crate::partition::{BinMap, StaticPartition};
+use crate::partition::StaticPartition;
 use crate::tasks::{symmetry_check, FockProblem};
-use distrt::migrate::{MigrationPlan, MigrationStep};
 use distrt::{FaultPlan, MachineParams, ProcessGrid, Sim};
 use eri::{CostModel, DensityNorms};
-use obs::{fault_code, migrate_code, EventKind, Recorder};
+use obs::{fault_code, EventKind, Recorder};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Per-virtual-process outcome of a simulated build.
 #[derive(Debug, Clone, Copy, Default)]
@@ -364,20 +364,6 @@ impl<'a> GtfockSimModel<'a> {
         self.total_cost() / threads as f64
     }
 
-    /// Modeled single-core seconds of one bin (sum of its task costs).
-    pub fn bin_cost(&self, map: &BinMap, bin: usize) -> f64 {
-        let n = self.prob.nshells();
-        map.tasks_of_bin(bin)
-            .map(|(m, nn)| self.task_cost[m * n + nn] as f64)
-            .sum()
-    }
-
-    /// Modeled cost of every bin — the weight vector
-    /// [`BinMap::rebalance_lpt`] and the rescale regulator consume.
-    pub fn bin_weights(&self, map: &BinMap) -> Vec<f64> {
-        (0..map.nbins()).map(|b| self.bin_cost(map, b)).collect()
-    }
-
     /// Communication geometry of `rank`'s region: (bytes, calls) for one
     /// direction (D prefetch; F flush is the same again).
     fn region_comm(&self, part: &StaticPartition, rank: usize) -> (u64, u64) {
@@ -385,14 +371,8 @@ impl<'a> GtfockSimModel<'a> {
         self.region_comm_shells(rows, cols)
     }
 
-    /// [`Self::region_comm`] generalized to any (row, col) shell sets —
-    /// the region of an arbitrary union of bins. Contiguous static blocks
-    /// produce identical numbers through either entry point.
-    fn region_comm_shells(
-        &self,
-        rows: impl IntoIterator<Item = usize>,
-        cols: impl IntoIterator<Item = usize>,
-    ) -> (u64, u64) {
+    /// [`Self::region_comm`] over explicit (row, col) shell ranges.
+    fn region_comm_shells(&self, rows: Range<usize>, cols: Range<usize>) -> (u64, u64) {
         let n = self.prob.nshells();
         let mut bytes = 0u64;
         let mut calls = 0u64;
@@ -421,23 +401,6 @@ impl<'a> GtfockSimModel<'a> {
         bytes += fr * fc * 8;
         calls += rr * rc;
         (bytes, calls)
-    }
-
-    /// Communication geometry of a set of bins (distinct row/col shells of
-    /// their union).
-    fn bins_region(&self, map: &BinMap, bin_ids: &[usize]) -> (u64, u64) {
-        let mut rows: Vec<usize> = Vec::new();
-        let mut cols: Vec<usize> = Vec::new();
-        for &b in bin_ids {
-            let (r, c) = map.bin_block(b);
-            rows.extend(r);
-            cols.extend(c);
-        }
-        rows.sort_unstable();
-        rows.dedup();
-        cols.sort_unstable();
-        cols.dedup();
-        self.region_comm_shells(rows, cols)
     }
 
     /// Run the discrete-event simulation for `ncores` total cores with the
@@ -505,116 +468,31 @@ impl<'a> GtfockSimModel<'a> {
         fault: Option<&FaultPlan>,
         rec: &Recorder,
     ) -> SimResult {
-        self.simulate_elastic(machine, ncores, steal, None, None, fault, rec)
-    }
-
-    /// [`Self::simulate_faulty`] under an elastic bin map and a planned
-    /// [`MigrationPlan`] — the DES mirror of the threaded schedulers'
-    /// live-migration path. With `bins: None, migration: None` this *is*
-    /// `simulate_faulty` (same code path; every migration structure stays
-    /// empty), and a `split == 1` static bin map reproduces the default
-    /// partition byte-for-byte.
-    ///
-    /// * `bins` overrides the task→rank layout (and the process grid) with
-    ///   a bin owner map; ranks owning no bins start idle (joiners).
-    /// * Migration triggers fire when the source rank's executed-task
-    ///   count reaches `after_tasks` (or when its queue runs dry, so every
-    ///   planned step fires exactly once). A `Move` appends the moved
-    ///   bins' unexecuted tasks to the target's queue and charges the
-    ///   target a D-region copy of the moved bins; a `Retire` flushes the
-    ///   source, hands its whole queue and its GA D/F block to the target,
-    ///   and fences the source. Migration sources are fenced from thieves
-    ///   for the whole run (like doomed ranks), so the handed-off task set
-    ///   is deterministic.
-    /// * A dead target's pending deliveries divert to the orphan pool and
-    ///   a dead source's unfired steps are cancelled — tasks always live
-    ///   in exactly one queue, so every task executes exactly once even
-    ///   when ranks die mid-handoff.
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_elastic(
-        &self,
-        machine: MachineParams,
-        ncores: usize,
-        steal: StealConfig,
-        bins: Option<&BinMap>,
-        migration: Option<&MigrationPlan>,
-        fault: Option<&FaultPlan>,
-        rec: &Recorder,
-    ) -> SimResult {
         assert!(
             steal.fraction > 0.0 && steal.fraction <= 1.0,
             "steal fraction in (0, 1]"
         );
         let fault = fault.filter(|p| p.is_active());
-        let migration = migration.filter(|p| p.is_active());
         let nodes = (ncores / machine.cores_per_node).max(1);
         let threads = machine.cores_per_node.min(ncores);
-        let grid = match bins {
-            Some(b) => {
-                assert_eq!(
-                    b.part.grid.nprocs(),
-                    nodes,
-                    "bin map rank count must match the machine's node count"
-                );
-                b.part.grid
-            }
-            None => ProcessGrid::squarest(nodes),
-        };
+        let grid = ProcessGrid::squarest(nodes);
         let nprocs = grid.nprocs();
         let n = self.prob.nshells();
-        if let Some(b) = bins {
-            assert_eq!(b.part.nshells, n, "bin map shell count mismatch");
-        }
         let part = StaticPartition::new(grid, n);
 
         // Task queues: per rank, a list of task ids with a head cursor.
         let mut queues: Vec<Vec<u32>> = (0..nprocs)
-            .map(|r| match bins {
-                Some(b) => b
-                    .tasks_of(r)
-                    .into_iter()
+            .map(|r| {
+                part.tasks_of(r)
                     .map(|(m, nn)| (m * n + nn) as u32)
-                    .collect(),
-                None => part
-                    .tasks_of(r)
-                    .map(|(m, nn)| (m * n + nn) as u32)
-                    .collect(),
+                    .collect()
             })
             .collect();
         let mut heads = vec![0usize; nprocs];
 
         let mut out = vec![ProcessOutcome::default(); nprocs];
         let mut victims_of: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
-        let region: Vec<(u64, u64)> = (0..nprocs)
-            .map(|r| match bins {
-                Some(b) => self.bins_region(b, &b.bins_of(r)),
-                None => self.region_comm(&part, r),
-            })
-            .collect();
-
-        // Migration state — all of it stays empty / no-op when `migration`
-        // is None, keeping the static path byte-identical.
-        let mig_steps: Vec<Vec<&distrt::migrate::MigrationTrigger>> = (0..nprocs)
-            .map(|r| migration.map_or_else(Vec::new, |p| p.steps_for(r)))
-            .collect();
-        let mut mig_cursor = vec![0usize; nprocs];
-        let mut pending_inbound: Vec<usize> = (0..nprocs)
-            .map(|r| migration.map_or(0, |p| p.inbound_steps(r)))
-            .collect();
-        let mut retired = vec![false; nprocs];
-        let mut joined = vec![false; nprocs];
-        // F-region geometry a rank acquired through deliveries, flushed at
-        // its (re-)finish like adopted orphan regions.
-        let mut extra_flush = vec![(0u64, 0u64); nprocs];
-        let is_src: Vec<bool> = (0..nprocs)
-            .map(|r| migration.is_some_and(|p| p.is_source(r)))
-            .collect();
-        let nbf: usize = self.funcs.iter().map(|&f| f as usize).sum();
-        let ga_block_bytes = |r: usize| {
-            let (gr, gc) = grid.coords(r);
-            // D and F blocks both move at retirement.
-            (grid.row_block(nbf, gr).len() * grid.col_block(nbf, gc).len() * 8 * 2) as u64
-        };
+        let region: Vec<(u64, u64)> = (0..nprocs).map(|r| self.region_comm(&part, r)).collect();
 
         // Fault state — all of it stays empty / no-op when `fault` is None.
         let mut dead = vec![false; nprocs];
@@ -671,7 +549,7 @@ impl<'a> GtfockSimModel<'a> {
             if events > 10_000_000 {
                 panic!("DES runaway: {} events, rank {}, now {}", events, rank, now);
             }
-            if dead[rank] || retired[rank] {
+            if dead[rank] {
                 continue;
             }
             // Scheduled death fires when the rank would start its next
@@ -699,253 +577,12 @@ impl<'a> GtfockSimModel<'a> {
                         );
                         rec.side_event_at(rank, now, EventKind::WorkerEnd);
                     }
-                    // A dead source's unfired migration steps are
-                    // cancelled: release every target still counting on a
-                    // delivery (they are woken by the loop below if
-                    // already finished).
-                    for trig in &mig_steps[rank][mig_cursor[rank]..] {
-                        let mut tgts: Vec<usize> = match &trig.step {
-                            MigrationStep::Move { moves } => moves.iter().map(|mv| mv.to).collect(),
-                            MigrationStep::Retire { to } => vec![*to],
-                        };
-                        tgts.sort_unstable();
-                        tgts.dedup();
-                        for to in tgts {
-                            pending_inbound[to] = pending_inbound[to].saturating_sub(1);
-                        }
-                    }
-                    mig_cursor[rank] = mig_steps[rank].len();
                     for r in 0..nprocs {
-                        if finished[r] && !dead[r] && !retired[r] {
+                        if finished[r] && !dead[r] {
                             finished[r] = false;
                             sim.schedule(now, r);
                         }
                     }
-                    continue;
-                }
-            }
-            // Planned migration steps fire when the source's executed
-            // count reaches the trigger, or when its queue runs dry
-            // (whichever comes first), so every planned step fires exactly
-            // once per live source.
-            if mig_cursor[rank] < mig_steps[rank].len() {
-                let mig = migration.expect("steps imply a plan");
-                let mut did_retire = false;
-                let mut fired = 0usize;
-                while mig_cursor[rank] < mig_steps[rank].len() && !did_retire {
-                    let trig = mig_steps[rank][mig_cursor[rank]];
-                    let dry = heads[rank] >= queues[rank].len();
-                    if trig.after_tasks > executed_n[rank] && !dry {
-                        break;
-                    }
-                    mig_cursor[rank] += 1;
-                    fired += 1;
-                    match &trig.step {
-                        MigrationStep::Move { moves } => {
-                            let b = bins.expect("Move steps require a bin map");
-                            // Split the unexecuted tail into kept / moved.
-                            let tail: Vec<u32> = queues[rank].split_off(heads[rank]);
-                            let mut per_tgt: Vec<(usize, Vec<u32>)> = Vec::new();
-                            for id in tail {
-                                let (m, nn) = ((id as usize) / n, (id as usize) % n);
-                                let bin = b.bin_of_task(m, nn);
-                                match moves.iter().find(|mv| mv.bin == bin) {
-                                    Some(mv) => {
-                                        match per_tgt.iter_mut().find(|(t, _)| *t == mv.to) {
-                                            Some((_, v)) => v.push(id),
-                                            None => per_tgt.push((mv.to, vec![id])),
-                                        }
-                                    }
-                                    None => queues[rank].push(id),
-                                }
-                            }
-                            let mut tgts: Vec<usize> = moves.iter().map(|mv| mv.to).collect();
-                            tgts.sort_unstable();
-                            tgts.dedup();
-                            for &to in &tgts {
-                                pending_inbound[to] = pending_inbound[to].saturating_sub(1);
-                                let ids = per_tgt
-                                    .iter()
-                                    .find(|(t, _)| *t == to)
-                                    .map(|(_, v)| v.clone())
-                                    .unwrap_or_default();
-                                let bin_ids: Vec<usize> = moves
-                                    .iter()
-                                    .filter(|mv| mv.to == to)
-                                    .map(|mv| mv.bin)
-                                    .collect();
-                                let (mb, mc) = self.bins_region(b, &bin_ids);
-                                rec.counter(obs::names::MIGRATE_BINS)
-                                    .add(bin_ids.len() as u64);
-                                if rec.is_enabled() {
-                                    rec.side_event_at(
-                                        rank,
-                                        now,
-                                        EventKind::Migration {
-                                            code: migrate_code::BIN_MOVE,
-                                            detail: bin_ids.len() as u32,
-                                        },
-                                    );
-                                }
-                                if dead[to] {
-                                    // Mid-handoff death: the delivery
-                                    // diverts to the orphan pool, so the
-                                    // tasks still execute exactly once.
-                                    orphans.extend(ids);
-                                    dead_region.0 += mb;
-                                    dead_region.1 += mc;
-                                    continue;
-                                }
-                                queues[to].extend(ids);
-                                // The target pays the moved bins' D copy
-                                // and inherits their F-flush duty.
-                                let t_mv = machine.comm_time(mc, mb);
-                                out[to].t_comm += t_mv;
-                                out[to].bytes += mb;
-                                out[to].calls += mc;
-                                extra_flush[to].0 += mb;
-                                extra_flush[to].1 += mc;
-                                if rec.is_enabled() {
-                                    if !joined[to] && mig.join_for(to).is_some() {
-                                        rec.side_event_at(
-                                            to,
-                                            now,
-                                            EventKind::Migration {
-                                                code: migrate_code::RANK_JOIN,
-                                                detail: to as u32,
-                                            },
-                                        );
-                                    }
-                                    rec.side_event_at(
-                                        to,
-                                        now + t_mv,
-                                        EventKind::DPrefetch {
-                                            bytes: mb,
-                                            calls: mc,
-                                        },
-                                    );
-                                }
-                                joined[to] = true;
-                                if finished[to] {
-                                    finished[to] = false;
-                                    sim.schedule(now + t_mv, to);
-                                }
-                            }
-                        }
-                        MigrationStep::Retire { to } => {
-                            let to = *to;
-                            did_retire = true;
-                            // Final flush of everything accumulated so
-                            // far (own region + victim regions + any
-                            // delivered regions), then the GA block
-                            // handoff.
-                            let mut flush_b = region[rank].0 + extra_flush[rank].0;
-                            let mut flush_c = region[rank].1 + extra_flush[rank].1;
-                            extra_flush[rank] = (0, 0);
-                            for &v in &victims_of[rank] {
-                                flush_b += region[v].0;
-                                flush_c += region[v].1;
-                            }
-                            flushed[rank] = true;
-                            let mut t = machine.comm_time(flush_c, flush_b);
-                            t += drop_surcharge(fault, &machine, rank, now, &mut ops, rec);
-                            let hb = ga_block_bytes(rank);
-                            let th = machine.comm_time(1, hb);
-                            out[rank].t_comm += t + th;
-                            out[rank].bytes += flush_b + hb;
-                            out[rank].calls += flush_c + 1;
-                            out[rank].victims = victims_of[rank].len() as u64;
-                            out[rank].t_fock = now + t + th;
-                            retired[rank] = true;
-                            rec.counter(obs::names::MIGRATE_HANDOFFS).add(1);
-                            rec.counter(obs::names::MIGRATE_BYTES).add(hb);
-                            if rec.is_enabled() {
-                                rec.side_event_at(
-                                    rank,
-                                    now + t,
-                                    EventKind::FFlush {
-                                        bytes: flush_b,
-                                        calls: flush_c,
-                                    },
-                                );
-                                rec.side_event_at(
-                                    rank,
-                                    now + t,
-                                    EventKind::Migration {
-                                        code: migrate_code::RANK_RETIRE,
-                                        detail: to as u32,
-                                    },
-                                );
-                                rec.side_event_at(
-                                    rank,
-                                    now + t + th,
-                                    EventKind::Migration {
-                                        code: migrate_code::BLOCK_HANDOFF,
-                                        detail: (hb / 1024) as u32,
-                                    },
-                                );
-                                rec.side_event_at(rank, now + t + th, EventKind::WorkerEnd);
-                            }
-                            // Hand the whole unexecuted tail to the target.
-                            let ids: Vec<u32> = queues[rank].split_off(heads[rank]);
-                            pending_inbound[to] = pending_inbound[to].saturating_sub(1);
-                            if dead[to] {
-                                orphans.extend(ids);
-                                dead_region.0 += region[rank].0;
-                                dead_region.1 += region[rank].1;
-                            } else {
-                                queues[to].extend(ids);
-                                let (mb, mc) = region[rank];
-                                let t_mv = machine.comm_time(mc, mb).max(th);
-                                out[to].t_comm += t_mv;
-                                out[to].bytes += mb;
-                                out[to].calls += mc;
-                                extra_flush[to].0 += mb;
-                                extra_flush[to].1 += mc;
-                                if rec.is_enabled() {
-                                    rec.side_event_at(
-                                        to,
-                                        now + t_mv,
-                                        EventKind::DPrefetch {
-                                            bytes: mb,
-                                            calls: mc,
-                                        },
-                                    );
-                                }
-                                joined[to] = true;
-                                if finished[to] {
-                                    finished[to] = false;
-                                    sim.schedule(now + t_mv, to);
-                                }
-                            }
-                        }
-                    }
-                }
-                if did_retire {
-                    // Steps planned after a retirement can never fire;
-                    // release their targets.
-                    for trig in &mig_steps[rank][mig_cursor[rank]..] {
-                        let mut tgts: Vec<usize> = match &trig.step {
-                            MigrationStep::Move { moves } => moves.iter().map(|mv| mv.to).collect(),
-                            MigrationStep::Retire { to } => vec![*to],
-                        };
-                        tgts.sort_unstable();
-                        tgts.dedup();
-                        for to in tgts {
-                            pending_inbound[to] = pending_inbound[to].saturating_sub(1);
-                            if finished[to] && !dead[to] && !retired[to] {
-                                finished[to] = false;
-                                sim.schedule(now, to);
-                            }
-                        }
-                    }
-                    mig_cursor[rank] = mig_steps[rank].len();
-                    continue;
-                }
-                if fired > 0 {
-                    // Firing costs the source one queue-update latency.
-                    out[rank].t_comm += machine.latency;
-                    sim.schedule(now + machine.latency, rank);
                     continue;
                 }
             }
@@ -996,7 +633,7 @@ impl<'a> GtfockSimModel<'a> {
                         // backlog; the fallback takes anything non-empty).
                         const MIN_BLOCK: usize = 8;
                         for v in grid.steal_order(rank) {
-                            if !doomed(v) && !is_src[v] && queues[v].len() - heads[v] >= MIN_BLOCK {
+                            if !doomed(v) && queues[v].len() - heads[v] >= MIN_BLOCK {
                                 found = Some(v);
                                 break;
                             }
@@ -1004,7 +641,7 @@ impl<'a> GtfockSimModel<'a> {
                         if found.is_none() {
                             found = grid
                                 .steal_order(rank)
-                                .find(|&v| !doomed(v) && !is_src[v] && heads[v] < queues[v].len());
+                                .find(|&v| !doomed(v) && heads[v] < queues[v].len());
                         }
                     }
                     VictimPolicy::Random { seed } => {
@@ -1020,7 +657,7 @@ impl<'a> GtfockSimModel<'a> {
                                 .wrapping_mul(6364136223846793005)
                                 .wrapping_add(1442695040888963407);
                             let v = (state >> 33) as usize % nprocs;
-                            if v != rank && !doomed(v) && !is_src[v] && heads[v] < queues[v].len() {
+                            if v != rank && !doomed(v) && heads[v] < queues[v].len() {
                                 found = Some(v);
                                 break;
                             }
@@ -1028,14 +665,12 @@ impl<'a> GtfockSimModel<'a> {
                         if found.is_none() {
                             found = grid
                                 .steal_order(rank)
-                                .find(|&v| !doomed(v) && !is_src[v] && heads[v] < queues[v].len());
+                                .find(|&v| !doomed(v) && heads[v] < queues[v].len());
                         }
                     }
                     VictimPolicy::MaxQueue => {
                         found = (0..nprocs)
-                            .filter(|&v| {
-                                v != rank && !doomed(v) && !is_src[v] && heads[v] < queues[v].len()
-                            })
+                            .filter(|&v| v != rank && !doomed(v) && heads[v] < queues[v].len())
                             .max_by_key(|&v| queues[v].len() - heads[v]);
                     }
                 }
@@ -1178,19 +813,11 @@ impl<'a> GtfockSimModel<'a> {
                 sim.schedule(now + t + wall, rank);
                 continue;
             }
-            // A rank still owed migration deliveries parks here instead of
-            // flushing — the handoff fence. Every planned delivery is
-            // eventually sent or cancelled (dead/retired source), and each
-            // of those paths wakes parked ranks, so this cannot deadlock.
-            if pending_inbound[rank] > 0 {
-                finished[rank] = true;
-                continue;
-            }
             // Done: flush own F region plus one flush per distinct victim.
             // A rank re-woken for recovery flushes again only if it
             // actually adopted work (charged at the dead regions'
             // geometry); re-finishing idle costs nothing.
-            let mut t = if !flushed[rank] {
+            let t = if !flushed[rank] {
                 flushed[rank] = true;
                 let mut flush_b = region[rank].0;
                 let mut flush_c = region[rank].1;
@@ -1230,21 +857,6 @@ impl<'a> GtfockSimModel<'a> {
             } else {
                 0.0
             };
-            // Regions acquired through migration deliveries are flushed by
-            // the new owner at its (re-)finish.
-            if extra_flush[rank] != (0, 0) {
-                let (b, c) = extra_flush[rank];
-                extra_flush[rank] = (0, 0);
-                let mut te = machine.comm_time(c, b);
-                te += drop_surcharge(fault, &machine, rank, now + t, &mut ops, rec);
-                out[rank].t_comm += te;
-                out[rank].bytes += b;
-                out[rank].calls += c;
-                if rec.is_enabled() {
-                    rec.side_event_at(rank, now + t + te, EventKind::FFlush { bytes: b, calls: c });
-                }
-                t += te;
-            }
             out[rank].t_fock = out[rank].t_fock.max(now + t);
             finished[rank] = true;
             if rec.is_enabled() {
@@ -2138,215 +1750,5 @@ mod tests {
             );
         }
         assert!(!seen.is_empty());
-    }
-
-    // --- elastic rescaling (bin maps + migration plans) ---
-
-    use distrt::migrate::BinMove;
-
-    fn static_map(nodes: usize, n: usize, split: usize) -> BinMap {
-        BinMap::new(StaticPartition::new(ProcessGrid::squarest(nodes), n), split)
-    }
-
-    #[test]
-    fn elastic_static_binmap_is_byte_identical() {
-        let (prob, cost) = setup();
-        let model = GtfockSimModel::new(&prob, &cost);
-        let machine = MachineParams::lonestar();
-        let map = static_map(4, prob.nshells(), 1);
-        for steal in [StealConfig::paper(), StealConfig::disabled()] {
-            let base = model.simulate_opts(machine, 48, steal);
-            let elastic = model.simulate_elastic(
-                machine,
-                48,
-                steal,
-                Some(&map),
-                None,
-                None,
-                &Recorder::disabled(),
-            );
-            assert_eq!(
-                format!("{:?}", base.per_process),
-                format!("{:?}", elastic.per_process),
-                "split=1 static bin map must reproduce the default partition"
-            );
-        }
-    }
-
-    #[test]
-    fn elastic_move_step_conserves_tasks() {
-        let (prob, cost) = setup();
-        let model = GtfockSimModel::new(&prob, &cost);
-        let machine = MachineParams::lonestar();
-        let n = prob.nshells();
-        let map = static_map(4, n, 2);
-        // After 2 tasks, rank 0 sends three of its four bins to ranks 1–2.
-        let bins0 = map.bins_of(0);
-        assert_eq!(bins0.len(), 4);
-        let moves = vec![
-            BinMove {
-                bin: bins0[1],
-                to: 1,
-            },
-            BinMove {
-                bin: bins0[2],
-                to: 2,
-            },
-            BinMove {
-                bin: bins0[3],
-                to: 1,
-            },
-        ];
-        let plan = MigrationPlan::new().move_bins(0, 2, moves);
-        let run = || {
-            model.simulate_elastic(
-                machine,
-                48,
-                StealConfig::paper(),
-                Some(&map),
-                Some(&plan),
-                None,
-                &Recorder::disabled(),
-            )
-        };
-        let r = run();
-        let tasks: u64 = r.per_process.iter().map(|p| p.tasks).sum();
-        assert_eq!(tasks as usize, n * n, "every task executes exactly once");
-        assert_eq!(r.tasks_requeued(), 0);
-        // Determinism: same plan, same outcome.
-        let r2 = run();
-        assert_eq!(
-            format!("{:?}", r.per_process),
-            format!("{:?}", r2.per_process)
-        );
-    }
-
-    #[test]
-    fn elastic_retire_hands_off_queue_and_completes() {
-        let (prob, cost) = setup();
-        let model = GtfockSimModel::new(&prob, &cost);
-        let machine = MachineParams::lonestar();
-        let n = prob.nshells();
-        let map = static_map(4, n, 2);
-        let plan = MigrationPlan::new().retire(3, 4, 0);
-        let rec = Recorder::enabled();
-        let r = model.simulate_elastic(
-            machine,
-            48,
-            StealConfig::paper(),
-            Some(&map),
-            Some(&plan),
-            None,
-            &rec,
-        );
-        let tasks: u64 = r.per_process.iter().map(|p| p.tasks).sum();
-        assert_eq!(tasks as usize, n * n);
-        assert_eq!(r.tasks_requeued(), 0);
-        // The retired rank stopped at its trigger and paid the handoff.
-        assert_eq!(r.per_process[3].tasks, 4);
-        assert!(r.per_process[3].t_fock > 0.0);
-        // The recording carries the retire + block-handoff markers.
-        let totals = rec.recording().unwrap().worker_totals();
-        assert!(totals[3].migrations >= 2, "retire + handoff events");
-    }
-
-    #[test]
-    fn elastic_grow_delivers_work_to_joining_rank() {
-        let (prob, cost) = setup();
-        let model = GtfockSimModel::new(&prob, &cost);
-        let machine = MachineParams::lonestar();
-        let n = prob.nshells();
-        // Rank 3 starts empty (its bins parked on rank 0) and joins when
-        // rank 0 ships those bins back mid-run.
-        let mut map = static_map(4, n, 2);
-        let bins3 = map.bins_of(3);
-        let park: Vec<BinMove> = bins3.iter().map(|&b| BinMove { bin: b, to: 0 }).collect();
-        map.apply(&park);
-        assert!(map.bins_of(3).is_empty());
-        let deliver: Vec<BinMove> = bins3.iter().map(|&b| BinMove { bin: b, to: 3 }).collect();
-        let plan = MigrationPlan::new().move_bins(0, 3, deliver).join(3, 0);
-        let r = model.simulate_elastic(
-            machine,
-            48,
-            StealConfig::disabled(),
-            Some(&map),
-            Some(&plan),
-            None,
-            &Recorder::disabled(),
-        );
-        let tasks: u64 = r.per_process.iter().map(|p| p.tasks).sum();
-        assert_eq!(tasks as usize, n * n);
-        assert!(
-            r.per_process[3].tasks > 0,
-            "joining rank must execute delivered work"
-        );
-    }
-
-    #[test]
-    fn elastic_kill_target_mid_handoff_still_exactly_once() {
-        let (prob, cost) = setup();
-        let model = GtfockSimModel::new(&prob, &cost);
-        let machine = MachineParams::lonestar();
-        let n = prob.nshells();
-        let map = static_map(4, n, 2);
-        let bins0 = map.bins_of(0);
-        // Rank 1 dies after 2 tasks; rank 0's delivery to it fires later
-        // (after 50 of rank 0's tasks) and must divert to the orphan pool.
-        let moves = vec![BinMove {
-            bin: bins0[3],
-            to: 1,
-        }];
-        let plan = MigrationPlan::new().move_bins(0, 50, moves);
-        let fault = FaultPlan::new(11).kill(1, 2);
-        let run = || {
-            model.simulate_elastic(
-                machine,
-                48,
-                StealConfig::paper(),
-                Some(&map),
-                Some(&plan),
-                Some(&fault),
-                &Recorder::disabled(),
-            )
-        };
-        let r = run();
-        let total = (n * n) as u64;
-        let tasks: u64 = r.per_process.iter().map(|p| p.tasks).sum();
-        // The dead rank's 2 executed-but-unflushed tasks re-run; nothing
-        // else duplicates and nothing is lost.
-        assert_eq!(tasks, total + 2);
-        assert!(r.tasks_requeued() >= 2);
-        assert_eq!(run().tasks_requeued(), r.tasks_requeued());
-    }
-
-    #[test]
-    fn elastic_dead_source_releases_waiting_targets() {
-        let (prob, cost) = setup();
-        let model = GtfockSimModel::new(&prob, &cost);
-        let machine = MachineParams::lonestar();
-        let n = prob.nshells();
-        let map = static_map(4, n, 2);
-        let bins0 = map.bins_of(0);
-        // Rank 0 dies before its planned delivery to rank 2 can fire; the
-        // step is cancelled and rank 2 must not deadlock waiting for it.
-        let moves = vec![BinMove {
-            bin: bins0[2],
-            to: 2,
-        }];
-        let plan = MigrationPlan::new().move_bins(0, 1_000_000, moves);
-        let fault = FaultPlan::new(3).kill(0, 2);
-        let r = model.simulate_elastic(
-            machine,
-            48,
-            StealConfig::paper(),
-            Some(&map),
-            Some(&plan),
-            Some(&fault),
-            &Recorder::disabled(),
-        );
-        let total = (n * n) as u64;
-        let tasks: u64 = r.per_process.iter().map(|p| p.tasks).sum();
-        assert_eq!(tasks, total + 2);
-        assert!(r.per_process[2].t_fock > 0.0);
     }
 }

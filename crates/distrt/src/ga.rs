@@ -14,18 +14,19 @@
 use crate::fault::{FaultPlan, FaultState, GaError};
 use crate::grid::{block_owner, ProcessGrid};
 use crate::stats::CommStats;
-use obs::{fault_code, migrate_code, EventKind, Recorder};
-use parking_lot::{Mutex, RwLock};
+use obs::{fault_code, EventKind, Recorder};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// Distributed dense `nrows × ncols` matrix of f64.
 pub struct GlobalArray {
     pub grid: ProcessGrid,
     pub nrows: usize,
     pub ncols: usize,
-    /// One block per rank, row-major within the block.
+    /// One block per rank, row-major within the block. Block and stats
+    /// locks ignore poison (`PoisonError::into_inner`): a test that
+    /// panics while holding one, e.g. under fault injection, must not
+    /// take the array down for every other rank.
     blocks: Vec<RwLock<Vec<f64>>>,
     stats: Vec<Mutex<CommStats>>,
     /// Telemetry sink: every one-sided call is also emitted as a
@@ -34,15 +35,12 @@ pub struct GlobalArray {
     /// Fault injection, off by default. When set, every one-sided op
     /// consults the plan before touching memory.
     fault: Option<FaultState>,
-    /// Accounting owner of each rank's block: identity until a
-    /// [`Self::handoff_block`] reassigns it. "Remote" vs "local" in the
-    /// stats is decided against the serving rank, so after a handoff the
-    /// new owner's accesses to the adopted block count as local.
-    served_by: Vec<AtomicUsize>,
-    /// Retired ranks: a fenced rank's one-sided ops fail (`try_*` return
-    /// an error, the infallible wrappers panic) — the migration protocol's
-    /// guarantee that a handed-off owner can never race its successor.
-    fenced: Vec<AtomicBool>,
+}
+
+/// Lock a stats slot, ignoring poison. Every stats update is a set of
+/// plain counter additions, so a panicking holder leaves valid counts.
+fn lock_stats(m: &Mutex<CommStats>) -> MutexGuard<'_, CommStats> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl GlobalArray {
@@ -67,8 +65,6 @@ impl GlobalArray {
             stats,
             rec: Recorder::disabled(),
             fault: None,
-            served_by: (0..grid.nprocs()).map(AtomicUsize::new).collect(),
-            fenced: (0..grid.nprocs()).map(|_| AtomicBool::new(false)).collect(),
         }
     }
 
@@ -96,7 +92,9 @@ impl GlobalArray {
             let (r, c) = grid.coords(rank);
             let rr = grid.row_block(nrows, r);
             let cc = grid.col_block(ncols, c);
-            let mut blk = ga.blocks[rank].write();
+            let mut blk = ga.blocks[rank]
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
             for (bi, i) in rr.clone().enumerate() {
                 for (bj, j) in cc.clone().enumerate() {
                     blk[bi * cc.len() + bj] = data[i * ncols + j];
@@ -114,7 +112,9 @@ impl GlobalArray {
             let (r, c) = self.grid.coords(rank);
             let rr = self.grid.row_block(self.nrows, r);
             let cc = self.grid.col_block(self.ncols, c);
-            let blk = self.blocks[rank].read();
+            let blk = self.blocks[rank]
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
             for (bi, i) in rr.clone().enumerate() {
                 for (bj, j) in cc.clone().enumerate() {
                     out[i * self.ncols + j] = blk[bi * cc.len() + bj];
@@ -152,7 +152,7 @@ impl GlobalArray {
             cols.clone(),
             OpKind::Get,
             |blk, ri, ci, bw, bro, bco| {
-                let b = blk.read();
+                let b = blk.read().unwrap_or_else(PoisonError::into_inner);
                 for i in ri.clone() {
                     let src = (i - bro) * bw + (ci.start - bco);
                     let dst = (i - rows.start) * w + (ci.start - cols.start);
@@ -187,7 +187,7 @@ impl GlobalArray {
             cols.clone(),
             OpKind::Put,
             |blk, ri, ci, bw, bro, bco| {
-                let mut b = blk.write();
+                let mut b = blk.write().unwrap_or_else(PoisonError::into_inner);
                 for i in ri.clone() {
                     let dst = (i - bro) * bw + (ci.start - bco);
                     let src = (i - rows.start) * w + (ci.start - cols.start);
@@ -233,7 +233,7 @@ impl GlobalArray {
             cols.clone(),
             OpKind::Acc,
             |blk, ri, ci, bw, bro, bco| {
-                let mut b = blk.write();
+                let mut b = blk.write().unwrap_or_else(PoisonError::into_inner);
                 for i in ri.clone() {
                     let dst = (i - bro) * bw + (ci.start - bco);
                     let src = (i - rows.start) * w + (ci.start - cols.start);
@@ -252,13 +252,6 @@ impl GlobalArray {
     /// number — until the budget runs out, at which point the whole op
     /// fails having transferred nothing.
     fn op_gate(&self, op: &'static str, caller: usize) -> Result<(), GaError> {
-        if self.fenced[caller].load(Ordering::Acquire) {
-            return Err(GaError {
-                op,
-                caller,
-                attempts: 0,
-            });
-        }
         let Some(fs) = &self.fault else {
             return Ok(());
         };
@@ -284,7 +277,7 @@ impl GlobalArray {
             if !plan.drops_op(caller, idx) {
                 return Ok(());
             }
-            self.stats[caller].lock().retry_calls += 1;
+            lock_stats(&self.stats[caller]).retry_calls += 1;
             self.rec.counter(obs::names::FAULT_INJECTED).add(1);
             self.rec.counter(obs::names::GA_RETRIES).add(1);
             self.rec.side_event(
@@ -307,7 +300,7 @@ impl GlobalArray {
 
     /// Communication stats recorded for `rank` since the last reset.
     pub fn stats(&self, rank: usize) -> CommStats {
-        *self.stats[rank].lock()
+        *lock_stats(&self.stats[rank])
     }
 
     /// Sum of all processes' stats, as one consistent snapshot: all
@@ -318,7 +311,7 @@ impl GlobalArray {
     /// time, so a concurrent `reset_stats` (or a multi-rank op sequence)
     /// could be half-counted.
     pub fn stats_total(&self) -> CommStats {
-        let guards: Vec<_> = self.stats.iter().map(|s| s.lock()).collect();
+        let guards: Vec<_> = self.stats.iter().map(lock_stats).collect();
         let mut t = CommStats::default();
         for g in &guards {
             t.merge(g);
@@ -331,7 +324,7 @@ impl GlobalArray {
     /// concurrent total never sees a partially reset fleet. Deadlock-free
     /// because ops only ever hold one stats lock at a time.
     pub fn reset_stats(&self) {
-        let mut guards: Vec<_> = self.stats.iter().map(|s| s.lock()).collect();
+        let mut guards: Vec<_> = self.stats.iter().map(lock_stats).collect();
         for g in guards.iter_mut() {
             **g = CommStats::default();
         }
@@ -340,61 +333,6 @@ impl GlobalArray {
     /// Owner rank of element (i, j).
     pub fn owner(&self, i: usize, j: usize) -> usize {
         self.grid.owner(self.nrows, self.ncols, i, j)
-    }
-
-    /// Hand ownership of `from`'s block to `to` (a migration retirement).
-    ///
-    /// Acquiring the block's write lock *is* the drain: every in-flight
-    /// one-sided op holds the lock for its whole block piece, so by the
-    /// time the lock is granted no op started before the handoff is still
-    /// touching the block. The transfer is charged to `from` as one bulk
-    /// put of the block (storage is shared memory, as inside a real GA
-    /// node — the accounting is the migration cost model), and from then
-    /// on `to`'s accesses to the block count as local. Returns the bytes
-    /// handed off.
-    pub fn handoff_block(&self, from: usize, to: usize) -> u64 {
-        assert_ne!(from, to, "handoff must change the owner");
-        assert!(from < self.grid.nprocs() && to < self.grid.nprocs());
-        let bytes = {
-            // Write-lock = drain barrier; held only long enough to flip
-            // the serving rank so no op can start mid-handoff.
-            let blk = self.blocks[from].write();
-            self.served_by[from].store(to, Ordering::Release);
-            (blk.len() * std::mem::size_of::<f64>()) as u64
-        };
-        {
-            let mut s = self.stats[from].lock();
-            s.put_calls += 1;
-            s.put_bytes += bytes;
-        }
-        self.rec.side_event(from, EventKind::CommPut { bytes });
-        self.rec.side_event(
-            from,
-            EventKind::Migration {
-                code: migrate_code::BLOCK_HANDOFF,
-                detail: (bytes / 1024) as u32,
-            },
-        );
-        self.rec.counter(obs::names::MIGRATE_HANDOFFS).add(1);
-        self.rec.counter(obs::names::MIGRATE_BYTES).add(bytes);
-        bytes
-    }
-
-    /// Fence `rank`: all its later one-sided ops fail. Called by the
-    /// migration protocol after a retiring rank's final flush + handoff.
-    pub fn fence(&self, rank: usize) {
-        self.fenced[rank].store(true, Ordering::Release);
-    }
-
-    /// True if `rank` has been fenced.
-    pub fn is_fenced(&self, rank: usize) -> bool {
-        self.fenced[rank].load(Ordering::Acquire)
-    }
-
-    /// The rank currently serving `rank`'s block (identity unless a
-    /// handoff reassigned it).
-    pub fn serving_rank(&self, rank: usize) -> usize {
-        self.served_by[rank].load(Ordering::Acquire)
     }
 
     /// Decompose a patch into per-owner-block pieces, record accounting,
@@ -459,14 +397,14 @@ impl GlobalArray {
                         self.rec.side_event(caller, EventKind::CommAcc { bytes });
                     }
                 }
-                if self.served_by[rank].load(Ordering::Relaxed) == caller {
+                if rank == caller {
                     delta.local_calls += 1;
                     delta.local_bytes += bytes;
                 }
                 f(&self.blocks[rank], &ri, &ci, cb.len(), rb.start, cb.start);
             }
         }
-        self.stats[caller].lock().merge(&delta);
+        lock_stats(&self.stats[caller]).merge(&delta);
     }
 }
 
@@ -692,76 +630,6 @@ mod tests {
         ga.try_acc(0, 0..4, 0..4, &ones, 2.0).expect("acc");
         assert!(ga.to_dense().iter().all(|&v| v == 2.0));
         assert_eq!(ga.stats_total().retry_calls, 0);
-    }
-
-    #[test]
-    fn handoff_redirects_local_accounting_and_charges_transfer() {
-        let g = ProcessGrid::new(2, 2);
-        let ga = GlobalArray::zeros(g, 8, 8);
-        // Rank 1's accesses to rank 0's block are remote...
-        let mut out = vec![0.0; 4];
-        ga.get(1, 0..2, 0..2, &mut out);
-        assert_eq!(ga.stats(1).local_calls, 0);
-        // ...until rank 0 retires to rank 1.
-        let bytes = ga.handoff_block(0, 1);
-        assert_eq!(bytes, 4 * 4 * 8); // rank 0 owns a 4×4 block
-        assert_eq!(ga.serving_rank(0), 1);
-        ga.get(1, 0..2, 0..2, &mut out);
-        assert_eq!(ga.stats(1).local_calls, 1);
-        // The transfer is charged to the retiring rank as one bulk put.
-        let s0 = ga.stats(0);
-        assert_eq!(s0.put_calls, 1);
-        assert_eq!(s0.put_bytes, bytes);
-        // Data is intact after the handoff.
-        assert!(ga.to_dense().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn fenced_rank_ops_fail_without_side_effects() {
-        let g = ProcessGrid::new(1, 2);
-        let ga = GlobalArray::zeros(g, 4, 4);
-        ga.fence(0);
-        assert!(ga.is_fenced(0));
-        assert!(!ga.is_fenced(1));
-        let ones = vec![1.0; 16];
-        let err = ga.try_acc(0, 0..4, 0..4, &ones, 1.0).unwrap_err();
-        assert_eq!(err.op, "acc");
-        assert_eq!(err.attempts, 0);
-        assert!(ga.to_dense().iter().all(|&v| v == 0.0));
-        // The surviving rank still operates normally.
-        ga.try_acc(1, 0..4, 0..4, &ones, 1.0).expect("acc");
-        assert!(ga.to_dense().iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    fn handoff_drains_concurrent_ops_to_exact_sum() {
-        // Hammer accs while handing the hot block off: the write-lock
-        // drain means every acc lands exactly once, before or after the
-        // flip, never torn.
-        let g = ProcessGrid::new(2, 1);
-        let ga = std::sync::Arc::new(GlobalArray::zeros(g, 8, 8));
-        let reps = 200;
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let ga = ga.clone();
-                s.spawn(move || {
-                    let ones = vec![1.0; 16];
-                    for _ in 0..reps {
-                        ga.acc(t % 2, 2..6, 2..6, &ones, 1.0);
-                    }
-                });
-            }
-            let ga2 = ga.clone();
-            s.spawn(move || {
-                ga2.handoff_block(0, 1);
-            });
-        });
-        let d = ga.to_dense();
-        for i in 2..6 {
-            for j in 2..6 {
-                assert_eq!(d[i * 8 + j], (4 * reps) as f64, "({i},{j})");
-            }
-        }
     }
 
     #[test]

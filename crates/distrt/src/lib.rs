@@ -14,11 +14,7 @@
 //!   cluster-scale executions on a single host,
 //! * [`fault`] — deterministic, seed-driven fault injection (rank death,
 //!   stragglers, dropped/delayed one-sided ops) shared by the GA layer and
-//!   both schedulers,
-//! * [`migrate`] — planned live state migration: deterministic schedules
-//!   of bin moves, rank retirements (shrink) and rank joins (grow), keyed
-//!   on task counts exactly like rank death so threaded and simulated
-//!   executions fire the same handoffs at the same logical points.
+//!   both schedulers.
 //!
 //! The GA layer is backed by shared memory (which is also how real Global
 //! Arrays behaves within a node); "remote" accesses differ only in the
@@ -28,7 +24,6 @@ pub mod fault;
 pub mod ga;
 pub mod grid;
 pub mod machine;
-pub mod migrate;
 pub mod sim;
 pub mod stats;
 
@@ -36,6 +31,5 @@ pub use fault::{FaultPlan, GaError, RankDeath, Straggler};
 pub use ga::GlobalArray;
 pub use grid::{block_range, ProcessGrid};
 pub use machine::MachineParams;
-pub use migrate::{BinMove, MigrationPlan, MigrationStep, MigrationTrigger, RankJoin};
 pub use sim::Sim;
 pub use stats::CommStats;

@@ -36,23 +36,6 @@ impl MachineParams {
         }
     }
 
-    /// A single shared-memory node: one "core" per simulated process, with
-    /// memory-bus bandwidth and cache-line-scale latencies standing in for
-    /// the interconnect. This is the machine the online autotuner evaluates
-    /// candidate `SchedulerOpts` against when the real build runs threads
-    /// in one address space — one DES process maps to one thread, so
-    /// relative orderings between candidate schedules track the threaded
-    /// build rather than a 12-core-node cluster.
-    pub fn shared_memory() -> Self {
-        MachineParams {
-            cores_per_node: 1,
-            bandwidth: 12.0e9,
-            latency: 1.0e-7,
-            atomic_op: 5.0e-8,
-            op_timeout: 1.0e-4,
-        }
-    }
-
     /// Time to transfer `bytes` in one message.
     #[inline]
     pub fn xfer_time(&self, bytes: u64) -> f64 {
@@ -81,16 +64,6 @@ mod tests {
         let m = MachineParams::lonestar();
         assert_eq!(m.cores_per_node, 12);
         assert_eq!(m.bandwidth, 5.0e9);
-    }
-
-    #[test]
-    fn shared_memory_is_one_core_per_process_and_faster() {
-        let sm = MachineParams::shared_memory();
-        let ls = MachineParams::lonestar();
-        assert_eq!(sm.cores_per_node, 1);
-        assert!(sm.latency < ls.latency);
-        assert!(sm.atomic_op < ls.atomic_op);
-        assert!(sm.bandwidth > ls.bandwidth);
     }
 
     #[test]

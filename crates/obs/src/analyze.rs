@@ -2,21 +2,12 @@
 //!
 //! A [`Recording`] is ground truth — a time-sorted event stream per worker
 //! plus the metrics registry. A [`TraceProfile`] is the derived digest the
-//! calibration and autotuning layers consume: per-worker busy/idle/steal
-//! breakdowns, the task-cost distribution, and communication-volume
-//! tallies. Like [`WorkerTotals`], everything here is computed from the
-//! events; nothing is maintained separately.
-//!
-//! Profiles can be taken over a time window (`[t0, t1)` in recorder
-//! seconds), which is how the online autotuner isolates one SCF
-//! iteration's build from a recorder that has been accumulating since the
-//! run started. Histogram metrics (`gtfock.steal_ns`, `nwchem.queue_ns`)
-//! are cumulative registry state and cannot be windowed; a windowed
-//! profile carries the whole-run snapshots, which is the right tradeoff
-//! for the slowly-drifting per-op costs they measure.
+//! trace-diff tool compares: per-worker busy/idle/steal breakdowns, the
+//! task-cost distribution, and communication-volume tallies. Like
+//! [`WorkerTotals`], everything here is computed from the events; nothing
+//! is maintained separately.
 
 use crate::event::EventKind;
-use crate::metrics::HistogramSnapshot;
 use crate::timeline::{Recording, WorkerTotals};
 
 /// Histogram name of the GTFock work-stealing scan latency (seconds spent
@@ -65,19 +56,9 @@ impl Dist {
             p90: pct(0.9),
         }
     }
-
-    /// Max/mean ratio — how much the costliest sample dominates (1.0 for
-    /// uniform or empty samples).
-    pub fn skew(&self) -> f64 {
-        if self.mean > 0.0 {
-            self.max / self.mean
-        } else {
-            1.0
-        }
-    }
 }
 
-/// One worker's time breakdown and work tallies over the profiled window.
+/// One worker's time breakdown and work tallies over the recording.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerBreakdown {
     pub rank: usize,
@@ -104,14 +85,11 @@ pub struct WorkerBreakdown {
     pub comm_calls: u64,
 }
 
-/// The digest of one recorded run (or one window of it): what the
-/// calibration layer fits model parameters from and the autotuner bases
-/// scheduling decisions on.
+/// The digest of one recorded run.
 #[derive(Debug, Clone, Default)]
 pub struct TraceProfile {
     pub nworkers: usize,
-    /// End of the profiled window: last event timestamp seen (relative to
-    /// the window start, i.e. the build's wall-clock span).
+    /// Last event timestamp seen (the run's wall-clock span).
     pub wall_secs: f64,
     pub workers: Vec<WorkerBreakdown>,
     /// Distribution of per-task durations across all workers.
@@ -126,42 +104,24 @@ pub struct TraceProfile {
     pub queue_accesses_total: u64,
     pub comm_bytes_total: u64,
     pub comm_calls_total: u64,
-    /// Whole-run steal-scan latency histogram ([`STEAL_NS_HISTOGRAM`]),
-    /// when the run recorded one.
-    pub steal_ns: Option<HistogramSnapshot>,
-    /// Whole-run queue-claim latency histogram ([`QUEUE_NS_HISTOGRAM`]),
-    /// when the run recorded one.
-    pub queue_ns: Option<HistogramSnapshot>,
 }
 
 impl TraceProfile {
     /// Profile a whole recording.
     pub fn from_recording(rec: &Recording) -> TraceProfile {
-        Self::from_recording_window(rec, 0.0, f64::INFINITY)
-    }
-
-    /// Profile the events with timestamps in `[t0, t1)`. Timestamps in the
-    /// resulting profile are re-based to `t0`, so `wall_secs` is the
-    /// window's own span.
-    pub fn from_recording_window(rec: &Recording, t0: f64, t1: f64) -> TraceProfile {
         let mut p = TraceProfile {
             nworkers: rec.nworkers(),
             ..TraceProfile::default()
         };
         let mut durations: Vec<f64> = Vec::new();
         for rank in 0..rec.nworkers() {
-            let window: Vec<_> = rec
-                .events(rank)
-                .iter()
-                .filter(|e| e.t >= t0 && e.t < t1)
-                .copied()
-                .collect();
-            let totals = WorkerTotals::from_events(rank, &window);
+            let events = rec.events(rank);
+            let totals = WorkerTotals::from_events(rank, events);
             // Second pass for what WorkerTotals doesn't track: per-task
             // durations and the distinct-victim set.
             let mut open: Option<f64> = None;
             let mut victims: Vec<u32> = Vec::new();
-            for e in &window {
+            for e in events {
                 match e.kind {
                     EventKind::TaskStart { .. } => open = Some(e.t),
                     EventKind::TaskEnd { .. } => {
@@ -174,7 +134,7 @@ impl TraceProfile {
                     }
                     _ => {}
                 }
-                p.wall_secs = p.wall_secs.max(e.t - t0);
+                p.wall_secs = p.wall_secs.max(e.t);
             }
             let comm_bytes = totals.get_bytes
                 + totals.put_bytes
@@ -212,8 +172,6 @@ impl TraceProfile {
             p.workers.push(w);
         }
         p.task_cost = Dist::from_values(durations);
-        p.steal_ns = rec.metrics().histograms.get(STEAL_NS_HISTOGRAM).cloned();
-        p.queue_ns = rec.metrics().histograms.get(QUEUE_NS_HISTOGRAM).cloned();
         p
     }
 
@@ -237,50 +195,6 @@ impl TraceProfile {
         } else {
             1.0
         }
-    }
-
-    /// Fraction of worker span spent inside tasks (0.0 when empty).
-    pub fn busy_fraction(&self) -> f64 {
-        let span: f64 = self.workers.iter().map(|w| w.span_secs).sum();
-        if span > 0.0 {
-            self.busy_total / span
-        } else {
-            0.0
-        }
-    }
-
-    /// Average number of distinct steal victims per worker that stole at
-    /// all — the §III-G `s` as measured from this trace (0.0 when no
-    /// steals happened).
-    pub fn avg_victims(&self) -> f64 {
-        let thieves: Vec<u64> = self
-            .workers
-            .iter()
-            .filter(|w| w.steals > 0)
-            .map(|w| w.distinct_victims)
-            .collect();
-        if thieves.is_empty() {
-            return 0.0;
-        }
-        thieves.iter().sum::<u64>() as f64 / thieves.len() as f64
-    }
-
-    /// Mean steal-scan latency in seconds from the recorded histogram
-    /// (`None` when the run had no steal telemetry).
-    pub fn steal_scan_secs(&self) -> Option<f64> {
-        self.steal_ns
-            .as_ref()
-            .filter(|h| h.count > 0)
-            .map(|h| h.mean() / 1e9)
-    }
-
-    /// Mean centralized-queue claim latency in seconds from the recorded
-    /// histogram (`None` when the run had no queue telemetry).
-    pub fn queue_claim_secs(&self) -> Option<f64> {
-        self.queue_ns
-            .as_ref()
-            .filter(|h| h.count > 0)
-            .map(|h| h.mean() / 1e9)
     }
 
     /// One-line digest for logs and the trace-diff tool.
@@ -394,23 +308,7 @@ mod tests {
         assert!((p.task_cost.p50 - 0.4).abs() < 1e-12);
         // Imbalance: busy 0.4 vs 0.8 → max/avg = 0.8/0.6.
         assert!((p.imbalance() - 0.8 / 0.6).abs() < 1e-12);
-        assert!((p.avg_victims() - 1.0).abs() < 1e-12);
-        assert!(p.steal_scan_secs().is_none());
         assert!(!p.summary().is_empty());
-    }
-
-    #[test]
-    fn windowed_profile_rebases_time() {
-        let r = two_worker_recording();
-        // Window covering only worker 1's second task.
-        let p = TraceProfile::from_recording_window(&r, 0.4, 1.5);
-        assert_eq!(p.tasks_total, 2); // w0's task_end at 0.5 is unmatched…
-                                      // Worker 0's TaskEnd at 0.5 has no TaskStart inside the window, so
-                                      // it counts as a task but contributes no duration; worker 1's
-                                      // matched pair contributes 0.6.
-        assert_eq!(p.task_cost.count, 1);
-        assert!((p.task_cost.total - 0.6).abs() < 1e-12);
-        assert!((p.wall_secs - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -419,8 +317,6 @@ mod tests {
         assert_eq!(p.nworkers, 0);
         assert_eq!(p.tasks_total, 0);
         assert_eq!(p.imbalance(), 1.0);
-        assert_eq!(p.busy_fraction(), 0.0);
-        assert_eq!(p.avg_victims(), 0.0);
         assert_eq!(p.task_cost, Dist::default());
     }
 
@@ -432,8 +328,6 @@ mod tests {
         assert!((d.max - 10.0).abs() < 1e-12);
         assert!((d.p50 - 3.0).abs() < 1e-12);
         assert!((d.mean - 4.0).abs() < 1e-12);
-        assert!((d.skew() - 2.5).abs() < 1e-12);
         assert_eq!(Dist::from_values(vec![]).count, 0);
-        assert_eq!(Dist::from_values(vec![]).skew(), 1.0);
     }
 }

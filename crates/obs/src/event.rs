@@ -45,11 +45,6 @@ pub enum EventKind {
     /// for op drops, task count for requeues, ×1000 slowdown for
     /// stragglers).
     Fault { code: u32, detail: u32 },
-    /// A planned migration step fired (bin move, rank retire/join, GA
-    /// block handoff, regulator rescale). `code` is a [`migrate_code`]
-    /// constant; `detail` is code-specific (bins moved, target rank,
-    /// handed-off KiB, new process count).
-    Migration { code: u32, detail: u32 },
     /// An SCF job entered the service queue (multi-tenant service layer).
     JobEnqueued { job: u32 },
     /// …was picked up by a runner and started executing.
@@ -74,20 +69,6 @@ pub mod fault_code {
     pub const TASK_REQUEUE: u32 = 4;
 }
 
-/// `code` values carried by [`EventKind::Migration`].
-pub mod migrate_code {
-    /// Bins were reassigned away from this rank (`detail` = bins moved).
-    pub const BIN_MOVE: u32 = 0;
-    /// This rank retired, handing its state away (`detail` = target rank).
-    pub const RANK_RETIRE: u32 = 1;
-    /// This rank joined the build mid-run (`detail` = rank).
-    pub const RANK_JOIN: u32 = 2;
-    /// GA block ownership was handed off (`detail` = KiB transferred).
-    pub const BLOCK_HANDOFF: u32 = 3;
-    /// The regulator committed a rescale (`detail` = new process count).
-    pub const RESCALE: u32 = 4;
-}
-
 impl EventKind {
     /// Stable machine-readable name (JSON/CSV `kind` field).
     pub fn name(&self) -> &'static str {
@@ -108,7 +89,6 @@ impl EventKind {
             EventKind::WorkerStart => "worker_start",
             EventKind::WorkerEnd => "worker_end",
             EventKind::Fault { .. } => "fault",
-            EventKind::Migration { .. } => "migration",
             EventKind::JobEnqueued { .. } => "job_enqueued",
             EventKind::JobStarted { .. } => "job_started",
             EventKind::JobCompleted { .. } => "job_completed",
@@ -141,7 +121,7 @@ impl EventKind {
             EventKind::IterStart { iter } | EventKind::IterEnd { iter } => {
                 vec![("iter", iter as f64)]
             }
-            EventKind::Fault { code, detail } | EventKind::Migration { code, detail } => {
+            EventKind::Fault { code, detail } => {
                 vec![("code", code as f64), ("detail", detail as f64)]
             }
             EventKind::JobEnqueued { job } | EventKind::JobStarted { job } => {
@@ -202,10 +182,6 @@ impl EventKind {
                 code: u("code"),
                 detail: u("detail"),
             },
-            "migration" => EventKind::Migration {
-                code: u("code"),
-                detail: u("detail"),
-            },
             "job_enqueued" => EventKind::JobEnqueued { job: u("job") },
             "job_started" => EventKind::JobStarted { job: u("job") },
             "job_completed" => EventKind::JobCompleted {
@@ -255,7 +231,6 @@ mod tests {
             EventKind::WorkerStart,
             EventKind::WorkerEnd,
             EventKind::Fault { code: 0, detail: 0 },
-            EventKind::Migration { code: 0, detail: 0 },
             EventKind::JobEnqueued { job: 0 },
             EventKind::JobStarted { job: 0 },
             EventKind::JobCompleted { job: 0, iters: 0 },
@@ -305,10 +280,6 @@ mod tests {
             EventKind::Fault {
                 code: 2,
                 detail: 15,
-            },
-            EventKind::Migration {
-                code: 3,
-                detail: 64,
             },
             EventKind::JobEnqueued { job: 16 },
             EventKind::JobStarted { job: 17 },

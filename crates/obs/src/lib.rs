@@ -23,8 +23,7 @@
 //!   parser ([`Recording::from_json`]) tools use to read traces back,
 //! * [`analyze`] — trace digestion: a [`TraceProfile`] summarizing a
 //!   recording (per-worker busy/idle/steal breakdowns, task-cost
-//!   distributions, comm tallies) that model calibration and the online
-//!   autotuner consume.
+//!   distributions, comm tallies) that the trace-diff tool compares.
 //!
 //! The design rule: *events are ground truth*. Reports and tables are
 //! derived views over the recorded stream (plus always-on cheap totals
@@ -49,18 +48,10 @@ pub mod names {
     pub const TASK_REQUEUED: &str = "task.requeued";
     /// Counter: one-sided op attempts repeated after an injected drop.
     pub const GA_RETRIES: &str = "ga.retries";
-    /// Counter: bins reassigned to a new owner by migration steps.
-    pub const MIGRATE_BINS: &str = "migrate.bins";
-    /// Counter: bytes of GA block state handed between owners.
-    pub const MIGRATE_BYTES: &str = "migrate.bytes";
-    /// Counter: GA block-ownership handoffs performed.
-    pub const MIGRATE_HANDOFFS: &str = "migrate.handoffs";
-    /// Counter: rescales the regulator committed (grow or shrink).
-    pub const MIGRATE_RESCALES: &str = "migrate.rescales";
 }
 
 pub use analyze::{Dist, TraceProfile, WorkerBreakdown};
-pub use event::{fault_code, migrate_code, Event, EventKind};
+pub use event::{fault_code, Event, EventKind};
 pub use export::{json_escape, json_f64};
 pub use metrics::{Counter, Histogram, HistogramSnapshot, Metrics, MetricsSnapshot};
 pub use recorder::{Recorder, WorkerRec};

@@ -94,9 +94,6 @@ pub struct WorkerTotals {
     /// Injected faults observed by this worker (deaths, straggles, op
     /// drops/delays, requeues — see `event::fault_code`).
     pub faults: u64,
-    /// Planned migration steps observed by this worker (bin moves,
-    /// retire/join, block handoffs — see `event::migrate_code`).
-    pub migrations: u64,
     /// Seconds spent inside tasks (sum of TaskEnd.t - TaskStart.t over
     /// matched pairs).
     pub busy_secs: f64,
@@ -161,7 +158,6 @@ impl WorkerTotals {
                 EventKind::WorkerStart => worker_start = Some(e.t),
                 EventKind::WorkerEnd => worker_end = Some(e.t),
                 EventKind::Fault { .. } => t.faults += 1,
-                EventKind::Migration { .. } => t.migrations += 1,
             }
         }
         t.span_secs = match (worker_start, worker_end) {

@@ -70,24 +70,16 @@ struct PoolInner {
     sched: Mutex<Sched>,
     work_cv: Condvar,
     shutdown: AtomicBool,
-    /// Tasks claimed per scheduling quantum. Atomic so the autotuner can
-    /// retarget it while workers run; a worker reads it once per claim.
-    batch: AtomicUsize,
-    /// Worker count [`SharedPool::resize`] is steering toward: a worker
-    /// whose id is at or past this drains its in-flight batch and exits.
-    target_workers: AtomicUsize,
+    /// Tasks claimed per scheduling quantum.
+    batch: usize,
 }
 
 impl PoolInner {
     /// Claim the next batch of tasks, round-robin over in-flight jobs.
-    /// Returns `None` when the pool is shutting down (and no work remains)
-    /// or worker `id` has been retired by a [`SharedPool::resize`].
-    fn claim(&self, id: usize) -> Option<(Arc<BuildJob>, usize, usize)> {
+    /// Returns `None` when there is no work and the pool is shutting down.
+    fn claim(&self) -> Option<(Arc<BuildJob>, usize, usize)> {
         let mut sched = self.sched.lock().unwrap();
         loop {
-            if id >= self.target_workers.load(Ordering::Acquire) {
-                return None;
-            }
             while let Some(job) = {
                 let n = sched.jobs.len();
                 if n == 0 {
@@ -98,11 +90,10 @@ impl PoolInner {
                     Some(Arc::clone(&sched.jobs[i]))
                 }
             } {
-                let batch = self.batch.load(Ordering::Relaxed).max(1);
-                let start = job.cursor.fetch_add(batch, Ordering::Relaxed);
+                let start = job.cursor.fetch_add(self.batch, Ordering::Relaxed);
                 let total = job.total_tasks();
                 if start < total {
-                    let end = (start + batch).min(total);
+                    let end = (start + self.batch).min(total);
                     return Some((job, start, end));
                 }
                 // Exhausted: retire it from the round-robin list (another
@@ -158,11 +149,11 @@ impl PoolInner {
         }
     }
 
-    fn worker_loop(&self, id: usize) {
+    fn worker_loop(&self) {
         let mut eng = EriEngine::new();
         let mut batcher = ClassBatcher::new();
         let mut fbuf = Vec::new();
-        while let Some((job, start, end)) = self.claim(id) {
+        while let Some((job, start, end)) = self.claim() {
             Self::run_batch(&job, start, end, &mut eng, &mut batcher, &mut fbuf);
         }
     }
@@ -261,11 +252,16 @@ impl SharedPool {
             }),
             work_cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            batch: AtomicUsize::new(batch),
-            target_workers: AtomicUsize::new(workers),
+            batch,
         });
         let handles = (0..workers)
-            .map(|i| Self::spawn_worker(&inner, i))
+            .map(|i| {
+                let inner = Arc::clone(&inner);
+                std::thread::Builder::new()
+                    .name(format!("fock-pool-{i}"))
+                    .spawn(move || inner.worker_loop())
+                    .expect("spawn pool worker")
+            })
             .collect();
         SharedPool {
             inner,
@@ -302,65 +298,6 @@ impl SharedPool {
 
     pub fn workers(&self) -> usize {
         self.workers.len()
-    }
-
-    /// Current scheduling-quantum size (tasks per claim).
-    pub fn batch(&self) -> usize {
-        self.inner.batch.load(Ordering::Relaxed)
-    }
-
-    /// Retarget the scheduling quantum. Takes effect on each worker's next
-    /// claim; in-flight batches finish at their old size.
-    pub fn set_batch(&self, batch: usize) {
-        assert!(batch >= 1, "batch must be at least one task");
-        self.inner.batch.store(batch, Ordering::Relaxed);
-    }
-
-    /// Pick a batch size from a build's recorded [`obs::TraceProfile`] and
-    /// apply it: enough quanta that every worker rotates through a build
-    /// several times (fair interleaving), but no smaller than 1 (and no
-    /// larger than 64, past which fairness erodes with no amortization
-    /// left to win). Returns the chosen size.
-    ///
-    /// The heuristic: `tasks / (workers · 8)` — with 8 claims per worker
-    /// per build, a small job queued behind a big one waits at most ~1/8th
-    /// of the big job's remaining work per worker rotation.
-    pub fn tune_batch_from_profile(&self, profile: &obs::TraceProfile) -> usize {
-        let tasks = profile.tasks_total.max(1) as usize;
-        let quanta = self.workers().max(1) * 8;
-        let batch = tasks.div_ceil(quanta).clamp(1, 64);
-        self.set_batch(batch);
-        batch
-    }
-
-    fn spawn_worker(inner: &Arc<PoolInner>, id: usize) -> JoinHandle<()> {
-        let inner = Arc::clone(inner);
-        std::thread::Builder::new()
-            .name(format!("fock-pool-{id}"))
-            .spawn(move || inner.worker_loop(id))
-            .expect("spawn pool worker")
-    }
-
-    /// Elastically rescale the pool to `workers` threads. Shrinking drains:
-    /// each retired worker finishes the batch it is executing, then exits,
-    /// and this call joins it — no task is dropped or re-run. Growing
-    /// spawns the extra workers immediately. In-flight builds keep running
-    /// throughout (a pool shrunk mid-build finishes the build with the
-    /// remaining workers).
-    pub fn resize(&mut self, workers: usize) {
-        assert!(workers >= 1, "pool needs at least one worker");
-        self.inner.target_workers.store(workers, Ordering::Release);
-        if workers < self.workers.len() {
-            // Wake blocked workers so retired ids notice and exit.
-            self.inner.work_cv.notify_all();
-            for h in self.workers.drain(workers..) {
-                let _ = h.join();
-            }
-        } else {
-            for id in self.workers.len()..workers {
-                self.workers.push(Self::spawn_worker(&self.inner, id));
-            }
-        }
     }
 }
 
@@ -516,60 +453,6 @@ mod tests {
         let out = builder.build(&prob, &d, &Recorder::disabled()).unwrap();
         let (g_seq, _) = build_g_seq(&prob, &d);
         assert!(max_diff(&g_seq, &out.g) < 1e-10);
-    }
-
-    #[test]
-    fn batch_is_tunable_mid_flight() {
-        let pool = SharedPool::new(2, 4);
-        assert_eq!(pool.batch(), 4);
-        pool.set_batch(16);
-        assert_eq!(pool.batch(), 16);
-        // Builds still match the reference after retargeting.
-        let prob = problem(generators::water());
-        let d = gwh_density(&prob);
-        let out = pool.build_g(&prob, &d, &Recorder::disabled()).unwrap();
-        let (g_seq, _) = build_g_seq(&prob, &d);
-        assert!(max_diff(&g_seq, &out.g) < 1e-10);
-
-        // Profile-driven pick: water has 5 shells → 25 tasks, 2 workers →
-        // ceil(25/16) = 2 tasks per quantum.
-        let rec = Recorder::enabled();
-        pool.build_g(&prob, &d, &rec).unwrap();
-        let profile = obs::TraceProfile::from_recording(&rec.recording().unwrap());
-        // The pool reports one logical process; task events aren't per-lane
-        // here, so fall back on the task count from the problem shape.
-        let chosen = pool.tune_batch_from_profile(&obs::TraceProfile {
-            tasks_total: (prob.nshells() * prob.nshells()) as u64,
-            ..profile
-        });
-        assert_eq!(chosen, 2);
-        assert_eq!(pool.batch(), 2);
-        let out2 = pool.build_g(&prob, &d, &Recorder::disabled()).unwrap();
-        assert!(max_diff(&g_seq, &out2.g) < 1e-10);
-    }
-
-    #[test]
-    fn resize_grows_and_shrinks_without_losing_work() {
-        let mut pool = SharedPool::new(4, 1);
-        let prob = problem(generators::water());
-        let d = gwh_density(&prob);
-        let (g_seq, q_seq) = build_g_seq(&prob, &d);
-        // Shrink to a single worker: the three retired workers drain and
-        // join; the next build still lands exactly.
-        pool.resize(1);
-        assert_eq!(pool.workers(), 1);
-        let out = pool.build_g(&prob, &d, &Recorder::disabled()).unwrap();
-        assert_eq!(out.report.total_quartets(), q_seq);
-        assert!(max_diff(&g_seq, &out.g) < 1e-10);
-        // Grow back past the original size.
-        pool.resize(6);
-        assert_eq!(pool.workers(), 6);
-        let out = pool.build_g(&prob, &d, &Recorder::disabled()).unwrap();
-        assert_eq!(out.report.total_quartets(), q_seq);
-        assert!(max_diff(&g_seq, &out.g) < 1e-10);
-        // No-op resize is fine too.
-        pool.resize(6);
-        assert_eq!(pool.workers(), 6);
     }
 
     #[test]

@@ -83,7 +83,6 @@ fn main() {
         NwchemConfig {
             nprocs: 4,
             chunk: 5,
-            ..Default::default()
         },
     );
     println!("wall time: {:.3} s", t0.elapsed().as_secs_f64());

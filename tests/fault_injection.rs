@@ -10,7 +10,6 @@ use fock_repro::chem::{generators, BasisSetKind};
 use fock_repro::core::scf::{run_scf, ScfConfig, ScfResult};
 use fock_repro::core::sim_exec::{GtfockSimModel, StealConfig};
 use fock_repro::core::{gtfock_builder, FockProblem, SchedulerOpts};
-use fock_repro::distrt::migrate::{BinMove, MigrationPlan};
 use fock_repro::distrt::{FaultPlan, MachineParams, ProcessGrid};
 use fock_repro::eri::CostModel;
 use fock_repro::obs::Recorder;
@@ -18,21 +17,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn scf_with(grid: ProcessGrid, fault: Option<Arc<FaultPlan>>) -> ScfResult {
-    scf_elastic(grid, 1, None, fault)
-}
-
-fn scf_elastic(
-    grid: ProcessGrid,
-    bin_split: usize,
-    migration: Option<Arc<MigrationPlan>>,
-    fault: Option<Arc<FaultPlan>>,
-) -> ScfResult {
-    let mut opts = SchedulerOpts::with_grid(grid).bin_split(bin_split);
+    let mut opts = SchedulerOpts::with_grid(grid);
     if let Some(p) = fault {
         opts = opts.fault(p);
-    }
-    if let Some(p) = migration {
-        opts = opts.migration(p);
     }
     let cfg = ScfConfig::builder()
         .fock_builder(gtfock_builder(opts.gtfock()))
@@ -100,93 +87,6 @@ fn fault_matrix_preserves_scf_energy() {
         let retries: u64 = dropped.reports.iter().map(|rep| rep.ga_retries()).sum();
         assert!(retries > 0, "p={p}: 1% drops over a full SCF never fired");
     }
-}
-
-#[test]
-fn migration_matrix_preserves_scf_energy() {
-    // Every planned rescale — bin rebalance, shrink, and both mid-handoff
-    // death orders — replayed in every build of a full SCF, must land on
-    // the fault-free energy to ≤1e-10 Ha.
-    let grid = ProcessGrid::new(2, 2);
-    let clean = scf_with(grid, None);
-    assert!(clean.converged);
-
-    // Rebalance: rank 0 sheds two of its four bins after two own tasks.
-    let rebalance = Arc::new(MigrationPlan::new().move_bins(
-        0,
-        2,
-        vec![BinMove { bin: 1, to: 1 }, BinMove { bin: 2, to: 2 }],
-    ));
-    let r = scf_elastic(grid, 2, Some(rebalance), None);
-    assert!(r.converged, "rebalance run must converge");
-    assert!(
-        (r.energy - clean.energy).abs() <= 1e-10,
-        "rebalance energy off by {:e}",
-        (r.energy - clean.energy).abs()
-    );
-    assert!(r.reports.iter().all(|rep| rep.bins_migrated == 2));
-
-    // Shrink: rank 3 retires to rank 0 after one own task.
-    let shrink = Arc::new(MigrationPlan::new().retire(3, 1, 0));
-    let r = scf_elastic(grid, 1, Some(shrink.clone()), None);
-    assert!(r.converged, "shrink run must converge");
-    assert!(
-        (r.energy - clean.energy).abs() <= 1e-10,
-        "shrink energy off by {:e}",
-        (r.energy - clean.energy).abs()
-    );
-    assert!(r.reports.iter().all(|rep| rep.ranks_retired == 1));
-    assert_eq!(total_requeued(&r), 0, "a planned shrink requeues nothing");
-
-    // Kill the handoff *target* right after it inherits rank 3's work.
-    let r = scf_elastic(
-        grid,
-        1,
-        Some(Arc::new(MigrationPlan::new().retire(3, 1, 1))),
-        Some(Arc::new(FaultPlan::new(5).kill(1, 2))),
-    );
-    assert!(r.converged, "kill-target run must converge");
-    assert!(
-        (r.energy - clean.energy).abs() <= 1e-10,
-        "kill-target energy off by {:e}",
-        (r.energy - clean.energy).abs()
-    );
-    assert!(r.reports.iter().all(|rep| rep.ranks_died == 1));
-    assert!(r.reports.iter().all(|rep| rep.ranks_retired == 1));
-
-    // Kill the *source* before its trigger fires: the unfired step is
-    // cancelled and recovery replays the dead rank's tasks.
-    let r = scf_elastic(
-        grid,
-        1,
-        Some(Arc::new(MigrationPlan::new().retire(3, 5, 0))),
-        Some(Arc::new(FaultPlan::new(5).kill(3, 2))),
-    );
-    assert!(r.converged, "kill-source run must converge");
-    assert!(
-        (r.energy - clean.energy).abs() <= 1e-10,
-        "kill-source energy off by {:e}",
-        (r.energy - clean.energy).abs()
-    );
-    assert!(total_requeued(&r) > 0, "dead source must requeue its tasks");
-}
-
-#[test]
-fn migration_requeue_counts_are_deterministic() {
-    // Kill-during-migration recovery must be reproducible: same plans →
-    // same requeue counts, build after build.
-    let grid = ProcessGrid::new(2, 2);
-    let run = || {
-        let r = scf_elastic(
-            grid,
-            1,
-            Some(Arc::new(MigrationPlan::new().retire(3, 1, 1))),
-            Some(Arc::new(FaultPlan::new(9).kill(1, 2))),
-        );
-        total_requeued(&r)
-    };
-    let a = run();
-    assert_eq!(run(), a, "identical plans must requeue identically");
 }
 
 #[test]

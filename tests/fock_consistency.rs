@@ -54,7 +54,6 @@ fn all_builders_agree_on_benzene() {
                     grid,
                     steal,
                     fault: None,
-                    ..GtfockConfig::default()
                 },
             );
             assert_eq!(
@@ -70,15 +69,7 @@ fn all_builders_agree_on_benzene() {
         }
     }
     for nprocs in [1usize, 3, 6] {
-        let (g, rep) = build_fock_nwchem(
-            &prob,
-            &d,
-            NwchemConfig {
-                nprocs,
-                chunk: 5,
-                ..Default::default()
-            },
-        );
+        let (g, rep) = build_fock_nwchem(&prob, &d, NwchemConfig { nprocs, chunk: 5 });
         assert_eq!(rep.total_quartets(), ref_quartets, "nwchem p={nprocs}");
         let diff = max_diff(&reference, &g);
         assert!(diff < 1e-10, "nwchem p={nprocs}: diff {diff}");
@@ -105,7 +96,6 @@ fn builders_agree_with_heavy_screening() {
             grid: ProcessGrid::new(3, 3),
             steal: true,
             fault: None,
-            ..GtfockConfig::default()
         },
     );
     let (g2, r2) = build_fock_nwchem(
@@ -114,7 +104,6 @@ fn builders_agree_with_heavy_screening() {
         NwchemConfig {
             nprocs: 4,
             chunk: 3,
-            ..Default::default()
         },
     );
     assert_eq!(r1.total_quartets(), ref_quartets);

@@ -121,14 +121,12 @@ fn incremental_parallel_builders_agree_with_seq() {
         grid: ProcessGrid::new(2, 2),
         steal: true,
         fault: None,
-        ..GtfockConfig::default()
     });
     let gt = run_scf(generators::methane(), BasisSetKind::Sto3g, gt_cfg).unwrap();
     let mut nw_cfg = base;
     nw_cfg.builder = nwchem_builder(NwchemConfig {
         nprocs: 2,
         chunk: 3,
-        ..Default::default()
     });
     let nw = run_scf(generators::methane(), BasisSetKind::Sto3g, nw_cfg).unwrap();
     assert!((seq.energy - gt.energy).abs() < 1e-8);

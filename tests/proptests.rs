@@ -9,9 +9,8 @@ use fock_repro::chem::shells::{BasisInstance, Shell};
 use fock_repro::chem::{generators, BasisSetKind, Vec3};
 use fock_repro::core::sim_exec::{GtfockSimModel, StealConfig};
 use fock_repro::core::tasks::{symmetry_check, unique_quartet};
-use fock_repro::core::{BinMap, FockProblem, StaticPartition};
-use fock_repro::distrt::migrate::{BinMove, MigrationPlan};
-use fock_repro::distrt::{block_range, GlobalArray, MachineParams, ProcessGrid};
+use fock_repro::core::{FockProblem, StaticPartition};
+use fock_repro::distrt::{block_range, FaultPlan, GlobalArray, MachineParams, ProcessGrid};
 use fock_repro::eri::boys::boys;
 use fock_repro::eri::{EriEngine, Screening, ShellPairData};
 use fock_repro::linalg::eig::sym_eig;
@@ -262,9 +261,9 @@ proptest! {
     }
 }
 
-/// Shared water fixture for the elastic-rescale property: problem + cost
+/// Shared water fixture for the fault-recovery property: problem + cost
 /// model, built once (calibration dominates the per-case cost otherwise).
-fn elastic_fixture() -> &'static (FockProblem, fock_repro::eri::CostModel) {
+fn fault_fixture() -> &'static (FockProblem, fock_repro::eri::CostModel) {
     static FIX: OnceLock<(FockProblem, fock_repro::eri::CostModel)> = OnceLock::new();
     FIX.get_or_init(|| {
         let prob = FockProblem::new(
@@ -283,68 +282,74 @@ fn elastic_fixture() -> &'static (FockProblem, fock_repro::eri::CostModel) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Any sequence of rescale instructions over the bin map keeps the two
-    /// elastic invariants: (1) after every applied step each task is owned
-    /// by exactly one rank, and (2) the DES executes every task exactly
-    /// once under the same plan — no loss, no duplication, no requeues.
+    /// Random fault plans on a 2×2 grid — up to three of the four ranks
+    /// killed part-way through their static block, plus an optional
+    /// straggler — keep the DES's recovery exactly-once, with stealing on
+    /// and off: every task id completes exactly once on a surviving rank,
+    /// the executed-task surplus over n² is exactly what the killed ranks
+    /// ran before dying, dead ranks adopt nothing, and the same plan
+    /// requeues identically.
     #[test]
-    fn elastic_remap_sequences_keep_every_task_exactly_once(
-        split in 1usize..4,
-        raw_steps in prop::collection::vec(
-            (
-                0usize..4,                                    // source rank
-                0u64..8,                                      // after_tasks
-                prop::collection::vec((0usize..64, 0usize..4), 1..5),  // (bin, to)
-            ),
-            0..4,
-        ),
+    fn random_fault_plans_keep_every_task_exactly_once(
+        kills in prop::collection::vec((0usize..4, 0.0f64..1.0), 0..4),
+        straggler in (0usize..5, 1.0f64..3.0),
     ) {
-        let (prob, cost) = elastic_fixture();
+        let (prob, cost) = fault_fixture();
         let n = prob.nshells();
         let total = (n * n) as u64;
         let part = StaticPartition::new(ProcessGrid::new(2, 2), n);
-        let mut map = BinMap::new(part, split);
-        let nbins = map.nbins();
-        let mut plan = MigrationPlan::new();
-        for (from, after, raw) in raw_steps {
-            let mut moves: Vec<BinMove> = Vec::new();
-            for (b, to) in raw {
-                let bin = b % nbins;
-                if to != from && !moves.iter().any(|m| m.bin == bin) {
-                    moves.push(BinMove { bin, to });
-                }
-            }
-            if moves.is_empty() {
+        // Each killed rank dies before its own block runs dry, the regime
+        // in which the lost-task set is deterministic.
+        let mut plan = FaultPlan::new(11);
+        let mut killed: Vec<(usize, u64)> = Vec::new();
+        for (rank, frac) in kills {
+            if killed.iter().any(|&(r, _)| r == rank) {
                 continue;
             }
-            plan = plan.move_bins(from, after, moves.clone());
-            map.apply(&moves);
-            // Invariant 1: the ownership map partitions the task space.
-            let mut seen = vec![false; n * n];
-            for r in 0..4 {
-                for (m, nn) in map.tasks_of(r) {
-                    prop_assert!(!seen[m * n + nn], "task ({m},{nn}) owned twice");
-                    seen[m * n + nn] = true;
+            let after = (frac * part.tasks_of(rank).count() as f64) as u64;
+            plan = plan.kill(rank, after);
+            killed.push((rank, after));
+        }
+        if straggler.0 < 4 {
+            plan = plan.straggle(straggler.0, straggler.1);
+        }
+        let surplus: u64 = killed.iter().map(|&(_, after)| after).sum();
+        let model = GtfockSimModel::new(prob, cost);
+        // 48 Lonestar cores = 4 twelve-core nodes = the 2×2 grid.
+        let machine = MachineParams::lonestar();
+        for steal in [StealConfig::disabled(), StealConfig::paper()] {
+            let rec = fock_repro::obs::Recorder::enabled();
+            let r = model.simulate_faulty(machine, 48, steal, Some(&plan), &rec);
+            prop_assert_eq!(r.nprocs, 4);
+            let tasks: u64 = r.per_process.iter().map(|p| p.tasks).sum();
+            prop_assert_eq!(tasks, total + surplus, "surplus != tasks the dead ran");
+            for &(rank, after) in &killed {
+                prop_assert_eq!(r.per_process[rank].tasks, after, "rank {} died late", rank);
+                prop_assert_eq!(r.per_process[rank].requeued, 0, "dead rank {} adopted", rank);
+            }
+            // Every task id completes exactly once on a surviving rank.
+            let recording = rec.recording().expect("enabled recorder");
+            let mut done = vec![0u32; n * n];
+            for rank in (0..4).filter(|r| !killed.iter().any(|&(k, _)| k == *r)) {
+                for e in recording.events(rank) {
+                    if let fock_repro::obs::EventKind::TaskEnd { m, n: nn, .. } = e.kind {
+                        done[m as usize * n + nn as usize] += 1;
+                    }
                 }
             }
-            prop_assert!(seen.iter().all(|&s| s), "a task lost its owner");
-        }
-        // Invariant 2: the DES replay of the plan executes each task once.
-        let model = GtfockSimModel::new(prob, cost);
-        let start = BinMap::new(StaticPartition::new(ProcessGrid::new(2, 2), n), split);
-        for steal in [StealConfig::disabled(), StealConfig::paper()] {
-            let r = model.simulate_elastic(
-                MachineParams::shared_memory(),
-                4,
+            prop_assert!(done.iter().all(|&c| c == 1), "task not exactly once: {:?}", done);
+            // Same plan, same requeues.
+            let again = model.simulate_faulty(
+                machine,
+                48,
                 steal,
-                Some(&start),
                 Some(&plan),
-                None,
                 &fock_repro::obs::Recorder::disabled(),
             );
-            let tasks: u64 = r.per_process.iter().map(|p| p.tasks).sum();
-            prop_assert_eq!(tasks, total, "task conservation broke");
-            prop_assert_eq!(r.tasks_requeued(), 0);
+            let requeued = |s: &fock_repro::core::sim_exec::SimResult| -> Vec<u64> {
+                s.per_process.iter().map(|p| p.requeued).collect()
+            };
+            prop_assert_eq!(requeued(&again), requeued(&r));
         }
     }
 }

@@ -78,7 +78,6 @@ fn water_full_pipeline_gtfock_builder() {
             grid: ProcessGrid::new(2, 2),
             steal: true,
             fault: None,
-            ..GtfockConfig::default()
         }))
         .ordering(ShellOrdering::cells_default())
         .build();
@@ -104,7 +103,6 @@ fn water_full_pipeline_nwchem_builder_with_purification() {
         .fock_builder(nwchem_builder(NwchemConfig {
             nprocs: 3,
             chunk: 4,
-            ..Default::default()
         }))
         .density(DensityMethod::Purification)
         .build();
