@@ -36,7 +36,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for (name, cfg) in scheduler_sweep_configs() {
-        let r = model.simulate_opts(machine, cores, cfg);
+        let r = model.simulate(machine, cores, cfg);
         let steals: u64 = r.per_process.iter().map(|p| p.steals).sum();
         println!(
             "{:<22} {:>10} {:>12.3} {:>8.3} {:>10} {:>10.1}",

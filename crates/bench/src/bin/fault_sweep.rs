@@ -8,7 +8,8 @@
 //!   recovery is exactly-once, so resilience costs time, never accuracy.
 //! * **DES** — cluster-scale discrete-event replay on a graphene flake,
 //!   sweeping the fraction of dead ranks and reporting how the critical
-//!   path (`t_fock`) stretches as survivors adopt the orphaned tasks.
+//!   path (`t_fock`) stretches as survivors re-run the lost tasks after
+//!   the join (the same recovery assignment as the threaded builder).
 //!
 //! `--full` grows both sweeps (benzene SCF, larger flake).
 

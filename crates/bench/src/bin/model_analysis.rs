@@ -66,7 +66,7 @@ fn main() {
     // scheduler churns through more victims than the paper measured
     // (s = 3.8); with the improved max-queue policy (the paper's "smarter
     // scheduling" future work) the simulator lands on the paper's s.
-    let smart = gt.simulate_opts(
+    let smart = gt.simulate(
         machine,
         ref_cores,
         fock_core::sim_exec::StealConfig {

@@ -82,7 +82,7 @@ fn main() {
         let cores = 48;
         let w = &workloads[0];
         let gt = GtfockSimModel::new(&w.prob, &w.cost);
-        gt.simulate_opts_rec(machine, cores, StealConfig::paper(), &rec);
+        gt.simulate_faulty(machine, cores, StealConfig::paper(), None, &rec);
         let recording = rec.recording().expect("recorder was enabled");
         if let Err(e) = std::fs::write(&path, recording.to_json()) {
             eprintln!("error: cannot write trace to {path}: {e}");

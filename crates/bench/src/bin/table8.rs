@@ -46,7 +46,7 @@ fn main() {
         // events with simulated timestamps) as version-1 obs JSON.
         let rec = Recorder::enabled();
         let cores = 48;
-        models[0].simulate_opts_rec(machine, cores, StealConfig::paper(), &rec);
+        models[0].simulate_faulty(machine, cores, StealConfig::paper(), None, &rec);
         let recording = rec.recording().expect("recorder was enabled");
         if let Err(e) = std::fs::write(&path, recording.to_json()) {
             eprintln!("error: cannot write trace to {path}: {e}");

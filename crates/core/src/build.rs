@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use crate::gtfock::{try_build_fock_gtfock_rec, GtfockConfig};
 use crate::nwchem::{build_fock_nwchem_rec, NwchemConfig};
+use crate::sched::StealConfig;
 use crate::seq::build_g_seq_rec;
-use crate::sim_exec::{StealConfig, VictimPolicy};
 use crate::tasks::FockProblem;
 use distrt::{CommStats, FaultPlan, GaError, ProcessGrid};
 use obs::Recorder;
@@ -400,26 +400,20 @@ impl FockBuild for NwchemBuild {
 /// Scheduler options common to the parallel builders — real-thread *and*
 /// discrete-event simulated — with one source of truth for the paper's
 /// defaults. Convert with [`SchedulerOpts::gtfock`] /
-/// [`SchedulerOpts::nwchem`] / [`SchedulerOpts::steal_config`] (or the
-/// `From` impls) instead of spelling out config field literals at every
-/// call site.
+/// [`SchedulerOpts::nwchem`] (or the `From` impls) instead of spelling out
+/// config field literals at every call site; the simulator takes
+/// [`SchedulerOpts::steal`] as is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulerOpts {
     /// Virtual process grid. GTFock uses the 2-D shape directly; the
     /// baseline flattens it to `grid.nprocs()` block-row processes.
     pub grid: ProcessGrid,
-    /// Work stealing on (GTFock; ignored by the centralized baseline).
-    pub steal: bool,
+    /// Work stealing: on/off, victim policy and steal fraction (GTFock,
+    /// threaded and simulated alike; ignored by the centralized baseline).
+    pub steal: StealConfig,
     /// Atom quartets per task (baseline; the paper's choice is 5.
     /// Ignored by GTFock, whose task size is fixed by the shell pair).
     pub chunk: usize,
-    /// Victim-selection policy. The DES honours all variants; the
-    /// real-thread builder implements the paper's row scan only and
-    /// ignores other choices.
-    pub victim_policy: VictimPolicy,
-    /// Fraction of a victim's queue taken per steal (DES; the real-thread
-    /// builder delegates batch sizing to its deque implementation).
-    pub steal_fraction: f64,
     /// Fault-injection plan applied to the build, if any.
     pub fault: Option<Arc<FaultPlan>>,
 }
@@ -428,10 +422,8 @@ impl Default for SchedulerOpts {
     fn default() -> Self {
         SchedulerOpts {
             grid: ProcessGrid::new(1, 1),
-            steal: true,
+            steal: StealConfig::paper(),
             chunk: 5,
-            victim_policy: VictimPolicy::RowScan,
-            steal_fraction: 0.5,
             fault: None,
         }
     }
@@ -450,24 +442,14 @@ impl SchedulerOpts {
         SchedulerOpts::with_grid(ProcessGrid::squarest(nprocs))
     }
 
+    /// Turn work stealing on or off, keeping policy and fraction.
     pub fn steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
+        self.steal.enabled = steal;
         self
     }
 
     pub fn chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk;
-        self
-    }
-
-    pub fn victim_policy(mut self, policy: VictimPolicy) -> Self {
-        self.victim_policy = policy;
-        self
-    }
-
-    pub fn steal_fraction(mut self, fraction: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fraction));
-        self.steal_fraction = fraction;
         self
     }
 
@@ -493,15 +475,6 @@ impl SchedulerOpts {
             chunk: self.chunk,
         }
     }
-
-    /// View as the DES steal configuration.
-    pub fn steal_config(&self) -> StealConfig {
-        StealConfig {
-            enabled: self.steal,
-            policy: self.victim_policy,
-            fraction: self.steal_fraction,
-        }
-    }
 }
 
 impl From<SchedulerOpts> for GtfockConfig {
@@ -513,12 +486,6 @@ impl From<SchedulerOpts> for GtfockConfig {
 impl From<SchedulerOpts> for NwchemConfig {
     fn from(o: SchedulerOpts) -> Self {
         o.nwchem()
-    }
-}
-
-impl From<SchedulerOpts> for StealConfig {
-    fn from(o: SchedulerOpts) -> Self {
-        o.steal_config()
     }
 }
 
@@ -586,28 +553,36 @@ mod tests {
 
     #[test]
     fn scheduler_opts_conversions() {
-        let o = SchedulerOpts::with_grid(ProcessGrid::new(2, 3))
-            .steal(false)
-            .chunk(7)
-            .steal_fraction(0.25)
-            .victim_policy(VictimPolicy::MaxQueue);
+        use crate::sched::VictimPolicy;
+        let steal = StealConfig {
+            enabled: true,
+            policy: VictimPolicy::MaxQueue,
+            fraction: 0.25,
+        };
+        let o = SchedulerOpts {
+            steal,
+            ..SchedulerOpts::with_grid(ProcessGrid::new(2, 3))
+        }
+        .steal(false)
+        .chunk(7);
         let g: GtfockConfig = o.clone().into();
         assert_eq!(g.grid.nprocs(), 6);
-        assert!(!g.steal);
+        // `.steal(false)` switches stealing off and keeps the rest.
+        assert_eq!(
+            g.steal,
+            StealConfig {
+                enabled: false,
+                ..steal
+            }
+        );
         assert!(g.fault.is_none());
-        let n: NwchemConfig = o.clone().into();
+        let n: NwchemConfig = o.into();
         assert_eq!(n.nprocs, 6);
         assert_eq!(n.chunk, 7);
-        let s: StealConfig = o.into();
-        assert!(!s.enabled);
-        assert_eq!(s.policy, VictimPolicy::MaxQueue);
-        assert_eq!(s.fraction, 0.25);
         // Defaults match the papers' choices.
         let d = SchedulerOpts::default();
-        assert!(d.steal);
+        assert_eq!(d.steal, StealConfig::paper());
         assert_eq!(d.chunk, 5);
-        assert_eq!(d.victim_policy, VictimPolicy::RowScan);
-        assert_eq!(d.steal_fraction, 0.5);
         assert!(d.fault.is_none());
     }
 

@@ -2,14 +2,16 @@
 //!
 //! One thread plays one process of the virtual grid. Each process:
 //!
-//! 1. populates its task queue from the static partition,
-//! 2. prefetches all D blocks its tasks need into a local buffer,
-//! 3. drains its queue, computing quartets into a local F buffer,
-//! 4. when empty, steals blocks of tasks from other processes' queues
-//!    (scanning ranks row-wise, Section III-F), fetching the victim's D
-//!    region and accumulating into a per-victim F buffer,
-//! 5. flushes every local F buffer into the distributed F.
+//! 1. prefetches the D blocks of its static-partition tasks into a local
+//!    buffer,
+//! 2. asks the shared [`Scheduler`] for its next task until it answers
+//!    idle — own queue first, then steals (victim choice, steal size and
+//!    fencing as configured by [`StealConfig`], Section III-F), fetching a
+//!    victim's D region and accumulating into a per-victim F buffer,
+//! 3. flushes every local F buffer into the distributed F.
 //!
+//! The discrete-event simulator ([`crate::sim_exec`]) drives the same
+//! [`Scheduler`], so both executors make the same scheduling decisions.
 //! The result is *identical* (to floating-point reordering) to the
 //! sequential reference for any grid shape and any stealing schedule —
 //! the correctness tests exercise exactly that.
@@ -24,13 +26,15 @@
 //!   been *flushed* (not merely computed). A rank that dies skips its
 //!   flush entirely, so everything it computed-but-never-flushed and
 //!   everything left in its queue stays unmarked.
-//! * Thieves never steal from a rank the plan dooms (fencing), so the
-//!   lost-task set — and the requeue count — is deterministic: the dead
-//!   rank's static partition, whenever `after_tasks` is below its size.
-//! * After the join, a recovery phase partitions the unmarked tasks over
-//!   the surviving ranks (disjoint assignment, checked against the board
-//!   before execution), recomputes them into fresh buffers and flushes
-//!   those once — so no task's contribution can reach F twice.
+//! * The scheduler never lets a thief take from a rank the plan dooms
+//!   (fencing), so the lost-task set — and the requeue count — is
+//!   deterministic: the dead rank's static partition, whenever
+//!   `after_tasks` is below its size.
+//! * After the join, [`recovery_assignment`] deals the unmarked tasks over
+//!   the surviving ranks (disjoint, and checked against the board before
+//!   execution); each recomputes its share through the same per-task
+//!   routine as the first phase into fresh buffers and flushes those once
+//!   — so no task's contribution can reach F twice.
 //! * Dropped GA ops retry with backoff inside the GA layer; the drop
 //!   decision precedes any memory write, so retries never double-count.
 //!   A get that fails past its budget just abandons that worker's loop
@@ -43,13 +47,12 @@ use crate::build::{
 };
 use crate::localbuf::{LocalBuffers, LocalSink, ShellDims};
 use crate::partition::StaticPartition;
+use crate::sched::{recovery_assignment, Next, Scheduler, StealConfig};
 use crate::sink::do_task;
 use crate::tasks::{CompletionBoard, FockProblem};
-use crossbeam_deque::{Steal, Stealer, Worker};
 use distrt::{FaultPlan, GaError, GlobalArray, ProcessGrid};
 use eri::{ClassBatcher, DensityNorms, EriEngine};
-use obs::{fault_code, EventKind, Recorder};
-use std::collections::hash_map::Entry;
+use obs::{fault_code, EventKind, Recorder, WorkerRec};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -59,8 +62,9 @@ use std::time::Instant;
 pub struct GtfockConfig {
     /// Virtual process grid (one thread per process).
     pub grid: ProcessGrid,
-    /// Enable the work-stealing scheduler (disable for the ablation).
-    pub steal: bool,
+    /// Work-stealing scheduler settings ([`StealConfig::disabled`] for
+    /// the static-partition ablation).
+    pub steal: StealConfig,
     /// Deterministic fault plan injected into this build (None, the
     /// default, is the fault-free fast path).
     pub fault: Option<Arc<FaultPlan>>,
@@ -70,7 +74,7 @@ impl Default for GtfockConfig {
     fn default() -> Self {
         GtfockConfig {
             grid: ProcessGrid::new(1, 1),
-            steal: true,
+            steal: StealConfig::paper(),
             fault: None,
         }
     }
@@ -94,10 +98,9 @@ pub fn build_fock_gtfock(
 }
 
 /// [`build_fock_gtfock`] with telemetry. Each virtual process checks out
-/// its worker lane and records task start/end, steal attempts/successes
-/// (with victim rank), bulk D-prefetch and F-flush transfers, and its
-/// join-barrier wait; the attached GA emits per-call comm events into the
-/// same timeline.
+/// its worker lane and records task start/end, steals (with victim rank),
+/// bulk D-prefetch and F-flush transfers, and its join-barrier wait; the
+/// attached GA emits per-call comm events into the same timeline.
 pub fn build_fock_gtfock_rec(
     prob: &FockProblem,
     d_dense: &[f64],
@@ -105,6 +108,251 @@ pub fn build_fock_gtfock_rec(
     rec: &Recorder,
 ) -> (Vec<f64>, BuildReport) {
     try_build_fock_gtfock_rec(prob, d_dense, cfg, rec).expect("GTFock build failed")
+}
+
+/// What every worker of one build shares.
+struct Shared<'a> {
+    prob: &'a FockProblem,
+    part: StaticPartition,
+    dims: ShellDims,
+    /// Block norms of the effective density: the weighted quartet test
+    /// drops work ΔD cannot reach.
+    dn: DensityNorms,
+    ga_d: GlobalArray,
+    ga_f: GlobalArray,
+    /// Exactly-once ledger, kept only when a fault plan can lose tasks.
+    board: Option<CompletionBoard>,
+    fault: Option<&'a FaultPlan>,
+    rec: &'a Recorder,
+}
+
+/// One rank's executor state for one phase: ERI engine, the D/F buffers
+/// keyed by the rank whose region they cover with the task ids run into
+/// each, and compute tallies. Phase 1 and recovery run every task through
+/// [`Lane::run`].
+struct Lane<'a> {
+    sh: &'a Shared<'a>,
+    rank: usize,
+    w: WorkerRec,
+    start: Instant,
+    eng: EriEngine,
+    batcher: ClassBatcher,
+    bufs: HashMap<usize, (LocalBuffers, Vec<u32>)>,
+    comp: f64,
+    quartets: u64,
+    density_skipped: u64,
+}
+
+/// A lane's totals once its phase ends.
+struct LaneOut {
+    rank: usize,
+    t_fock: f64,
+    t_comp: f64,
+    quartets: u64,
+    density_skipped: u64,
+    /// Distinct regions other than its own it buffered (the model's `s`).
+    victims: u64,
+    /// Tasks whose contribution this lane flushed, or the acc that failed
+    /// past its retry budget mid-flush (F is torn).
+    flushed: Result<u64, GaError>,
+    /// Recorder timestamp when the lane finished (join wait = latest
+    /// finisher minus this).
+    end_t: f64,
+}
+
+impl<'a> Lane<'a> {
+    fn new(sh: &'a Shared<'a>, rank: usize) -> Self {
+        Lane {
+            sh,
+            rank,
+            w: sh.rec.worker(rank),
+            start: Instant::now(),
+            eng: EriEngine::new(),
+            batcher: ClassBatcher::new(),
+            bufs: HashMap::new(),
+            comp: 0.0,
+            quartets: 0,
+            density_skipped: 0,
+        }
+    }
+
+    /// Prefetch `owner`'s D region unless already buffered. False when the
+    /// get failed past its retry budget.
+    fn fetch(&mut self, owner: usize) -> bool {
+        if self.bufs.contains_key(&owner) {
+            return true;
+        }
+        let sh = self.sh;
+        let mut b = LocalBuffers::for_process(sh.prob, &sh.part, owner);
+        let pre = sh.ga_d.stats(self.rank);
+        if b.try_fetch_d(sh.prob, &sh.ga_d, self.rank).is_err() {
+            return false;
+        }
+        if self.w.is_enabled() {
+            let post = sh.ga_d.stats(self.rank);
+            self.w.event(EventKind::DPrefetch {
+                bytes: post.get_bytes - pre.get_bytes,
+                calls: post.get_calls - pre.get_calls,
+            });
+        }
+        self.bufs.insert(owner, (b, Vec::new()));
+        true
+    }
+
+    /// Compute task `t` into the buffer of its owner's region. False when
+    /// that region's D could not be fetched (the task stays unflushed, so
+    /// recovery catches it).
+    fn run(&mut self, t: u32) -> bool {
+        let sh = self.sh;
+        let n = sh.part.nshells;
+        let (m, nn) = (t as usize / n, t as usize % n);
+        let owner = sh.part.owner_of_task(m, nn);
+        if !self.fetch(owner) {
+            return false;
+        }
+        let (buf, ran) = self.bufs.get_mut(&owner).expect("buffer just fetched");
+        self.w.task_start(m, nn);
+        let t0 = Instant::now();
+        let mut sink = LocalSink {
+            buf,
+            dims: &sh.dims,
+        };
+        let c = do_task(
+            &mut sink,
+            sh.prob,
+            &mut self.eng,
+            &mut self.batcher,
+            &sh.dn,
+            m,
+            nn,
+        );
+        let dt = t0.elapsed();
+        self.comp += dt.as_secs_f64();
+        let slowdown = sh.fault.map_or(1.0, |p| p.slowdown(self.rank));
+        if slowdown > 1.0 {
+            std::thread::sleep(dt.mul_f64(slowdown - 1.0));
+        }
+        self.w.task_end(m, nn, c.computed);
+        self.quartets += c.computed;
+        self.density_skipped += c.skipped_density;
+        ran.push(t);
+        true
+    }
+
+    /// Flush every buffer; returns the number of tasks flushed.
+    fn flush_all(&mut self) -> Result<u64, GaError> {
+        let sh = self.sh;
+        let mut flushed = 0;
+        for (buf, ran) in std::mem::take(&mut self.bufs).into_values() {
+            buf.try_flush_f(sh.prob, &sh.ga_f, self.rank)?;
+            // Flushed ⇒ these tasks' contributions are in F exactly once.
+            if let Some(board) = &sh.board {
+                for &t in &ran {
+                    board.mark(t as usize);
+                }
+            }
+            flushed += ran.len() as u64;
+        }
+        Ok(flushed)
+    }
+
+    /// End the phase: flush every buffer (skipped for a dead rank, whose
+    /// updates are lost), marking the flushed tasks on the board.
+    fn finish(mut self, flush: bool) -> LaneOut {
+        let (sh, rank) = (self.sh, self.rank);
+        record_class_stats(sh.rec, &self.batcher.take_stats());
+        sh.rec.counter(QUARTETS_COUNTER).add(self.quartets);
+        sh.rec
+            .counter(DENSITY_SKIPPED_COUNTER)
+            .add(self.density_skipped);
+        let victims = self.bufs.keys().filter(|&&o| o != rank).count() as u64;
+        let pre = sh.ga_f.stats(rank);
+        let flushed = if flush { self.flush_all() } else { Ok(0) };
+        if self.w.is_enabled() {
+            let post = sh.ga_f.stats(rank);
+            self.w.event(EventKind::FFlush {
+                bytes: post.acc_bytes - pre.acc_bytes,
+                calls: post.acc_calls - pre.acc_calls,
+            });
+        }
+        self.w.event(EventKind::WorkerEnd);
+        LaneOut {
+            rank,
+            t_fock: self.start.elapsed().as_secs_f64(),
+            t_comp: self.comp,
+            quartets: self.quartets,
+            density_skipped: self.density_skipped,
+            victims,
+            flushed,
+            end_t: self.w.now(),
+        }
+    }
+}
+
+/// Run `f` on one scoped thread per item; results in item order.
+fn on_threads<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| scope.spawn(move || f(item)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    })
+}
+
+/// Phase 1 on `rank`: prefetch its own D region, then run whatever the
+/// scheduler hands out until it answers idle or death. Returns the lane's
+/// totals and whether the rank died.
+fn drain(sh: &Shared, sched: &Scheduler, rank: usize) -> (LaneOut, bool) {
+    let rec = sh.rec;
+    let mut lane = Lane::new(sh, rank);
+    lane.w.event(EventKind::WorkerStart);
+    let steal_ns = rec.histogram(obs::analyze::STEAL_NS_HISTOGRAM);
+    let slowdown = sh.fault.map_or(1.0, |p| p.slowdown(rank));
+    if slowdown > 1.0 {
+        rec.counter(obs::names::FAULT_INJECTED).add(1);
+        lane.w.event(EventKind::Fault {
+            code: fault_code::STRAGGLER,
+            detail: (slowdown * 1000.0) as u32,
+        });
+    }
+    // A failed own prefetch is retried by the first own task.
+    lane.fetch(rank);
+    loop {
+        let scan = Instant::now();
+        let task = match sched.next(rank) {
+            Next::Task(t) => t,
+            Next::Stolen {
+                victim,
+                task,
+                moved,
+            } => {
+                lane.w.steal_attempt(victim);
+                lane.w.steal_success(victim, moved);
+                steal_ns.record_secs(scan.elapsed().as_secs_f64());
+                task
+            }
+            Next::Died => {
+                // The worker vanishes without flushing, losing its
+                // buffered F updates and its remaining queue.
+                rec.counter(obs::names::FAULT_INJECTED).add(1);
+                lane.w.event(EventKind::Fault {
+                    code: fault_code::RANK_DEATH,
+                    detail: sched.executed(rank) as u32,
+                });
+                return (lane.finish(false), true);
+            }
+            Next::Idle => break,
+        };
+        if !lane.run(task) {
+            break; // prefetch lost; recovery re-runs the task
+        }
+    }
+    (lane.finish(true), false)
 }
 
 /// Fallible [`build_fock_gtfock_rec`]: under fault injection the build
@@ -120,21 +368,13 @@ pub fn try_build_fock_gtfock_rec(
     let nbf = prob.nbf();
     assert_eq!(d_dense.len(), nbf * nbf);
     let nprocs = cfg.grid.nprocs();
-    let nshells = prob.nshells();
     let part = StaticPartition::new(cfg.grid, prob.nshells());
-    let dims = ShellDims::new(prob);
-    // Block norms of the effective density, shared read-only by every
-    // worker: the weighted quartet test drops work ΔD cannot reach.
     let dn = DensityNorms::compute(&prob.basis, d_dense);
     record_dmax(rec, dn.max);
     // Force the shared pair table before the workers race to it.
     record_pairdata(rec, prob.pairs());
 
     let fault: Option<&FaultPlan> = cfg.fault.as_deref().filter(|p| p.is_active());
-    // Exactly-once ledger, maintained only when a fault plan can lose
-    // tasks the static partition assigned.
-    let board = fault.map(|_| CompletionBoard::new(nshells * nshells));
-
     let mut ga_d = GlobalArray::from_dense(cfg.grid, nbf, nbf, d_dense);
     let mut ga_f = GlobalArray::zeros(cfg.grid, nbf, nbf);
     ga_d.attach_recorder(rec);
@@ -144,396 +384,34 @@ pub fn try_build_fock_gtfock_rec(
         ga_d.inject_faults(plan.clone());
         ga_f.inject_faults(plan);
     }
-    let (ga_d, ga_f) = (ga_d, ga_f);
+    let sh = Shared {
+        prob,
+        part,
+        dims: ShellDims::new(prob),
+        dn,
+        ga_d,
+        ga_f,
+        board: fault.map(|_| CompletionBoard::new(part.ntasks())),
+        fault,
+        rec,
+    };
+    let sched = Scheduler::new(&part, cfg.steal, fault);
 
-    // Task deques: one per process, pre-populated from the static
-    // partition.
-    let workers: Vec<Worker<(u32, u32)>> = (0..nprocs).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<(u32, u32)>> = workers.iter().map(|w| w.stealer()).collect();
-    for (rank, w) in workers.iter().enumerate() {
-        for (m, n) in part.tasks_of(rank) {
-            w.push((m as u32, n as u32));
-        }
-    }
-
-    struct ThreadOut {
-        rank: usize,
-        t_fock: f64,
-        t_comp: f64,
-        quartets: u64,
-        density_skipped: u64,
-        steals: u64,
-        victims: u64,
-        /// Recorder timestamp when this worker finished (join wait =
-        /// latest finisher minus this).
-        end_t: f64,
-        /// The fault plan killed this rank mid-build (nothing flushed).
-        died: bool,
-        /// A flush acc failed past its retry budget — F is torn.
-        flush_err: Option<GaError>,
-    }
-
-    let board_ref = board.as_ref();
-    let outs: Vec<ThreadOut> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (rank, worker) in workers.into_iter().enumerate() {
-            let stealers = &stealers;
-            let ga_d = &ga_d;
-            let ga_f = &ga_f;
-            let dims = &dims;
-            let part = &part;
-            let dn = &dn;
-            handles.push(scope.spawn(move || {
-                let mut w = rec.worker(rank);
-                let steal_ns = rec.histogram(obs::analyze::STEAL_NS_HISTOGRAM);
-                w.event(EventKind::WorkerStart);
-                let start = Instant::now();
-                let mut comp = 0.0f64;
-                let mut quartets = 0u64;
-                let mut density_skipped = 0u64;
-                let mut steals = 0u64;
-                let mut eng = EriEngine::new();
-                let mut batcher = ClassBatcher::new();
-
-                let death_after = fault.and_then(|p| p.death_after(rank));
-                let slowdown = fault.map_or(1.0, |p| p.slowdown(rank));
-                if slowdown > 1.0 {
-                    rec.counter(obs::names::FAULT_INJECTED).add(1);
-                    w.event(EventKind::Fault {
-                        code: fault_code::STRAGGLER,
-                        detail: (slowdown * 1000.0) as u32,
-                    });
-                }
-                let mut executed_count = 0u64;
-                let mut died = false;
-                // Task ids executed per owner region, marked complete only
-                // once that owner buffer flushes.
-                let mut executed: HashMap<usize, Vec<u32>> = HashMap::new();
-
-                // Buffers keyed by the rank whose region they cover.
-                let mut bufs: HashMap<usize, LocalBuffers> = HashMap::new();
-                let mut own = LocalBuffers::for_process(prob, part, rank);
-                let pre = ga_d.stats(rank);
-                let own_ok = own.try_fetch_d(prob, ga_d, rank).is_ok();
-                if w.is_enabled() {
-                    let post = ga_d.stats(rank);
-                    w.event(EventKind::DPrefetch {
-                        bytes: post.get_bytes - pre.get_bytes,
-                        calls: post.get_calls - pre.get_calls,
-                    });
-                }
-                if own_ok {
-                    bufs.insert(rank, own);
-                }
-
-                loop {
-                    // Scheduled death fires between tasks: the worker
-                    // vanishes without flushing, losing its buffered F
-                    // updates and its remaining queue.
-                    if death_after == Some(executed_count) {
-                        died = true;
-                        rec.counter(obs::names::FAULT_INJECTED).add(1);
-                        w.event(EventKind::Fault {
-                            code: fault_code::RANK_DEATH,
-                            detail: executed_count as u32,
-                        });
-                        break;
-                    }
-                    let task = match worker.pop() {
-                        Some(t) => Some(t),
-                        None => {
-                            let mut got = None;
-                            if cfg.steal {
-                                // Row-wise victim scan (Section III-F).
-                                let scan_start = Instant::now();
-                                for v in cfg.grid.steal_order(rank) {
-                                    // Fence: never steal from a rank the
-                                    // plan will kill (its queue dies with
-                                    // it), keeping the lost task set
-                                    // deterministic.
-                                    if fault.is_some_and(|p| p.is_doomed(v)) {
-                                        continue;
-                                    }
-                                    w.steal_attempt(v);
-                                    match stealers[v].steal_batch_and_pop(&worker) {
-                                        Steal::Success(t) => {
-                                            steals += 1;
-                                            // The batch moved len() tasks
-                                            // into our deque plus the
-                                            // popped one.
-                                            w.steal_success(v, worker.len() + 1);
-                                            steal_ns
-                                                .record_secs(scan_start.elapsed().as_secs_f64());
-                                            got = Some(t);
-                                            break;
-                                        }
-                                        Steal::Empty | Steal::Retry => continue,
-                                    }
-                                }
-                            }
-                            got
-                        }
-                    };
-                    let Some((m, n)) = task else { break };
-                    let (m, n) = (m as usize, n as usize);
-                    let owner = part.owner_of_task(m, n);
-                    if let Entry::Vacant(slot) = bufs.entry(owner) {
-                        let mut b = LocalBuffers::for_process(prob, part, owner);
-                        let pre = ga_d.stats(rank);
-                        if b.try_fetch_d(prob, ga_d, rank).is_err() {
-                            // Prefetch lost past its retry budget: abandon
-                            // the loop; this task's bit stays clear and
-                            // recovery re-executes it.
-                            break;
-                        }
-                        if rec.is_enabled() {
-                            let post = ga_d.stats(rank);
-                            rec.side_event(
-                                rank,
-                                EventKind::DPrefetch {
-                                    bytes: post.get_bytes - pre.get_bytes,
-                                    calls: post.get_calls - pre.get_calls,
-                                },
-                            );
-                        }
-                        slot.insert(b);
-                    }
-                    let buf = bufs.get_mut(&owner).expect("buffer just inserted");
-                    w.task_start(m, n);
-                    let t0 = Instant::now();
-                    let mut sink = LocalSink { buf, dims };
-                    let c = do_task(&mut sink, prob, &mut eng, &mut batcher, dn, m, n);
-                    let dt = t0.elapsed();
-                    comp += dt.as_secs_f64();
-                    if slowdown > 1.0 {
-                        std::thread::sleep(dt.mul_f64(slowdown - 1.0));
-                    }
-                    w.task_end(m, n, c.computed);
-                    quartets += c.computed;
-                    density_skipped += c.skipped_density;
-                    executed_count += 1;
-                    if board_ref.is_some() {
-                        executed
-                            .entry(owner)
-                            .or_default()
-                            .push((m * nshells + n) as u32);
-                    }
-                }
-
-                record_class_stats(rec, &batcher.take_stats());
-                let victims = (bufs.len() as u64).saturating_sub(1);
-                let pre = ga_f.stats(rank);
-                let mut flush_err = None;
-                if !died {
-                    for (owner, buf) in bufs {
-                        match buf.try_flush_f(prob, ga_f, rank) {
-                            Ok(()) => {
-                                // Flushed ⇒ these tasks' contributions are
-                                // in F exactly once: set their bits.
-                                if let Some(board) = board_ref {
-                                    for t in executed.remove(&owner).unwrap_or_default() {
-                                        board.mark(t as usize);
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                flush_err = Some(e);
-                                break;
-                            }
-                        }
-                    }
-                }
-                if w.is_enabled() {
-                    let post = ga_f.stats(rank);
-                    w.event(EventKind::FFlush {
-                        bytes: post.acc_bytes - pre.acc_bytes,
-                        calls: post.acc_calls - pre.acc_calls,
-                    });
-                }
-                w.event(EventKind::WorkerEnd);
-                let end_t = w.now();
-                rec.counter(QUARTETS_COUNTER).add(quartets);
-                rec.counter(DENSITY_SKIPPED_COUNTER).add(density_skipped);
-                ThreadOut {
-                    rank,
-                    t_fock: start.elapsed().as_secs_f64(),
-                    t_comp: comp,
-                    quartets,
-                    density_skipped,
-                    steals,
-                    victims,
-                    end_t,
-                    died,
-                    flush_err,
-                }
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    });
-
-    // A torn flush leaves an unknown prefix of one buffer in F: the whole
-    // build result is untrustworthy, recovery cannot help.
-    if let Some(e) = outs.iter().find_map(|o| o.flush_err) {
-        return Err(BuildError::Comm(e));
-    }
+    // Phase 1: every rank drains its queue and steals until idle.
+    let (sh, sched) = (&sh, &sched);
+    let outs = on_threads((0..nprocs).collect(), |rank| drain(sh, sched, rank));
 
     let mut report = BuildReport::zeros(nprocs);
-    report.ranks_died = outs.iter().filter(|o| o.died).count() as u64;
-
-    // Recovery: re-execute every task whose contribution never reached F,
-    // on the surviving ranks. Disjoint round-robin assignment plus the
-    // board check make each lost task's flush happen exactly once.
-    if let Some(board) = &board {
-        let missing = board.missing();
-        if !missing.is_empty() {
-            let live: Vec<usize> = outs.iter().filter(|o| !o.died).map(|o| o.rank).collect();
-            if live.is_empty() {
-                return Err(BuildError::Incomplete {
-                    tasks_lost: missing.len() as u64,
-                    tasks_requeued: 0,
-                });
-            }
-            rec.counter(obs::names::TASK_REQUEUED)
-                .add(missing.len() as u64);
-            let mut assign: Vec<Vec<usize>> = vec![Vec::new(); live.len()];
-            for (i, &t) in missing.iter().enumerate() {
-                assign[i % live.len()].push(t);
-            }
-
-            struct RecovOut {
-                rank: usize,
-                requeued: u64,
-                quartets: u64,
-                density_skipped: u64,
-                t_comp: f64,
-                t_wall: f64,
-                flush_err: Option<GaError>,
-            }
-
-            let recov: Vec<RecovOut> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for (slot, &rank) in live.iter().enumerate() {
-                    let tasks = std::mem::take(&mut assign[slot]);
-                    if tasks.is_empty() {
-                        continue;
-                    }
-                    let ga_d = &ga_d;
-                    let ga_f = &ga_f;
-                    let dims = &dims;
-                    let part = &part;
-                    let dn = &dn;
-                    handles.push(scope.spawn(move || {
-                        let mut w = rec.worker(rank);
-                        let start = Instant::now();
-                        w.event(EventKind::Fault {
-                            code: fault_code::TASK_REQUEUE,
-                            detail: tasks.len() as u32,
-                        });
-                        let mut comp = 0.0f64;
-                        let mut quartets = 0u64;
-                        let mut density_skipped = 0u64;
-                        let mut eng = EriEngine::new();
-                        let mut batcher = ClassBatcher::new();
-                        let mut bufs: HashMap<usize, (LocalBuffers, Vec<u32>)> = HashMap::new();
-                        let mut flush_err = None;
-                        let mut requeued = 0u64;
-                        for &t in &tasks {
-                            // Assignments are disjoint; the board check
-                            // additionally refuses any task that somehow
-                            // already flushed.
-                            if board_ref.is_some_and(|b| b.is_done(t)) {
-                                continue;
-                            }
-                            let (m, n) = (t / nshells, t % nshells);
-                            let owner = part.owner_of_task(m, n);
-                            if let Entry::Vacant(slot) = bufs.entry(owner) {
-                                let mut b = LocalBuffers::for_process(prob, part, owner);
-                                if b.try_fetch_d(prob, ga_d, rank).is_err() {
-                                    continue; // stays lost; caught below
-                                }
-                                slot.insert((b, Vec::new()));
-                            }
-                            let (buf, ex) = bufs.get_mut(&owner).expect("buffer just inserted");
-                            w.task_start(m, n);
-                            let t0 = Instant::now();
-                            let mut sink = LocalSink { buf, dims };
-                            let c = do_task(&mut sink, prob, &mut eng, &mut batcher, dn, m, n);
-                            comp += t0.elapsed().as_secs_f64();
-                            w.task_end(m, n, c.computed);
-                            quartets += c.computed;
-                            density_skipped += c.skipped_density;
-                            ex.push(t as u32);
-                        }
-                        for (_, (buf, ex)) in bufs {
-                            match buf.try_flush_f(prob, ga_f, rank) {
-                                Ok(()) => {
-                                    for t in ex {
-                                        if let Some(board) = board_ref {
-                                            board.mark(t as usize);
-                                        }
-                                        requeued += 1;
-                                    }
-                                }
-                                Err(e) => {
-                                    flush_err = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                        rec.counter(QUARTETS_COUNTER).add(quartets);
-                        rec.counter(DENSITY_SKIPPED_COUNTER).add(density_skipped);
-                        record_class_stats(rec, &batcher.take_stats());
-                        RecovOut {
-                            rank,
-                            requeued,
-                            quartets,
-                            density_skipped,
-                            t_comp: comp,
-                            t_wall: start.elapsed().as_secs_f64(),
-                            flush_err,
-                        }
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("recovery thread panicked"))
-                    .collect()
-            });
-
-            if let Some(e) = recov.iter().find_map(|r| r.flush_err) {
-                return Err(BuildError::Comm(e));
-            }
-            for r in recov {
-                report.tasks_requeued[r.rank] = r.requeued;
-                report.t_fock[r.rank] += r.t_wall;
-                report.t_comp[r.rank] += r.t_comp;
-                report.quartets[r.rank] += r.quartets;
-                report.density_skipped[r.rank] += r.density_skipped;
-            }
-            let lost = board.missing().len() as u64;
-            if lost > 0 {
-                return Err(BuildError::Incomplete {
-                    tasks_lost: lost,
-                    tasks_requeued: missing.len() as u64 - lost,
-                });
-            }
-        }
-    }
-
-    let t_last = outs.iter().map(|o| o.end_t).fold(0.0, f64::max);
-    for o in outs {
-        report.t_fock[o.rank] += o.t_fock;
-        report.t_comp[o.rank] += o.t_comp;
-        report.quartets[o.rank] += o.quartets;
-        report.density_skipped[o.rank] += o.density_skipped;
-        report.steals[o.rank] = o.steals;
+    report.ranks_died = outs.iter().filter(|(_, died)| *died).count() as u64;
+    let live: Vec<usize> = outs
+        .iter()
+        .filter(|(_, died)| !died)
+        .map(|(o, _)| o.rank)
+        .collect();
+    let t_last = outs.iter().map(|(o, _)| o.end_t).fold(0.0, f64::max);
+    for (o, _) in &outs {
+        report.steals[o.rank] = sched.steals(o.rank);
         report.victims[o.rank] = o.victims;
-        let mut c = ga_d.stats(o.rank);
-        c.merge(&ga_f.stats(o.rank));
-        report.comm[o.rank] = c;
         // Join wait: time between this worker finishing and the slowest
         // one — the implicit barrier at the end of the build.
         if rec.is_enabled() {
@@ -546,7 +424,70 @@ pub fn try_build_fock_gtfock_rec(
             );
         }
     }
-    Ok((ga_f.to_dense(), report))
+    let mut lanes: Vec<LaneOut> = outs.into_iter().map(|(o, _)| o).collect();
+    // A torn flush leaves an unknown prefix of one buffer in F: the whole
+    // build result is untrustworthy, recovery cannot help.
+    let torn = |lanes: &[LaneOut]| lanes.iter().find_map(|o| o.flushed.err());
+    if let Some(e) = torn(&lanes) {
+        return Err(BuildError::Comm(e));
+    }
+
+    // Phase 2, recovery: re-execute every task whose contribution never
+    // reached F on the surviving ranks.
+    if let Some(board) = &sh.board {
+        let missing = board.missing();
+        if !missing.is_empty() {
+            if live.is_empty() {
+                return Err(BuildError::Incomplete {
+                    tasks_lost: missing.len() as u64,
+                    tasks_requeued: 0,
+                });
+            }
+            rec.counter(obs::names::TASK_REQUEUED)
+                .add(missing.len() as u64);
+            let recovered = on_threads(recovery_assignment(&missing, &live), |(rank, tasks)| {
+                let mut lane = Lane::new(sh, rank);
+                lane.w.event(EventKind::Fault {
+                    code: fault_code::TASK_REQUEUE,
+                    detail: tasks.len() as u32,
+                });
+                for t in tasks {
+                    // Assignments are disjoint; the board check additionally
+                    // refuses any task that somehow already flushed.
+                    if !board.is_done(t) {
+                        lane.run(t as u32);
+                    }
+                }
+                lane.finish(true)
+            });
+            if let Some(e) = torn(&recovered) {
+                return Err(BuildError::Comm(e));
+            }
+            for r in &recovered {
+                report.tasks_requeued[r.rank] = r.flushed.unwrap_or(0);
+            }
+            let lost = board.missing().len() as u64;
+            if lost > 0 {
+                return Err(BuildError::Incomplete {
+                    tasks_lost: lost,
+                    tasks_requeued: report.total_requeued(),
+                });
+            }
+            lanes.extend(recovered);
+        }
+    }
+
+    for o in &lanes {
+        report.t_fock[o.rank] += o.t_fock;
+        report.t_comp[o.rank] += o.t_comp;
+        report.quartets[o.rank] += o.quartets;
+        report.density_skipped[o.rank] += o.density_skipped;
+    }
+    for (rank, c) in report.comm.iter_mut().enumerate() {
+        *c = sh.ga_d.stats(rank);
+        c.merge(&sh.ga_f.stats(rank));
+    }
+    Ok((sh.ga_f.to_dense(), report))
 }
 
 #[cfg(test)]
@@ -582,7 +523,7 @@ mod tests {
     fn cfg(grid: ProcessGrid, steal: bool) -> GtfockConfig {
         GtfockConfig {
             grid,
-            steal,
+            steal: steal.into(),
             ..GtfockConfig::default()
         }
     }
@@ -680,7 +621,7 @@ mod tests {
                 &d,
                 GtfockConfig {
                     grid: ProcessGrid::new(2, 2),
-                    steal: true,
+                    steal: StealConfig::paper(),
                     fault: Some(plan),
                 },
                 &Recorder::disabled(),
@@ -707,7 +648,7 @@ mod tests {
                 &d,
                 GtfockConfig {
                     grid: ProcessGrid::new(2, 2),
-                    steal: true,
+                    steal: StealConfig::paper(),
                     fault: Some(plan),
                 },
                 &Recorder::disabled(),
@@ -738,7 +679,7 @@ mod tests {
             &d,
             GtfockConfig {
                 grid: ProcessGrid::new(2, 2),
-                steal: true,
+                steal: StealConfig::paper(),
                 fault: Some(plan),
             },
             &Recorder::disabled(),

@@ -16,8 +16,11 @@
 //! * [`seq`] — sequential reference builds (ground truth for tests),
 //! * [`df`] — the density-fitting (RI-JK) builder: cached fitted-tensor
 //!   setup, per-iteration J/K as GEMMs,
+//! * [`sched`] — the work-stealing scheduler of Section III-F (queues,
+//!   victim choice, steal size, fencing, death, recovery assignment),
+//!   written once for the threaded builder and the simulator,
 //! * [`gtfock`] — the paper's algorithm on threads: static partition +
-//!   prefetch + work-stealing scheduler (Algorithms 3 and 4),
+//!   prefetch + the [`sched`] scheduler (Algorithms 3 and 4),
 //! * [`nwchem`] — the NWChem-style baseline: block-row distribution,
 //!   5-atom-quartet tasks, centralized dynamic scheduler (Algorithm 2),
 //! * [`scf`] — the Hartree-Fock SCF driver (Algorithm 1) with
@@ -36,6 +39,7 @@ pub mod model;
 pub mod nwchem;
 pub mod partition;
 pub mod scf;
+pub mod sched;
 pub mod seq;
 pub mod sim_exec;
 pub mod sink;

@@ -734,7 +734,7 @@ mod tests {
             ScfConfig {
                 builder: gtfock_builder(GtfockConfig {
                     grid: ProcessGrid::new(2, 2),
-                    steal: true,
+                    steal: true.into(),
                     fault: None,
                 }),
                 ordering: ShellOrdering::cells_default(),

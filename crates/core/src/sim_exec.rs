@@ -10,14 +10,22 @@
 //! and call counts (Tables VI–VII), and the load-balance ratio
 //! (Table VIII).
 //!
+//! GTFock's scheduling decisions come from [`crate::sched`], the same
+//! state machine the threaded builder runs; this module only charges
+//! model time for them. NWChem's tasks come from
+//! [`crate::nwchem::atom_tasks`], the generator the threaded baseline
+//! claims from.
+//!
 //! Approximations (documented in DESIGN.md): steal victims are located
-//! with a global view of queue states (no probe messages); NWChem
-//! per-atom-quartet compute cost uses exact screened quartet *counts* but
-//! an atom-type-averaged cost per quartet.
+//! with the scheduler's global view of queue states (no probe messages
+//! are charged); NWChem per-atom-quartet compute cost uses exact screened
+//! quartet *counts* but an atom-type-averaged cost per quartet.
 
-use crate::nwchem::AtomMap;
+use crate::nwchem::{atom_tasks, AtomMap, AtomTask};
 use crate::partition::StaticPartition;
-use crate::tasks::{symmetry_check, FockProblem};
+use crate::sched::{recovery_assignment, Next, Scheduler};
+pub use crate::sched::{StealConfig, VictimPolicy};
+use crate::tasks::{symmetry_check, CompletionBoard, FockProblem};
 use distrt::{FaultPlan, MachineParams, ProcessGrid, Sim};
 use eri::{CostModel, DensityNorms};
 use obs::{fault_code, EventKind, Recorder};
@@ -45,8 +53,8 @@ pub struct ProcessOutcome {
     pub victims: u64,
     /// Tasks executed.
     pub tasks: u64,
-    /// Orphaned tasks this process adopted from a dead rank (GTFock
-    /// fault injection).
+    /// Tasks lost with a dead rank that this process re-ran in the
+    /// post-join recovery (GTFock fault injection).
     pub requeued: u64,
 }
 
@@ -113,50 +121,6 @@ impl SimResult {
 // ---------------------------------------------------------------------------
 // GTFock simulation
 // ---------------------------------------------------------------------------
-
-/// Victim-selection policy of the work-stealing scheduler. The paper uses
-/// the row-wise scan and names "smart distributed dynamic scheduling
-/// algorithms" as future work — the other policies quantify the headroom.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VictimPolicy {
-    /// The paper's policy: scan ranks row-wise starting after the thief.
-    RowScan,
-    /// Uniformly random victim (classic Blumofe–Leiserson stealing).
-    Random { seed: u64 },
-    /// Steal from the process with the most remaining tasks (an
-    /// omniscient upper bound on victim selection quality).
-    MaxQueue,
-}
-
-/// Work-stealing configuration for the simulated GTFock scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StealConfig {
-    pub enabled: bool,
-    pub policy: VictimPolicy,
-    /// Fraction of the victim's remaining tasks to take (0 < f ≤ 1);
-    /// the paper's deques take half.
-    pub fraction: f64,
-}
-
-impl StealConfig {
-    /// The paper's scheduler: row-scan, steal half.
-    pub fn paper() -> Self {
-        StealConfig {
-            enabled: true,
-            policy: VictimPolicy::RowScan,
-            fraction: 0.5,
-        }
-    }
-
-    /// Static partitioning only (the ablation baseline).
-    pub fn disabled() -> Self {
-        StealConfig {
-            enabled: false,
-            policy: VictimPolicy::RowScan,
-            fraction: 0.5,
-        }
-    }
-}
 
 /// Cost of one Schwarz screening test inside the task loops (a lookup,
 /// a multiply, a compare — Algorithm 3 runs |Φ(M)|·|Φ(N)| of these per
@@ -404,62 +368,39 @@ impl<'a> GtfockSimModel<'a> {
     }
 
     /// Run the discrete-event simulation for `ncores` total cores with the
-    /// paper's scheduler (row-scan, steal half) or stealing disabled.
-    /// GTFock runs one process per node (`machine.cores_per_node` threads).
-    pub fn simulate(&self, machine: MachineParams, ncores: usize, steal: bool) -> SimResult {
-        let cfg = if steal {
-            StealConfig::paper()
-        } else {
-            StealConfig::disabled()
-        };
-        self.simulate_opts(machine, ncores, cfg)
-    }
-
-    /// [`Self::simulate`] with an explicit work-stealing configuration.
-    pub fn simulate_opts(
+    /// given work-stealing configuration (`true` is the paper's scheduler,
+    /// `false` static partitioning only). GTFock runs one process per node
+    /// (`machine.cores_per_node` threads).
+    pub fn simulate(
         &self,
         machine: MachineParams,
         ncores: usize,
-        steal: StealConfig,
+        steal: impl Into<StealConfig>,
     ) -> SimResult {
-        self.simulate_opts_rec(machine, ncores, steal, &Recorder::disabled())
+        self.simulate_faulty(machine, ncores, steal.into(), None, &Recorder::disabled())
     }
 
-    /// [`Self::simulate_opts`] with telemetry: every simulated process gets
-    /// a per-rank event stream (task start/end, steal attempt/success with
-    /// victim rank, D-prefetch, F-flush) stamped with *simulated* time via
-    /// [`Recorder::side_event_at`]. The DES runs single-threaded, so the
-    /// side streams cost one mutex lock per event with zero contention.
-    pub fn simulate_opts_rec(
-        &self,
-        machine: MachineParams,
-        ncores: usize,
-        steal: StealConfig,
-        rec: &Recorder,
-    ) -> SimResult {
-        self.simulate_faulty(machine, ncores, steal, None, rec)
-    }
-
-    /// [`Self::simulate_opts_rec`] under a deterministic fault plan,
-    /// mirroring the threaded builder's failure semantics at cluster
-    /// scale:
+    /// [`Self::simulate`] with telemetry and an optional fault plan. The
+    /// scheduling decisions come from the same [`Scheduler`] the threaded
+    /// builder runs; this loop only charges model time for each answer.
+    /// With an enabled recorder every simulated process gets a per-rank
+    /// event stream (task start/end, steal attempt/success with victim
+    /// rank, D-prefetch, F-flush) stamped with *simulated* time via
+    /// [`Recorder::side_event_at`].
     ///
-    /// * A rank dies after executing `after_tasks` tasks; everything it
-    ///   computed-but-never-flushed plus its remaining queue becomes
-    ///   orphaned work, which surviving ranks adopt after their own
-    ///   queues (and steals) run dry. Already-finished ranks are woken at
-    ///   the death time. Thieves never steal from a doomed rank.
+    /// Faults follow the threaded builder's semantics:
+    ///
+    /// * A rank dies after `after_tasks` tasks without flushing. After the
+    ///   last survivor finishes (the join), [`recovery_assignment`] deals
+    ///   every unflushed task over the survivors, each of which copies
+    ///   the union of the dead regions' D, runs its share and flushes the
+    ///   same geometry.
     /// * A straggler's task *wall* time stretches by the slowdown factor;
     ///   `t_comp` stays unscaled (the cycles were always there — the
     ///   slowdown is interference).
     /// * Dropped one-sided ops charge `retries × machine.op_timeout` of
     ///   extra communication time at each comm point, driven by the same
     ///   deterministic per-(rank, op) coin as the real GA layer.
-    ///
-    /// Approximations: orphan adoption copies the union of all dead
-    /// regions once per adopting rank, and the recovery flush is charged
-    /// at the same geometry (the threaded build flushes exactly the
-    /// recovered blocks).
     pub fn simulate_faulty(
         &self,
         machine: MachineParams,
@@ -468,76 +409,89 @@ impl<'a> GtfockSimModel<'a> {
         fault: Option<&FaultPlan>,
         rec: &Recorder,
     ) -> SimResult {
-        assert!(
-            steal.fraction > 0.0 && steal.fraction <= 1.0,
-            "steal fraction in (0, 1]"
-        );
         let fault = fault.filter(|p| p.is_active());
         let nodes = (ncores / machine.cores_per_node).max(1);
         let threads = machine.cores_per_node.min(ncores);
         let grid = ProcessGrid::squarest(nodes);
         let nprocs = grid.nprocs();
-        let n = self.prob.nshells();
-        let part = StaticPartition::new(grid, n);
-
-        // Task queues: per rank, a list of task ids with a head cursor.
-        let mut queues: Vec<Vec<u32>> = (0..nprocs)
-            .map(|r| {
-                part.tasks_of(r)
-                    .map(|(m, nn)| (m * n + nn) as u32)
-                    .collect()
-            })
-            .collect();
-        let mut heads = vec![0usize; nprocs];
+        let part = StaticPartition::new(grid, self.prob.nshells());
+        let sched = Scheduler::new(&part, steal, fault);
 
         let mut out = vec![ProcessOutcome::default(); nprocs];
         let mut victims_of: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
         let region: Vec<(u64, u64)> = (0..nprocs).map(|r| self.region_comm(&part, r)).collect();
-
-        // Fault state — all of it stays empty / no-op when `fault` is None.
-        let mut dead = vec![false; nprocs];
-        let mut finished = vec![false; nprocs];
-        let mut flushed = vec![false; nprocs];
-        let mut adopted_since = vec![false; nprocs];
-        let mut executed_n = vec![0u64; nprocs];
-        // Executed-but-unflushed task ids, tracked only for doomed ranks:
-        // they are lost (orphaned) at death, exactly as the threaded
-        // builder loses a dead worker's unflushed buffers.
-        let mut executed_ids: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
         let mut ops = vec![0u64; nprocs];
-        let mut orphans: Vec<u32> = Vec::new();
-        let mut orphan_fetched = vec![false; nprocs];
-        // Summed comm geometry of all dead ranks' regions.
-        let mut dead_region = (0u64, 0u64);
-        let doomed = |v: usize| fault.is_some_and(|p| p.is_doomed(v));
+        // Fault bookkeeping, empty when `fault` is None: the exactly-once
+        // ledger, the ids each rank ran (marked when it flushes), deaths.
+        let board = fault.map(|_| CompletionBoard::new(part.ntasks()));
+        let mut ran: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
+        let mut dead = vec![false; nprocs];
+        let slowdown = |rank: usize| fault.map_or(1.0, |p| p.slowdown(rank));
+        // One comm point moving `geometry` = (bytes, calls); `None` is a
+        // steal's queue update only.
+        let comm =
+            |o: &mut ProcessOutcome, ops: &mut [u64], rank, now, geometry: Option<(u64, u64)>| {
+                let base = match geometry {
+                    Some((b, c)) => {
+                        o.bytes += b;
+                        o.calls += c;
+                        machine.comm_time(c, b)
+                    }
+                    None => machine.latency,
+                };
+                let t = base + drop_surcharge(fault, &machine, rank, now, ops, rec);
+                o.t_comm += t;
+                t
+            };
+        // Charge `task` on `rank` from `start`; returns its end time. A
+        // straggler's wall time stretches; t_comp stays pure.
+        let run_task = |o: &mut ProcessOutcome, rank: usize, task: u32, start: f64| {
+            let task = task as usize;
+            let cost = self.task_cost[task] as f64 / threads as f64;
+            o.t_comp += cost;
+            o.tasks += 1;
+            let end = start + cost * slowdown(rank);
+            if rec.is_enabled() {
+                let n = self.prob.nshells();
+                let (m, n, quartets) = (
+                    (task / n) as u32,
+                    (task % n) as u32,
+                    self.task_quartets[task],
+                );
+                rec.side_event_at(rank, start, EventKind::TaskStart { m, n });
+                rec.side_event_at(rank, end, EventKind::TaskEnd { m, n, quartets });
+            }
+            end
+        };
+        // Close `rank`'s stream at `end` after a flush of `(bytes, calls)`.
+        let finish = |o: &mut ProcessOutcome, rank: usize, end: f64, (bytes, calls)| {
+            o.t_fock = end;
+            if rec.is_enabled() {
+                rec.side_event_at(rank, end, EventKind::FFlush { bytes, calls });
+                rec.side_event_at(rank, end, EventKind::WorkerEnd);
+            }
+        };
 
         let mut sim: Sim<usize> = Sim::new();
         for rank in 0..nprocs {
             // D prefetch happens first.
-            let (b, c) = region[rank];
-            let mut t = machine.comm_time(c, b);
-            t += drop_surcharge(fault, &machine, rank, 0.0, &mut ops, rec);
-            out[rank].t_comm += t;
-            out[rank].bytes += b;
-            out[rank].calls += c;
+            let t = comm(&mut out[rank], &mut ops, rank, 0.0, Some(region[rank]));
             if rec.is_enabled() {
+                let (bytes, calls) = region[rank];
                 rec.side_event_at(rank, 0.0, EventKind::WorkerStart);
-                rec.side_event_at(rank, t, EventKind::DPrefetch { bytes: b, calls: c });
+                rec.side_event_at(rank, t, EventKind::DPrefetch { bytes, calls });
             }
-            if let Some(p) = fault {
-                let s = p.slowdown(rank);
-                if s > 1.0 {
-                    rec.counter(obs::names::FAULT_INJECTED).add(1);
-                    if rec.is_enabled() {
-                        rec.side_event_at(
-                            rank,
-                            0.0,
-                            EventKind::Fault {
-                                code: fault_code::STRAGGLER,
-                                detail: (s * 1000.0) as u32,
-                            },
-                        );
-                    }
+            if slowdown(rank) > 1.0 {
+                rec.counter(obs::names::FAULT_INJECTED).add(1);
+                if rec.is_enabled() {
+                    rec.side_event_at(
+                        rank,
+                        0.0,
+                        EventKind::Fault {
+                            code: fault_code::STRAGGLER,
+                            detail: (slowdown(rank) * 1000.0) as u32,
+                        },
+                    );
                 }
             }
             sim.schedule(t, rank);
@@ -549,21 +503,47 @@ impl<'a> GtfockSimModel<'a> {
             if events > 10_000_000 {
                 panic!("DES runaway: {} events, rank {}, now {}", events, rank, now);
             }
-            if dead[rank] {
-                continue;
-            }
-            // Scheduled death fires when the rank would start its next
-            // task: everything it executed-but-never-flushed plus its
-            // remaining queue is orphaned; finished survivors are woken
-            // at the death time to adopt it.
-            if let Some(p) = fault {
-                if p.death_after(rank) == Some(executed_n[rank]) {
+            let (start, task) = match sched.next(rank) {
+                Next::Task(t) => (now, t),
+                Next::Stolen {
+                    victim,
+                    task,
+                    moved,
+                } => {
+                    if rec.is_enabled() {
+                        let v = victim as u32;
+                        rec.side_event_at(rank, now, EventKind::StealAttempt { victim: v });
+                        rec.side_event_at(
+                            rank,
+                            now,
+                            EventKind::StealSuccess {
+                                victim: v,
+                                tasks: moved as u32,
+                            },
+                        );
+                    }
+                    out[rank].steals += 1;
+                    // Copy the victim's D-local once per distinct victim
+                    // (the paper keeps the copied buffer while stealing
+                    // repeatedly from the same victim, Section III-F);
+                    // later steals pay the queue update only.
+                    let geometry = if victims_of[rank].contains(&victim) {
+                        None
+                    } else {
+                        victims_of[rank].push(victim);
+                        Some(region[victim])
+                    };
+                    let t = comm(&mut out[rank], &mut ops, rank, now, geometry);
+                    if rec.is_enabled() {
+                        rec.histogram(obs::analyze::STEAL_NS_HISTOGRAM)
+                            .record_secs(t);
+                    }
+                    (now + t, task)
+                }
+                Next::Died => {
+                    // Everything it ran stays unflushed; its fenced queue
+                    // waits for recovery.
                     dead[rank] = true;
-                    orphans.append(&mut executed_ids[rank]);
-                    orphans.extend(&queues[rank][heads[rank]..]);
-                    heads[rank] = queues[rank].len();
-                    dead_region.0 += region[rank].0;
-                    dead_region.1 += region[rank].1;
                     out[rank].t_fock = now;
                     rec.counter(obs::names::FAULT_INJECTED).add(1);
                     if rec.is_enabled() {
@@ -572,295 +552,70 @@ impl<'a> GtfockSimModel<'a> {
                             now,
                             EventKind::Fault {
                                 code: fault_code::RANK_DEATH,
-                                detail: executed_n[rank] as u32,
+                                detail: sched.executed(rank) as u32,
                             },
                         );
                         rec.side_event_at(rank, now, EventKind::WorkerEnd);
                     }
-                    for r in 0..nprocs {
-                        if finished[r] && !dead[r] {
-                            finished[r] = false;
-                            sim.schedule(now, r);
-                        }
-                    }
                     continue;
                 }
-            }
-            // Pop own queue.
-            if heads[rank] < queues[rank].len() {
-                let task = queues[rank][heads[rank]] as usize;
-                heads[rank] += 1;
-                let cost = self.task_cost[task] as f64;
-                out[rank].t_comp += cost / threads as f64;
-                out[rank].tasks += 1;
-                executed_n[rank] += 1;
-                if doomed(rank) {
-                    executed_ids[rank].push(task as u32);
-                }
-                // A straggler's wall time stretches; t_comp stays pure.
-                let wall = cost / threads as f64 * fault.map_or(1.0, |p| p.slowdown(rank));
-                if rec.is_enabled() {
-                    let (m, nn) = (task / n, task % n);
-                    rec.side_event_at(
-                        rank,
-                        now,
-                        EventKind::TaskStart {
-                            m: m as u32,
-                            n: nn as u32,
-                        },
-                    );
-                    rec.side_event_at(
-                        rank,
-                        now + wall,
-                        EventKind::TaskEnd {
-                            m: m as u32,
-                            n: nn as u32,
-                            quartets: self.task_quartets[task],
-                        },
-                    );
-                }
-                sim.schedule(now + wall, rank);
-                continue;
-            }
-            if steal.enabled {
-                // Victim selection (global view of queue states).
-                let mut found = None;
-                match steal.policy {
-                    VictimPolicy::RowScan => {
-                        // The paper steals "a block of tasks": a thief that
-                        // would pay a full D-region copy for a near-empty
-                        // queue keeps scanning (first pass wants a real
-                        // backlog; the fallback takes anything non-empty).
-                        const MIN_BLOCK: usize = 8;
-                        for v in grid.steal_order(rank) {
-                            if !doomed(v) && queues[v].len() - heads[v] >= MIN_BLOCK {
-                                found = Some(v);
-                                break;
-                            }
-                        }
-                        if found.is_none() {
-                            found = grid
-                                .steal_order(rank)
-                                .find(|&v| !doomed(v) && heads[v] < queues[v].len());
+                Next::Idle => {
+                    // Done: flush own F region plus one flush per
+                    // distinct victim.
+                    let mut flush = region[rank];
+                    for &v in &victims_of[rank] {
+                        flush.0 += region[v].0;
+                        flush.1 += region[v].1;
+                    }
+                    let t = comm(&mut out[rank], &mut ops, rank, now, Some(flush));
+                    out[rank].victims = victims_of[rank].len() as u64;
+                    if let Some(board) = &board {
+                        for &id in &ran[rank] {
+                            board.mark(id as usize);
                         }
                     }
-                    VictimPolicy::Random { seed } => {
-                        // Deterministic per-(rank, attempt) pseudo-random
-                        // probes, falling back to a scan so no work is
-                        // missed.
-                        let mut state = seed
-                            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                            .wrapping_add(rank as u64)
-                            .wrapping_add(out[rank].steals);
-                        for _ in 0..nprocs {
-                            state = state
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(1442695040888963407);
-                            let v = (state >> 33) as usize % nprocs;
-                            if v != rank && !doomed(v) && heads[v] < queues[v].len() {
-                                found = Some(v);
-                                break;
-                            }
-                        }
-                        if found.is_none() {
-                            found = grid
-                                .steal_order(rank)
-                                .find(|&v| !doomed(v) && heads[v] < queues[v].len());
-                        }
-                    }
-                    VictimPolicy::MaxQueue => {
-                        found = (0..nprocs)
-                            .filter(|&v| v != rank && !doomed(v) && heads[v] < queues[v].len())
-                            .max_by_key(|&v| queues[v].len() - heads[v]);
-                    }
-                }
-                if let Some(v) = found {
-                    // Steal the configured fraction of the victim's
-                    // remaining tasks (at least one).
-                    let remaining = queues[v].len() - heads[v];
-                    let take =
-                        ((remaining as f64 * steal.fraction).ceil() as usize).clamp(1, remaining);
-                    if rec.is_enabled() {
-                        rec.side_event_at(rank, now, EventKind::StealAttempt { victim: v as u32 });
-                        rec.side_event_at(
-                            rank,
-                            now,
-                            EventKind::StealSuccess {
-                                victim: v as u32,
-                                tasks: take as u32,
-                            },
-                        );
-                    }
-                    let split_at = queues[v].len() - take;
-                    let tail: Vec<u32> = queues[v].split_off(split_at);
-                    queues[rank] = tail;
-                    out[rank].steals += 1;
-                    // Copy the victim's D-local — once per distinct victim
-                    // (the paper keeps the copied buffer while stealing
-                    // repeatedly from the same victim, Section III-F).
-                    let mut t = if victims_of[rank].contains(&v) {
-                        machine.latency // queue update only
-                    } else {
-                        victims_of[rank].push(v);
-                        let (b, c) = region[v];
-                        out[rank].bytes += b;
-                        out[rank].calls += c;
-                        machine.comm_time(c, b)
-                    };
-                    t += drop_surcharge(fault, &machine, rank, now, &mut ops, rec);
-                    out[rank].t_comm += t;
-                    if rec.is_enabled() {
-                        // Mirror the threaded builder's steal-scan latency
-                        // telemetry with the simulated steal service time.
-                        rec.histogram(obs::analyze::STEAL_NS_HISTOGRAM)
-                            .record_secs(t);
-                    }
-                    // The first stolen task is consumed atomically with the
-                    // steal (as crossbeam's steal_batch_and_pop does) —
-                    // otherwise a lone task could ping-pong between idle
-                    // thieves forever without ever being executed.
-                    heads[rank] = 1;
-                    let first = queues[rank][0] as usize;
-                    let cost = self.task_cost[first] as f64 / threads as f64;
-                    out[rank].t_comp += cost;
-                    out[rank].tasks += 1;
-                    executed_n[rank] += 1;
-                    if doomed(rank) {
-                        executed_ids[rank].push(first as u32);
-                    }
-                    let wall = cost * fault.map_or(1.0, |p| p.slowdown(rank));
-                    if rec.is_enabled() {
-                        let (m, nn) = (first / n, first % n);
-                        rec.side_event_at(
-                            rank,
-                            now + t,
-                            EventKind::TaskStart {
-                                m: m as u32,
-                                n: nn as u32,
-                            },
-                        );
-                        rec.side_event_at(
-                            rank,
-                            now + t + wall,
-                            EventKind::TaskEnd {
-                                m: m as u32,
-                                n: nn as u32,
-                                quartets: self.task_quartets[first],
-                            },
-                        );
-                    }
-                    sim.schedule(now + t + wall, rank);
+                    finish(&mut out[rank], rank, now + t, flush);
                     continue;
                 }
+            };
+            if board.is_some() {
+                ran[rank].push(task);
             }
-            // Recovery: adopt an orphaned task from a dead rank. Only runs
-            // once the rank's own queue and every steal source is dry —
-            // the mirror of the threaded builder's post-join phase.
-            if !orphans.is_empty() {
-                let task = orphans.pop().expect("checked nonempty") as usize;
-                out[rank].tasks += 1;
-                out[rank].requeued += 1;
-                executed_n[rank] += 1;
-                if doomed(rank) {
-                    executed_ids[rank].push(task as u32);
-                }
-                adopted_since[rank] = true;
-                rec.counter(obs::names::TASK_REQUEUED).add(1);
-                // Copy the (union of the) dead regions' D once per
-                // adopting rank, like any other victim copy.
-                let mut t = if orphan_fetched[rank] {
-                    machine.latency
-                } else {
-                    orphan_fetched[rank] = true;
-                    let (b, c) = dead_region;
-                    out[rank].bytes += b;
-                    out[rank].calls += c;
-                    machine.comm_time(c, b)
-                };
-                t += drop_surcharge(fault, &machine, rank, now, &mut ops, rec);
-                out[rank].t_comm += t;
-                let cost = self.task_cost[task] as f64 / threads as f64;
-                out[rank].t_comp += cost;
-                let wall = cost * fault.map_or(1.0, |p| p.slowdown(rank));
+            let end = run_task(&mut out[rank], rank, task, start);
+            sim.schedule(end, rank);
+        }
+
+        // Recovery after the join, dealt exactly as the threaded builder
+        // deals it.
+        if let Some(board) = &board {
+            let live: Vec<usize> = (0..nprocs).filter(|&r| !dead[r]).collect();
+            let mut dead_region = (0u64, 0u64);
+            for r in (0..nprocs).filter(|&r| dead[r]) {
+                dead_region.0 += region[r].0;
+                dead_region.1 += region[r].1;
+            }
+            let join = out.iter().map(|o| o.t_fock).fold(0.0, f64::max);
+            for (rank, tasks) in recovery_assignment(&board.missing(), &live) {
+                rec.counter(obs::names::TASK_REQUEUED)
+                    .add(tasks.len() as u64);
                 if rec.is_enabled() {
-                    let (m, nn) = (task / n, task % n);
                     rec.side_event_at(
                         rank,
-                        now,
+                        join,
                         EventKind::Fault {
                             code: fault_code::TASK_REQUEUE,
-                            detail: 1,
-                        },
-                    );
-                    rec.side_event_at(
-                        rank,
-                        now + t,
-                        EventKind::TaskStart {
-                            m: m as u32,
-                            n: nn as u32,
-                        },
-                    );
-                    rec.side_event_at(
-                        rank,
-                        now + t + wall,
-                        EventKind::TaskEnd {
-                            m: m as u32,
-                            n: nn as u32,
-                            quartets: self.task_quartets[task],
+                            detail: tasks.len() as u32,
                         },
                     );
                 }
-                sim.schedule(now + t + wall, rank);
-                continue;
-            }
-            // Done: flush own F region plus one flush per distinct victim.
-            // A rank re-woken for recovery flushes again only if it
-            // actually adopted work (charged at the dead regions'
-            // geometry); re-finishing idle costs nothing.
-            let t = if !flushed[rank] {
-                flushed[rank] = true;
-                let mut flush_b = region[rank].0;
-                let mut flush_c = region[rank].1;
-                for &v in &victims_of[rank] {
-                    flush_b += region[v].0;
-                    flush_c += region[v].1;
+                let o = &mut out[rank];
+                let mut now = join + comm(o, &mut ops, rank, join, Some(dead_region));
+                for &t in &tasks {
+                    now = run_task(o, rank, t as u32, now);
                 }
-                let mut t = machine.comm_time(flush_c, flush_b);
-                t += drop_surcharge(fault, &machine, rank, now, &mut ops, rec);
-                out[rank].t_comm += t;
-                out[rank].bytes += flush_b;
-                out[rank].calls += flush_c;
-                out[rank].victims = victims_of[rank].len() as u64;
-                if rec.is_enabled() {
-                    rec.side_event_at(
-                        rank,
-                        now + t,
-                        EventKind::FFlush {
-                            bytes: flush_b,
-                            calls: flush_c,
-                        },
-                    );
-                }
-                t
-            } else if adopted_since[rank] {
-                adopted_since[rank] = false;
-                let (b, c) = dead_region;
-                let mut t = machine.comm_time(c, b);
-                t += drop_surcharge(fault, &machine, rank, now, &mut ops, rec);
-                out[rank].t_comm += t;
-                out[rank].bytes += b;
-                out[rank].calls += c;
-                if rec.is_enabled() {
-                    rec.side_event_at(rank, now + t, EventKind::FFlush { bytes: b, calls: c });
-                }
-                t
-            } else {
-                0.0
-            };
-            out[rank].t_fock = out[rank].t_fock.max(now + t);
-            finished[rank] = true;
-            if rec.is_enabled() {
-                rec.side_event_at(rank, now + t, EventKind::WorkerEnd);
+                o.requeued += tasks.len() as u64;
+                let t = comm(o, &mut ops, rank, now, Some(dead_region));
+                finish(o, rank, now + t, dead_region);
             }
         }
 
@@ -1195,7 +950,7 @@ impl<'a> NwchemSimModel<'a> {
             bandwidth: machine.bandwidth / machine.cores_per_node.max(1) as f64,
             ..machine
         };
-        let mut gen = AtomTaskGen::new(self, chunk);
+        let mut tasks = self.tasks(chunk);
         let mut out = vec![ProcessOutcome::default(); nprocs];
         let mut sim: Sim<usize> = Sim::new();
         let mut queue_free_at = 0.0f64;
@@ -1219,7 +974,7 @@ impl<'a> NwchemSimModel<'a> {
                     .record_secs(queue_t);
             }
 
-            match gen.next() {
+            match tasks.next() {
                 None => {
                     if !done[rank] {
                         done[rank] = true;
@@ -1301,22 +1056,22 @@ impl<'a> NwchemSimModel<'a> {
         }
     }
 
-    /// Total queue accesses a run will make (tasks + one empty poll per
-    /// process) — the Section IV-C scheduler-overhead comparison.
+    /// Algorithm 2's task list, from the one generator the threaded
+    /// baseline also claims from.
+    fn tasks(&self, chunk: usize) -> impl Iterator<Item = AtomTask> + '_ {
+        atom_tasks(&self.atoms, self.prob.tau, self.prob.screening.max_q, chunk)
+    }
+
+    /// Tasks in a run; queue accesses are this plus one empty poll per
+    /// process — the Section IV-C scheduler-overhead comparison.
     pub fn total_tasks(&self, chunk: usize) -> u64 {
-        let mut gen = AtomTaskGen::new(self, chunk);
-        let mut n = 0;
-        while gen.next().is_some() {
-            n += 1;
-        }
-        n
+        self.tasks(chunk).count() as u64
     }
 
     /// Total single-core compute seconds over all atom quartets.
     pub fn total_cost(&self, chunk: usize) -> f64 {
-        let mut gen = AtomTaskGen::new(self, chunk);
         let mut total = 0.0;
-        while let Some((i, j, k, l_lo, l_hi)) = gen.next() {
+        for (i, j, k, l_lo, l_hi) in self.tasks(chunk) {
             for l in l_lo..=l_hi {
                 if self.atoms.pair_value(i, j) * self.atoms.pair_value(k, l) > self.prob.tau {
                     total += self.quartet_cost(i, j, k, l).0;
@@ -1324,95 +1079,6 @@ impl<'a> NwchemSimModel<'a> {
             }
         }
         total
-    }
-}
-
-/// Streaming generator of Algorithm 2's task list (no O(#tasks) memory).
-struct AtomTaskGen<'m, 'p> {
-    model: &'m NwchemSimModel<'p>,
-    chunk: usize,
-    i: usize,
-    j: usize,
-    k: usize,
-    l_lo: usize,
-    fresh_triplet: bool,
-}
-
-impl<'m, 'p> AtomTaskGen<'m, 'p> {
-    fn new(model: &'m NwchemSimModel<'p>, chunk: usize) -> Self {
-        AtomTaskGen {
-            model,
-            chunk,
-            i: 0,
-            j: 0,
-            k: 0,
-            l_lo: 0,
-            fresh_triplet: true,
-        }
-    }
-
-    /// Next task: (I, J, K, l_lo, l_hi_of_chunk).
-    fn next(&mut self) -> Option<(usize, usize, usize, usize, usize)> {
-        let nat = self.model.natoms;
-        let thresh = self.model.prob.tau / self.model.prob.screening.max_q;
-        loop {
-            if self.i >= nat {
-                return None;
-            }
-            // Significance of (I, J) — Algorithm 2 line 5.
-            if self.model.atoms.pair_value(self.i, self.j) < thresh {
-                self.advance_triplet(nat);
-                continue;
-            }
-            let l_hi = if self.k == self.i { self.j } else { self.k };
-            if self.fresh_triplet {
-                self.l_lo = 0;
-                self.fresh_triplet = false;
-            }
-            if self.l_lo > l_hi {
-                self.advance_k(nat);
-                continue;
-            }
-            let task = (
-                self.i,
-                self.j,
-                self.k,
-                self.l_lo,
-                (self.l_lo + self.chunk - 1).min(l_hi),
-            );
-            self.l_lo += self.chunk;
-            // Skip blocks with no surviving atom quartet: NWChem's measured
-            // queue-access counts (e.g. 137,993 for C100H202 at 3888 cores)
-            // show the real code never enqueues work-free blocks.
-            let qij = self.model.atoms.pair_value(task.0, task.1);
-            let any = (task.3..=task.4)
-                .any(|l| qij * self.model.atoms.pair_value(task.2, l) > self.model.prob.tau);
-            if !any {
-                continue;
-            }
-            return Some(task);
-        }
-    }
-
-    fn advance_k(&mut self, nat: usize) {
-        self.fresh_triplet = true;
-        self.k += 1;
-        if self.k > self.i {
-            self.k = 0;
-            self.j += 1;
-            if self.j > self.i {
-                self.j = 0;
-                self.i += 1;
-            }
-        }
-        let _ = nat;
-    }
-
-    fn advance_triplet(&mut self, nat: usize) {
-        // Insignificant (I,J): skip all K for this (I,J).
-        self.fresh_triplet = true;
-        self.k = self.i; // force advance past the K loop
-        self.advance_k(nat);
     }
 }
 
@@ -1505,7 +1171,7 @@ mod tests {
             VictimPolicy::MaxQueue,
         ] {
             for fraction in [0.25, 0.5, 1.0] {
-                let r = model.simulate_opts(
+                let r = model.simulate(
                     machine,
                     96,
                     StealConfig {
@@ -1526,8 +1192,8 @@ mod tests {
         let (prob, cost) = setup();
         let model = GtfockSimModel::new(&prob, &cost);
         let machine = MachineParams::lonestar();
-        let scan = model.simulate_opts(machine, 192, StealConfig::paper());
-        let maxq = model.simulate_opts(
+        let scan = model.simulate(machine, 192, StealConfig::paper());
+        let maxq = model.simulate(
             machine,
             192,
             StealConfig {
@@ -1572,7 +1238,7 @@ mod tests {
         let (prob, cost) = setup();
         let model = GtfockSimModel::new(&prob, &cost);
         let machine = MachineParams::lonestar();
-        let base = model.simulate_opts(machine, 48, StealConfig::paper());
+        let base = model.simulate(machine, 48, StealConfig::paper());
         let plan = FaultPlan::new(1).straggle(0, 2.0);
         let slow = model.simulate_faulty(
             machine,
@@ -1599,7 +1265,7 @@ mod tests {
         let (prob, cost) = setup();
         let model = GtfockSimModel::new(&prob, &cost);
         let machine = MachineParams::lonestar();
-        let base = model.simulate_opts(machine, 48, StealConfig::paper());
+        let base = model.simulate(machine, 48, StealConfig::paper());
         let plan = FaultPlan::new(9).drop_ops(0.2);
         let faulty = model.simulate_faulty(
             machine,
@@ -1654,7 +1320,7 @@ mod tests {
         let model = GtfockSimModel::new(&prob, &cost);
         let machine = MachineParams::lonestar();
         let rec = Recorder::enabled();
-        let r = model.simulate_opts_rec(machine, 48, StealConfig::paper(), &rec);
+        let r = model.simulate_faulty(machine, 48, StealConfig::paper(), None, &rec);
         let recording = rec.recording().unwrap();
         assert_eq!(recording.nworkers(), r.nprocs);
         let totals = recording.worker_totals();
@@ -1729,26 +1395,5 @@ mod tests {
         let nw_w = NwchemSimModel::with_density(&prob, &cost, Some(&dn));
         let nw = NwchemSimModel::new(&prob, &cost);
         assert!(nw_w.total_cost(5) < nw.total_cost(5));
-    }
-
-    #[test]
-    fn task_generator_covers_canonical_quartets() {
-        let (prob, cost) = setup();
-        let model = NwchemSimModel::new(&prob, &cost);
-        // With chunk=1 each task is exactly one atom quartet; the union of
-        // (i,j,k,l) must be the canonical enumeration (with sig(I,J)).
-        let mut gen = AtomTaskGen::new(&model, 1);
-        let mut seen = std::collections::HashSet::new();
-        while let Some((i, j, k, l_lo, l_hi)) = gen.next() {
-            assert_eq!(l_lo, l_hi);
-            assert!(j <= i && k <= i);
-            assert!(l_lo <= if k == i { j } else { k });
-            assert!(
-                seen.insert((i, j, k, l_lo)),
-                "duplicate {:?}",
-                (i, j, k, l_lo)
-            );
-        }
-        assert!(!seen.is_empty());
     }
 }

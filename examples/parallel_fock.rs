@@ -56,7 +56,7 @@ fn main() {
         &d,
         GtfockConfig {
             grid,
-            steal: true,
+            steal: true.into(),
             ..GtfockConfig::default()
         },
     );

@@ -52,7 +52,7 @@ fn all_builders_agree_on_benzene() {
                 &d,
                 GtfockConfig {
                     grid,
-                    steal,
+                    steal: steal.into(),
                     fault: None,
                 },
             );
@@ -94,7 +94,7 @@ fn builders_agree_with_heavy_screening() {
         &d,
         GtfockConfig {
             grid: ProcessGrid::new(3, 3),
-            steal: true,
+            steal: true.into(),
             fault: None,
         },
     );

@@ -119,7 +119,7 @@ fn incremental_parallel_builders_agree_with_seq() {
     let mut gt_cfg = base.clone();
     gt_cfg.builder = gtfock_builder(GtfockConfig {
         grid: ProcessGrid::new(2, 2),
-        steal: true,
+        steal: true.into(),
         fault: None,
     });
     let gt = run_scf(generators::methane(), BasisSetKind::Sto3g, gt_cfg).unwrap();

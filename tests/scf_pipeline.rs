@@ -76,7 +76,7 @@ fn water_full_pipeline_gtfock_builder() {
     let cfg = ScfConfig::builder()
         .fock_builder(gtfock_builder(GtfockConfig {
             grid: ProcessGrid::new(2, 2),
-            steal: true,
+            steal: true.into(),
             fault: None,
         }))
         .ordering(ShellOrdering::cells_default())

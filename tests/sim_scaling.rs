@@ -1,23 +1,32 @@
 //! Integration tests of the cluster-scale simulation: the qualitative
 //! claims of the paper's evaluation must hold on small workloads —
 //! strong scaling, GTFock's communication advantage, near-perfect load
-//! balance, and the alkane-vs-flake screening contrast.
+//! balance, and the alkane-vs-flake screening contrast. The equality
+//! harness at the end checks that the threaded builders and the DES make
+//! the same scheduling decisions.
 
 use fock_repro::chem::reorder::ShellOrdering;
 use fock_repro::chem::shells::BasisInstance;
 use fock_repro::chem::{generators, BasisSetKind};
-use fock_repro::core::sim_exec::{GtfockSimModel, NwchemSimModel};
+use fock_repro::core::sim_exec::{GtfockSimModel, NwchemSimModel, StealConfig};
 use fock_repro::core::tasks::FockProblem;
-use fock_repro::distrt::MachineParams;
-use fock_repro::eri::CostModel;
+use fock_repro::core::{build_fock_nwchem, try_build_fock_gtfock_rec, NwchemConfig, SchedulerOpts};
+use fock_repro::distrt::{FaultPlan, MachineParams};
+use fock_repro::eri::{CostModel, DensityNorms};
+use fock_repro::obs::{EventKind, Recorder, Recording};
+use std::sync::Arc;
 
 fn workload(mol: fock_repro::chem::Molecule) -> (FockProblem, CostModel) {
+    workload_at(mol, 1e-10)
+}
+
+fn workload_at(mol: fock_repro::chem::Molecule, tau: f64) -> (FockProblem, CostModel) {
     let basis = BasisInstance::new(mol.clone(), BasisSetKind::Sto3g).unwrap();
     let cost = CostModel::calibrate(&basis, 1);
     let prob = FockProblem::new(
         mol,
         BasisSetKind::Sto3g,
-        1e-10,
+        tau,
         ShellOrdering::cells_default(),
     )
     .unwrap();
@@ -122,5 +131,156 @@ fn work_conserved_across_core_counts() {
             (w[0] - w[1]).abs() < 1e-9 * w[0].max(1e-12),
             "work not conserved: {totals:?}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Threads-vs-DES equality harness (scheduling half). Both executors run
+// `fock_core::sched`; a DES machine with one core per node gets the same
+// `ProcessGrid::squarest(p)` grid as the threaded builder, so the
+// scheduling observables must agree exactly. GA call and byte counts are
+// not compared: the DES charges contiguous-run calls per region, threads
+// issue one get per shell block.
+// ---------------------------------------------------------------------------
+
+struct Case {
+    prob: FockProblem,
+    cost: CostModel,
+    d: Vec<f64>,
+    dn: DensityNorms,
+}
+
+fn case(mol: fock_repro::chem::Molecule, tau: f64) -> Case {
+    let (prob, cost) = workload_at(mol, tau);
+    let nbf = prob.nbf();
+    let d: Vec<f64> = (0..nbf * nbf)
+        .map(|k| 0.3 / (1.0 + (k / nbf).abs_diff(k % nbf) as f64))
+        .collect();
+    let dn = DensityNorms::compute(&prob.basis, &d);
+    Case { prob, cost, d, dn }
+}
+
+fn benzene() -> Case {
+    case(generators::graphene_flake(1), 1e-10)
+}
+
+/// Butane at a loose τ: screening empties many NWChem L-chunks and
+/// GTFock tasks, and a build costs a quarter of a benzene build in debug.
+fn alkane() -> Case {
+    case(generators::linear_alkane(4), 1e-3)
+}
+
+/// One core per node: `p` cores are `p` single-threaded DES ranks.
+fn one_core_nodes() -> MachineParams {
+    MachineParams {
+        cores_per_node: 1,
+        ..MachineParams::lonestar()
+    }
+}
+
+/// Per-rank (tasks, quartets) from a recording's TaskEnd events.
+fn per_rank(recording: &Recording, p: usize) -> Vec<(u64, u64)> {
+    let totals = recording.worker_totals();
+    (0..p)
+        .map(|r| totals.get(r).map_or((0, 0), |t| (t.tasks, t.quartets)))
+        .collect()
+}
+
+/// Threaded GTFock build: report plus the TaskEnd-derived recording.
+fn threaded(c: &Case, opts: SchedulerOpts) -> (fock_repro::core::BuildReport, Recording) {
+    let rec = Recorder::enabled();
+    let (_, rep) = try_build_fock_gtfock_rec(&c.prob, &c.d, opts.gtfock(), &rec).expect("build");
+    (rep, rec.recording().expect("enabled"))
+}
+
+/// The DES model of a case, with the same density-weighted task costs.
+fn des_model(c: &Case) -> GtfockSimModel<'_> {
+    GtfockSimModel::with_density(&c.prob, &c.cost, Some(&c.dn))
+}
+
+fn des(
+    model: &GtfockSimModel,
+    p: usize,
+    steal: StealConfig,
+    fault: Option<&FaultPlan>,
+) -> (fock_repro::core::sim_exec::SimResult, Recording) {
+    let rec = Recorder::enabled();
+    let r = model.simulate_faulty(one_core_nodes(), p, steal, fault, &rec);
+    assert_eq!(r.nprocs, p);
+    (r, rec.recording().expect("enabled"))
+}
+
+#[test]
+fn threads_and_des_agree_per_rank_without_stealing() {
+    let c = alkane();
+    let model = des_model(&c);
+    for p in [1usize, 4, 6, 9, 16] {
+        let (_, t) = threaded(&c, SchedulerOpts::with_nprocs(p).steal(false));
+        let (_, s) = des(&model, p, StealConfig::disabled(), None);
+        assert_eq!(per_rank(&t, p), per_rank(&s, p), "p={p}");
+    }
+}
+
+#[test]
+fn threads_and_des_agree_on_totals_with_stealing() {
+    for (c, ps) in [(benzene(), vec![9]), (alkane(), vec![4, 9])] {
+        let model = des_model(&c);
+        let n = c.prob.nshells();
+        for p in ps {
+            let (rep, t) = threaded(&c, SchedulerOpts::with_nprocs(p));
+            let mut ends = vec![0u32; n * n];
+            for rank in 0..p {
+                for e in t.events(rank) {
+                    if let EventKind::TaskEnd { m, n: nn, .. } = e.kind {
+                        ends[m as usize * n + nn as usize] += 1;
+                    }
+                }
+            }
+            assert!(
+                ends.iter().all(|&k| k == 1),
+                "p={p}: a task ended twice or never"
+            );
+            let (_, s) = des(&model, p, StealConfig::paper(), None);
+            let des_q: u64 = per_rank(&s, p).iter().map(|&(_, q)| q).sum();
+            assert_eq!(rep.total_quartets(), des_q, "p={p}");
+        }
+    }
+}
+
+#[test]
+fn threads_and_des_requeue_identically_per_rank() {
+    // Rank 1's 11×11 block does not divide over the 3 survivors, so the
+    // order the lost ids are dealt in shows.
+    let c = alkane();
+    let plan = FaultPlan::new(5).kill(1, 3);
+    let (rep, _) = threaded(
+        &c,
+        SchedulerOpts::with_nprocs(4).fault(Arc::new(plan.clone())),
+    );
+    let (r, _) = des(&des_model(&c), 4, StealConfig::paper(), Some(&plan));
+    let des_requeued: Vec<u64> = r.per_process.iter().map(|o| o.requeued).collect();
+    assert!(rep.total_requeued() > 0);
+    assert_eq!(rep.tasks_requeued, des_requeued);
+}
+
+#[test]
+fn threaded_nwchem_claims_the_des_task_stream() {
+    let c = alkane();
+    let model = NwchemSimModel::with_density(&c.prob, &c.cost, Some(&c.dn));
+    // The NWChem DES charges per-atom-quartet counts that include both
+    // (MN|PQ) and (PQ|MN) when (IJ) = (KL); the exact total is the GTFock
+    // model's, which the threaded baseline must hit.
+    let quartets = des_model(&c).total_quartets();
+    for p in [2usize, 4, 8] {
+        let (_, rep) = build_fock_nwchem(
+            &c.prob,
+            &c.d,
+            NwchemConfig {
+                nprocs: p,
+                chunk: 5,
+            },
+        );
+        assert_eq!(rep.queue_accesses, model.total_tasks(5) + p as u64, "p={p}");
+        assert_eq!(rep.total_quartets(), quartets, "p={p}");
     }
 }
