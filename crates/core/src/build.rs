@@ -105,7 +105,8 @@ pub struct BuildReport {
     pub density_skipped: Vec<u64>,
     /// Successful steal operations per process (work-stealing builders).
     pub steals: Vec<u64>,
-    /// Distinct steal victims per process (the model's `s`).
+    /// Regions other than its own each process copied: the distinct
+    /// owners of the tasks it stole (the model's `s`).
     pub victims: Vec<u64>,
     /// Accesses to a centralized task queue (NWChem's `nxtval`); 0 for
     /// distributed-queue builders.
@@ -161,36 +162,6 @@ impl BuildReport {
 
     pub fn with_density_skipped(mut self, v: Vec<u64>) -> Self {
         self.density_skipped = v;
-        self
-    }
-
-    pub fn with_steals(mut self, v: Vec<u64>) -> Self {
-        self.steals = v;
-        self
-    }
-
-    pub fn with_victims(mut self, v: Vec<u64>) -> Self {
-        self.victims = v;
-        self
-    }
-
-    pub fn with_queue_accesses(mut self, n: u64) -> Self {
-        self.queue_accesses = n;
-        self
-    }
-
-    pub fn with_comm(mut self, v: Vec<CommStats>) -> Self {
-        self.comm = v;
-        self
-    }
-
-    pub fn with_tasks_requeued(mut self, v: Vec<u64>) -> Self {
-        self.tasks_requeued = v;
-        self
-    }
-
-    pub fn with_ranks_died(mut self, n: u64) -> Self {
-        self.ranks_died = n;
         self
     }
 

@@ -6,15 +6,19 @@
 //!    buffer,
 //! 2. asks the shared [`Scheduler`] for its next task until it answers
 //!    idle — own queue first, then steals (victim choice, steal size and
-//!    fencing as configured by [`StealConfig`], Section III-F), fetching a
-//!    victim's D region and accumulating into a per-victim F buffer,
+//!    fencing as configured by [`StealConfig`], Section III-F) — and runs
+//!    each task in the buffer of the task owner's region, fetching that
+//!    region's D on the first task that needs it,
 //! 3. flushes every local F buffer into the distributed F.
 //!
-//! The discrete-event simulator ([`crate::sim_exec`]) drives the same
-//! [`Scheduler`], so both executors make the same scheduling decisions.
-//! The result is *identical* (to floating-point reordering) to the
-//! sequential reference for any grid shape and any stealing schedule —
-//! the correctness tests exercise exactly that.
+//! Steps 1–3, death and recovery are the per-rank executor of the
+//! crate-private `lane` module, one lane per thread; this module supplies
+//! its backend (GA transfers, the ERI kernel, real time). The
+//! discrete-event simulator ([`crate::sim_exec`]) drives the same lane
+//! over a virtual clock, so both executors make the same scheduling and
+//! region decisions. The result is *identical* (to floating-point
+//! reordering) to the sequential reference for any grid shape and any
+//! stealing schedule — the correctness tests exercise exactly that.
 //!
 //! # Fault tolerance
 //!
@@ -22,19 +26,20 @@
 //! slowdown, and dropped one-sided ops while keeping **exactly-once**
 //! accumulation into F:
 //!
-//! * A [`CompletionBoard`] bit is set per task when its contribution has
-//!   been *flushed* (not merely computed). A rank that dies skips its
-//!   flush entirely, so everything it computed-but-never-flushed and
-//!   everything left in its queue stays unmarked.
+//! * A [`CompletionBoard`](crate::tasks::CompletionBoard) bit is set per
+//!   task when its contribution has been *flushed* (not merely computed).
+//!   A rank that dies skips its flush entirely, so everything it
+//!   computed-but-never-flushed and everything left in its queue stays
+//!   unmarked.
 //! * The scheduler never lets a thief take from a rank the plan dooms
 //!   (fencing), so the lost-task set — and the requeue count — is
 //!   deterministic: the dead rank's static partition, whenever
 //!   `after_tasks` is below its size.
-//! * After the join, [`recovery_assignment`] deals the unmarked tasks over
-//!   the surviving ranks (disjoint, and checked against the board before
-//!   execution); each recomputes its share through the same per-task
-//!   routine as the first phase into fresh buffers and flushes those once
-//!   — so no task's contribution can reach F twice.
+//! * After the join, the unmarked tasks are dealt over the surviving ranks
+//!   (disjoint, and checked against the board before execution); each
+//!   recomputes its share through the same per-task routine as the first
+//!   phase into fresh buffers and flushes those once — so no task's
+//!   contribution can reach F twice.
 //! * Dropped GA ops retry with backoff inside the GA layer; the drop
 //!   decision precedes any memory write, so retries never double-count.
 //!   A get that fails past its budget just abandons that worker's loop
@@ -45,15 +50,15 @@ use crate::build::{
     record_class_stats, record_dmax, record_pairdata, BuildError, BuildReport,
     DENSITY_SKIPPED_COUNTER, QUARTETS_COUNTER,
 };
+use crate::lane::{recovery_shares, Backend, Ctx, Lane, LaneEnd, Traffic};
 use crate::localbuf::{LocalBuffers, LocalSink, ShellDims};
 use crate::partition::StaticPartition;
-use crate::sched::{recovery_assignment, Next, Scheduler, StealConfig};
-use crate::sink::do_task;
-use crate::tasks::{CompletionBoard, FockProblem};
+use crate::sched::{Scheduler, StealConfig};
+use crate::sink::{do_task, TaskCounts};
+use crate::tasks::FockProblem;
 use distrt::{FaultPlan, GaError, GlobalArray, ProcessGrid};
 use eri::{ClassBatcher, DensityNorms, EriEngine};
-use obs::{fault_code, EventKind, Recorder, WorkerRec};
-use std::collections::HashMap;
+use obs::{EventKind, Recorder, WorkerRec};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -112,106 +117,65 @@ pub fn build_fock_gtfock_rec(
 
 /// What every worker of one build shares.
 struct Shared<'a> {
+    ctx: Ctx<'a>,
     prob: &'a FockProblem,
-    part: StaticPartition,
     dims: ShellDims,
     /// Block norms of the effective density: the weighted quartet test
     /// drops work ΔD cannot reach.
     dn: DensityNorms,
     ga_d: GlobalArray,
     ga_f: GlobalArray,
-    /// Exactly-once ledger, kept only when a fault plan can lose tasks.
-    board: Option<CompletionBoard>,
-    fault: Option<&'a FaultPlan>,
-    rec: &'a Recorder,
 }
 
-/// One rank's executor state for one phase: ERI engine, the D/F buffers
-/// keyed by the rank whose region they cover with the task ids run into
-/// each, and compute tallies. Phase 1 and recovery run every task through
-/// [`Lane::run`].
-struct Lane<'a> {
+/// The threaded [`Backend`]: a region is a [`LocalBuffers`] filled and
+/// flushed through the GA, a task runs the ERI kernel, the clock is real
+/// time.
+struct Real<'a> {
     sh: &'a Shared<'a>,
     rank: usize,
     w: WorkerRec,
     start: Instant,
     eng: EriEngine,
     batcher: ClassBatcher,
-    bufs: HashMap<usize, (LocalBuffers, Vec<u32>)>,
     comp: f64,
-    quartets: u64,
-    density_skipped: u64,
+    counts: TaskCounts,
 }
 
-/// A lane's totals once its phase ends.
-struct LaneOut {
-    rank: usize,
-    t_fock: f64,
-    t_comp: f64,
-    quartets: u64,
-    density_skipped: u64,
-    /// Distinct regions other than its own it buffered (the model's `s`).
-    victims: u64,
-    /// Tasks whose contribution this lane flushed, or the acc that failed
-    /// past its retry budget mid-flush (F is torn).
-    flushed: Result<u64, GaError>,
-    /// Recorder timestamp when the lane finished (join wait = latest
-    /// finisher minus this).
-    end_t: f64,
-}
-
-impl<'a> Lane<'a> {
+impl<'a> Real<'a> {
     fn new(sh: &'a Shared<'a>, rank: usize) -> Self {
-        Lane {
+        Real {
             sh,
             rank,
-            w: sh.rec.worker(rank),
+            w: sh.ctx.rec.worker(rank),
             start: Instant::now(),
             eng: EriEngine::new(),
             batcher: ClassBatcher::new(),
-            bufs: HashMap::new(),
             comp: 0.0,
-            quartets: 0,
-            density_skipped: 0,
+            counts: TaskCounts::default(),
         }
     }
+}
 
-    /// Prefetch `owner`'s D region unless already buffered. False when the
-    /// get failed past its retry budget.
-    fn fetch(&mut self, owner: usize) -> bool {
-        if self.bufs.contains_key(&owner) {
-            return true;
-        }
-        let sh = self.sh;
-        let mut b = LocalBuffers::for_process(sh.prob, &sh.part, owner);
-        let pre = sh.ga_d.stats(self.rank);
-        if b.try_fetch_d(sh.prob, &sh.ga_d, self.rank).is_err() {
-            return false;
-        }
-        if self.w.is_enabled() {
-            let post = sh.ga_d.stats(self.rank);
-            self.w.event(EventKind::DPrefetch {
-                bytes: post.get_bytes - pre.get_bytes,
-                calls: post.get_calls - pre.get_calls,
-            });
-        }
-        self.bufs.insert(owner, (b, Vec::new()));
-        true
+impl Backend for Real<'_> {
+    type Region = LocalBuffers;
+
+    fn event(&mut self, kind: EventKind) {
+        self.w.event(kind);
     }
 
-    /// Compute task `t` into the buffer of its owner's region. False when
-    /// that region's D could not be fetched (the task stays unflushed, so
-    /// recovery catches it).
-    fn run(&mut self, t: u32) -> bool {
+    fn fetch(&mut self, owner: usize) -> Option<(LocalBuffers, Traffic)> {
+        let (sh, rank) = (self.sh, self.rank);
+        let mut b = LocalBuffers::for_process(sh.prob, &sh.ctx.part, owner);
+        let (got, t) = traffic(&sh.ga_d, rank, || b.try_fetch_d(sh.prob, &sh.ga_d, rank));
+        got.ok().map(|()| (b, t))
+    }
+
+    fn run(&mut self, t: u32, buf: &mut LocalBuffers, slowdown: f64) -> u64 {
         let sh = self.sh;
-        let n = sh.part.nshells;
-        let (m, nn) = (t as usize / n, t as usize % n);
-        let owner = sh.part.owner_of_task(m, nn);
-        if !self.fetch(owner) {
-            return false;
-        }
-        let (buf, ran) = self.bufs.get_mut(&owner).expect("buffer just fetched");
-        self.w.task_start(m, nn);
+        let (m, n) = (
+            t as usize / sh.prob.nshells(),
+            t as usize % sh.prob.nshells(),
+        );
         let t0 = Instant::now();
         let mut sink = LocalSink {
             buf,
@@ -224,67 +188,71 @@ impl<'a> Lane<'a> {
             &mut self.batcher,
             &sh.dn,
             m,
-            nn,
+            n,
         );
         let dt = t0.elapsed();
         self.comp += dt.as_secs_f64();
-        let slowdown = sh.fault.map_or(1.0, |p| p.slowdown(self.rank));
         if slowdown > 1.0 {
             std::thread::sleep(dt.mul_f64(slowdown - 1.0));
         }
-        self.w.task_end(m, nn, c.computed);
-        self.quartets += c.computed;
-        self.density_skipped += c.skipped_density;
-        ran.push(t);
-        true
+        self.counts.computed += c.computed;
+        self.counts.skipped_density += c.skipped_density;
+        c.computed
     }
 
-    /// Flush every buffer; returns the number of tasks flushed.
-    fn flush_all(&mut self) -> Result<u64, GaError> {
-        let sh = self.sh;
-        let mut flushed = 0;
-        for (buf, ran) in std::mem::take(&mut self.bufs).into_values() {
-            buf.try_flush_f(sh.prob, &sh.ga_f, self.rank)?;
-            // Flushed ⇒ these tasks' contributions are in F exactly once.
-            if let Some(board) = &sh.board {
-                for &t in &ran {
-                    board.mark(t as usize);
-                }
-            }
-            flushed += ran.len() as u64;
-        }
-        Ok(flushed)
-    }
-
-    /// End the phase: flush every buffer (skipped for a dead rank, whose
-    /// updates are lost), marking the flushed tasks on the board.
-    fn finish(mut self, flush: bool) -> LaneOut {
+    fn flush(&mut self, buf: LocalBuffers) -> Result<Traffic, GaError> {
         let (sh, rank) = (self.sh, self.rank);
-        record_class_stats(sh.rec, &self.batcher.take_stats());
-        sh.rec.counter(QUARTETS_COUNTER).add(self.quartets);
-        sh.rec
-            .counter(DENSITY_SKIPPED_COUNTER)
-            .add(self.density_skipped);
-        let victims = self.bufs.keys().filter(|&&o| o != rank).count() as u64;
-        let pre = sh.ga_f.stats(rank);
-        let flushed = if flush { self.flush_all() } else { Ok(0) };
-        if self.w.is_enabled() {
-            let post = sh.ga_f.stats(rank);
-            self.w.event(EventKind::FFlush {
-                bytes: post.acc_bytes - pre.acc_bytes,
-                calls: post.acc_calls - pre.acc_calls,
-            });
-        }
-        self.w.event(EventKind::WorkerEnd);
+        let (done, t) = traffic(&sh.ga_f, rank, || buf.try_flush_f(sh.prob, &sh.ga_f, rank));
+        done.map(|()| t)
+    }
+
+    /// The queue update is the scheduler's lock, already paid.
+    fn steal(&mut self) {}
+}
+
+/// Run `op` and return what `rank` moved through `ga` meanwhile (a rank
+/// only gets from D and only accumulates into F).
+fn traffic<T>(ga: &GlobalArray, rank: usize, op: impl FnOnce() -> T) -> (T, Traffic) {
+    let pre = ga.stats(rank);
+    let out = op();
+    let post = ga.stats(rank);
+    let bytes = post.total_bytes() - pre.total_bytes();
+    let calls = post.total_calls() - pre.total_calls();
+    (out, Traffic { bytes, calls })
+}
+
+/// A lane's totals once its phase ends.
+struct LaneOut {
+    rank: usize,
+    died: bool,
+    t_fock: f64,
+    t_comp: f64,
+    counts: TaskCounts,
+    victims: u64,
+    flushed: Result<u64, GaError>,
+    /// Recorder timestamp when the lane finished (join wait = latest
+    /// finisher minus this).
+    end_t: f64,
+}
+
+impl LaneOut {
+    /// Record the lane's counters and take its totals.
+    fn new(end: LaneEnd<Real>) -> Self {
+        let mut b = end.backend;
+        let rec = b.sh.ctx.rec;
+        record_class_stats(rec, &b.batcher.take_stats());
+        rec.counter(QUARTETS_COUNTER).add(b.counts.computed);
+        rec.counter(DENSITY_SKIPPED_COUNTER)
+            .add(b.counts.skipped_density);
         LaneOut {
-            rank,
-            t_fock: self.start.elapsed().as_secs_f64(),
-            t_comp: self.comp,
-            quartets: self.quartets,
-            density_skipped: self.density_skipped,
-            victims,
-            flushed,
-            end_t: self.w.now(),
+            rank: b.rank,
+            died: end.died,
+            t_fock: b.start.elapsed().as_secs_f64(),
+            t_comp: b.comp,
+            counts: b.counts,
+            victims: end.victims,
+            flushed: end.flushed,
+            end_t: b.w.now(),
         }
     }
 }
@@ -302,57 +270,6 @@ fn on_threads<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec
             .map(|h| h.join().expect("worker thread panicked"))
             .collect()
     })
-}
-
-/// Phase 1 on `rank`: prefetch its own D region, then run whatever the
-/// scheduler hands out until it answers idle or death. Returns the lane's
-/// totals and whether the rank died.
-fn drain(sh: &Shared, sched: &Scheduler, rank: usize) -> (LaneOut, bool) {
-    let rec = sh.rec;
-    let mut lane = Lane::new(sh, rank);
-    lane.w.event(EventKind::WorkerStart);
-    let steal_ns = rec.histogram(obs::analyze::STEAL_NS_HISTOGRAM);
-    let slowdown = sh.fault.map_or(1.0, |p| p.slowdown(rank));
-    if slowdown > 1.0 {
-        rec.counter(obs::names::FAULT_INJECTED).add(1);
-        lane.w.event(EventKind::Fault {
-            code: fault_code::STRAGGLER,
-            detail: (slowdown * 1000.0) as u32,
-        });
-    }
-    // A failed own prefetch is retried by the first own task.
-    lane.fetch(rank);
-    loop {
-        let scan = Instant::now();
-        let task = match sched.next(rank) {
-            Next::Task(t) => t,
-            Next::Stolen {
-                victim,
-                task,
-                moved,
-            } => {
-                lane.w.steal_attempt(victim);
-                lane.w.steal_success(victim, moved);
-                steal_ns.record_secs(scan.elapsed().as_secs_f64());
-                task
-            }
-            Next::Died => {
-                // The worker vanishes without flushing, losing its
-                // buffered F updates and its remaining queue.
-                rec.counter(obs::names::FAULT_INJECTED).add(1);
-                lane.w.event(EventKind::Fault {
-                    code: fault_code::RANK_DEATH,
-                    detail: sched.executed(rank) as u32,
-                });
-                return (lane.finish(false), true);
-            }
-            Next::Idle => break,
-        };
-        if !lane.run(task) {
-            break; // prefetch lost; recovery re-runs the task
-        }
-    }
-    (lane.finish(true), false)
 }
 
 /// Fallible [`build_fock_gtfock_rec`]: under fault injection the build
@@ -385,46 +302,35 @@ pub fn try_build_fock_gtfock_rec(
         ga_f.inject_faults(plan);
     }
     let sh = Shared {
+        ctx: Ctx::new(part, fault, rec),
         prob,
-        part,
         dims: ShellDims::new(prob),
         dn,
         ga_d,
         ga_f,
-        board: fault.map(|_| CompletionBoard::new(part.ntasks())),
-        fault,
-        rec,
     };
     let sched = Scheduler::new(&part, cfg.steal, fault);
 
     // Phase 1: every rank drains its queue and steals until idle.
     let (sh, sched) = (&sh, &sched);
-    let outs = on_threads((0..nprocs).collect(), |rank| drain(sh, sched, rank));
+    let mut lanes = on_threads((0..nprocs).collect(), |rank| {
+        let mut lane = Lane::new(&sh.ctx, rank, Real::new(sh, rank)).start();
+        while lane.step(sched) {}
+        LaneOut::new(lane.finish())
+    });
 
     let mut report = BuildReport::zeros(nprocs);
-    report.ranks_died = outs.iter().filter(|(_, died)| *died).count() as u64;
-    let live: Vec<usize> = outs
-        .iter()
-        .filter(|(_, died)| !died)
-        .map(|(o, _)| o.rank)
-        .collect();
-    let t_last = outs.iter().map(|(o, _)| o.end_t).fold(0.0, f64::max);
-    for (o, _) in &outs {
+    report.ranks_died = lanes.iter().filter(|o| o.died).count() as u64;
+    let live: Vec<usize> = lanes.iter().filter(|o| !o.died).map(|o| o.rank).collect();
+    let t_last = lanes.iter().map(|o| o.end_t).fold(0.0, f64::max);
+    for o in &lanes {
         report.steals[o.rank] = sched.steals(o.rank);
         report.victims[o.rank] = o.victims;
         // Join wait: time between this worker finishing and the slowest
         // one — the implicit barrier at the end of the build.
-        if rec.is_enabled() {
-            rec.side_event_at(
-                o.rank,
-                o.end_t,
-                EventKind::BarrierWait {
-                    seconds: t_last - o.end_t,
-                },
-            );
-        }
+        let seconds = t_last - o.end_t;
+        rec.side_event_at(o.rank, o.end_t, EventKind::BarrierWait { seconds });
     }
-    let mut lanes: Vec<LaneOut> = outs.into_iter().map(|(o, _)| o).collect();
     // A torn flush leaves an unknown prefix of one buffer in F: the whole
     // build result is untrustworthy, recovery cannot help.
     let torn = |lanes: &[LaneOut]| lanes.iter().find_map(|o| o.flushed.err());
@@ -434,54 +340,29 @@ pub fn try_build_fock_gtfock_rec(
 
     // Phase 2, recovery: re-execute every task whose contribution never
     // reached F on the surviving ranks.
-    if let Some(board) = &sh.board {
-        let missing = board.missing();
-        if !missing.is_empty() {
-            if live.is_empty() {
-                return Err(BuildError::Incomplete {
-                    tasks_lost: missing.len() as u64,
-                    tasks_requeued: 0,
-                });
-            }
-            rec.counter(obs::names::TASK_REQUEUED)
-                .add(missing.len() as u64);
-            let recovered = on_threads(recovery_assignment(&missing, &live), |(rank, tasks)| {
-                let mut lane = Lane::new(sh, rank);
-                lane.w.event(EventKind::Fault {
-                    code: fault_code::TASK_REQUEUE,
-                    detail: tasks.len() as u32,
-                });
-                for t in tasks {
-                    // Assignments are disjoint; the board check additionally
-                    // refuses any task that somehow already flushed.
-                    if !board.is_done(t) {
-                        lane.run(t as u32);
-                    }
-                }
-                lane.finish(true)
-            });
-            if let Some(e) = torn(&recovered) {
-                return Err(BuildError::Comm(e));
-            }
-            for r in &recovered {
-                report.tasks_requeued[r.rank] = r.flushed.unwrap_or(0);
-            }
-            let lost = board.missing().len() as u64;
-            if lost > 0 {
-                return Err(BuildError::Incomplete {
-                    tasks_lost: lost,
-                    tasks_requeued: report.total_requeued(),
-                });
-            }
-            lanes.extend(recovered);
-        }
+    let recovered = on_threads(recovery_shares(&sh.ctx, &live), |(rank, tasks)| {
+        LaneOut::new(Lane::new(&sh.ctx, rank, Real::new(sh, rank)).recover(&tasks))
+    });
+    if let Some(e) = torn(&recovered) {
+        return Err(BuildError::Comm(e));
     }
+    for r in &recovered {
+        report.tasks_requeued[r.rank] = r.flushed.unwrap_or(0);
+    }
+    let lost = sh.ctx.board.as_ref().map_or(0, |b| b.missing().len()) as u64;
+    if lost > 0 {
+        return Err(BuildError::Incomplete {
+            tasks_lost: lost,
+            tasks_requeued: report.total_requeued(),
+        });
+    }
+    lanes.extend(recovered);
 
     for o in &lanes {
         report.t_fock[o.rank] += o.t_fock;
         report.t_comp[o.rank] += o.t_comp;
-        report.quartets[o.rank] += o.quartets;
-        report.density_skipped[o.rank] += o.density_skipped;
+        report.quartets[o.rank] += o.counts.computed;
+        report.density_skipped[o.rank] += o.counts.skipped_density;
     }
     for (rank, c) in report.comm.iter_mut().enumerate() {
         *c = sh.ga_d.stats(rank);

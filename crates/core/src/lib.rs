@@ -19,6 +19,9 @@
 //! * [`sched`] — the work-stealing scheduler of Section III-F (queues,
 //!   victim choice, steal size, fencing, death, recovery assignment),
 //!   written once for the threaded builder and the simulator,
+//! * `lane` (crate-private) — one rank's GTFock executor (owner-region
+//!   fetch/flush, exactly-once marking, death, recovery) behind a real and
+//!   a virtual clock,
 //! * [`gtfock`] — the paper's algorithm on threads: static partition +
 //!   prefetch + the [`sched`] scheduler (Algorithms 3 and 4),
 //! * [`nwchem`] — the NWChem-style baseline: block-row distribution,
@@ -34,6 +37,7 @@ pub mod build;
 pub mod df;
 pub mod diis;
 pub mod gtfock;
+mod lane;
 pub mod localbuf;
 pub mod model;
 pub mod nwchem;

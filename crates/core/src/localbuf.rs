@@ -66,28 +66,19 @@ impl LocalBuffers {
                 add(n, q as usize, &mut blocks, &mut block_off, &mut size);
             }
         }
-        // (Φ(rows), Φ(cols)).
-        let mut phi_rows: Vec<usize> = Vec::new();
-        let mut seen = vec![false; nshells];
-        for m in rows {
-            for &p in prob.phi(m) {
-                if !seen[p as usize] {
-                    seen[p as usize] = true;
-                    phi_rows.push(p as usize);
+        // (Φ(rows), Φ(cols)), each union in first-seen order.
+        let union = |shells: std::ops::Range<usize>| {
+            let mut seen = vec![false; nshells];
+            let mut out = Vec::new();
+            for &p in shells.flat_map(|m| prob.phi(m)) {
+                if !std::mem::replace(&mut seen[p as usize], true) {
+                    out.push(p as usize);
                 }
             }
-        }
-        let mut phi_cols: Vec<usize> = Vec::new();
-        let mut seen2 = vec![false; nshells];
-        for n in cols {
-            for &q in prob.phi(n) {
-                if !seen2[q as usize] {
-                    seen2[q as usize] = true;
-                    phi_cols.push(q as usize);
-                }
-            }
-        }
-        for &a in &phi_rows {
+            out
+        };
+        let phi_cols = union(cols);
+        for a in union(rows) {
             for &b in &phi_cols {
                 add(a, b, &mut blocks, &mut block_off, &mut size);
             }
@@ -104,28 +95,10 @@ impl LocalBuffers {
         }
     }
 
-    /// Total buffered elements (one of D/F).
-    pub fn len(&self) -> usize {
-        self.dbuf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.dbuf.is_empty()
-    }
-
-    /// Number of stored shell blocks.
-    pub fn nblocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Prefetch all covered D blocks from the distributed array
-    /// (one one-sided get per shell block, accounted to `rank`).
-    pub fn fetch_d(&mut self, prob: &FockProblem, d: &GlobalArray, rank: usize) {
-        self.try_fetch_d(prob, d, rank).expect("D prefetch failed");
-    }
-
-    /// Fallible [`Self::fetch_d`]: under fault injection a permanently
-    /// dropped get aborts the prefetch (the buffer is left unusable).
+    /// Prefetch all covered D blocks from the distributed array (one
+    /// one-sided get per shell block, accounted to `rank`). Under fault
+    /// injection a permanently dropped get aborts the prefetch (the buffer
+    /// is left unusable).
     pub fn try_fetch_d(
         &mut self,
         prob: &FockProblem,
@@ -151,14 +124,10 @@ impl LocalBuffers {
 
     /// Accumulate the local F updates into the distributed F as
     /// ½·block + ½·blockᵀ per stored block (one-sided accs, accounted).
-    pub fn flush_f(&self, prob: &FockProblem, f: &GlobalArray, rank: usize) {
-        self.try_flush_f(prob, f, rank).expect("F flush failed");
-    }
-
-    /// Fallible [`Self::flush_f`]. On `Err` the flush stopped mid-way: an
-    /// unknown prefix of the buffer's blocks already landed in F, so the
-    /// caller must treat the whole distributed F as compromised (the
-    /// builders surface this as a failed build; the SCF driver rebuilds).
+    /// On `Err` the flush stopped mid-way: an unknown prefix of the
+    /// buffer's blocks already landed in F, so the caller must treat the
+    /// whole distributed F as compromised (the builders surface this as a
+    /// failed build; the SCF driver rebuilds).
     pub fn try_flush_f(
         &self,
         prob: &FockProblem,
@@ -189,11 +158,6 @@ impl LocalBuffers {
             f.try_acc(rank, sb.bf_range(), sa.bf_range(), &tbuf, 1.0)?;
         }
         Ok(())
-    }
-
-    /// Reset the F accumulator (a thief reuses buffers across victims).
-    pub fn reset_f(&mut self) {
-        self.fbuf.iter_mut().for_each(|x| *x = 0.0);
     }
 
     /// Locate the element (i, j) (global function indices): byte offset and
@@ -335,7 +299,7 @@ mod tests {
         let dims = ShellDims::new(&prob);
         for rank in 0..4 {
             let mut buf = LocalBuffers::for_process(&prob, &part, rank);
-            buf.fetch_d(&prob, &ga, rank);
+            buf.try_fetch_d(&prob, &ga, rank).unwrap();
             let sink = LocalSink {
                 buf: &mut buf,
                 dims: &dims,
@@ -374,7 +338,7 @@ mod tests {
             sink.f_add(1, 1, 5.0);
         }
         let f = GlobalArray::zeros(grid, nbf, nbf);
-        buf.flush_f(&prob, &f, 0);
+        buf.try_flush_f(&prob, &f, 0).unwrap();
         let d = f.to_dense();
         assert!((d[3] - 2.0).abs() < 1e-15, "F[0,3] = {}", d[3]);
         assert!((d[3 * nbf] - 2.0).abs() < 1e-15);
@@ -389,9 +353,9 @@ mod tests {
         let ga = GlobalArray::zeros(grid, nbf, nbf);
         let part = StaticPartition::new(grid, prob.nshells());
         let mut buf = LocalBuffers::for_process(&prob, &part, 1);
-        buf.fetch_d(&prob, &ga, 1);
+        buf.try_fetch_d(&prob, &ga, 1).unwrap();
         let s = ga.stats(1);
-        assert!(s.get_calls as usize >= buf.nblocks());
-        assert!(s.get_bytes >= (buf.len() * 8) as u64);
+        assert!(s.get_calls as usize >= buf.blocks.len());
+        assert!(s.get_bytes >= (buf.dbuf.len() * 8) as u64);
     }
 }

@@ -319,15 +319,11 @@ pub fn build_fock_nwchem_rec(
                 let mut density_skipped = 0u64;
                 let mut eng = EriEngine::new();
                 let mut batcher = ClassBatcher::new();
-                let queue_ns = rec.histogram(obs::analyze::QUEUE_NS_HISTOGRAM);
                 // nxtval: one shared-counter access per claim.
                 let claim = |w: &mut WorkerRec| {
                     queue_accesses.fetch_add(1, Ordering::Relaxed);
                     w.event(EventKind::QueueAccess);
-                    let t0 = Instant::now();
-                    let id = next_task.fetch_add(1, Ordering::Relaxed);
-                    queue_ns.record_secs(t0.elapsed().as_secs_f64());
-                    id
+                    next_task.fetch_add(1, Ordering::Relaxed)
                 };
                 let mut my_task = claim(&mut w);
                 let tasks = atom_tasks(atoms, prob.tau, prob.screening.max_q, cfg.chunk);

@@ -9,12 +9,13 @@
 //! with it are exactly what it held when it died. Lost tasks are dealt out
 //! after the join by [`recovery_assignment`].
 //!
-//! The threaded builder ([`crate::gtfock`]) calls [`Scheduler::next`] from
-//! its worker threads; the discrete-event simulator
-//! ([`crate::sim_exec`]) calls it at each event pop and only charges
-//! model time for the answer. The queues are `Mutex<VecDeque>`s: a steal
-//! moves its batch under the victim's lock, so a task is handed out
-//! exactly once however the threads interleave.
+//! [`Scheduler::next`] has one caller, the per-rank executor of the
+//! crate-private `lane` module, which reacts to each answer. The threaded
+//! builder ([`crate::gtfock`]) runs one lane per worker thread; the
+//! discrete-event simulator ([`crate::sim_exec`]) steps each rank's lane
+//! at its event pop over a virtual clock. The queues are
+//! `Mutex<VecDeque>`s: a steal moves its batch under the victim's lock,
+//! so a task is handed out exactly once however the threads interleave.
 
 use crate::partition::StaticPartition;
 use distrt::{FaultPlan, ProcessGrid};

@@ -10,9 +10,11 @@
 //! and call counts (Tables VI–VII), and the load-balance ratio
 //! (Table VIII).
 //!
-//! GTFock's scheduling decisions come from [`crate::sched`], the same
-//! state machine the threaded builder runs; this module only charges
-//! model time for them. NWChem's tasks come from
+//! Each simulated GTFock process is the per-rank executor of the
+//! crate-private `lane` module — the one the threaded builder runs, with
+//! [`crate::sched`] deciding what runs next — over a virtual clock; this
+//! module supplies its backend (cost table, comm model, simulated time).
+//! NWChem's tasks come from
 //! [`crate::nwchem::atom_tasks`], the generator the threaded baseline
 //! claims from.
 //!
@@ -21,16 +23,16 @@
 //! are charged); NWChem per-atom-quartet compute cost uses exact screened
 //! quartet *counts* but an atom-type-averaged cost per quartet.
 
+use crate::lane::{recovery_shares, Backend, Ctx, Lane, Traffic};
 use crate::nwchem::{atom_tasks, AtomMap, AtomTask};
 use crate::partition::StaticPartition;
-use crate::sched::{recovery_assignment, Next, Scheduler};
+use crate::sched::Scheduler;
 pub use crate::sched::{StealConfig, VictimPolicy};
-use crate::tasks::{symmetry_check, CompletionBoard, FockProblem};
-use distrt::{FaultPlan, MachineParams, ProcessGrid, Sim};
+use crate::tasks::{symmetry_check, FockProblem};
+use distrt::{FaultPlan, GaError, MachineParams, ProcessGrid, Sim};
 use eri::{CostModel, DensityNorms};
 use obs::{fault_code, EventKind, Recorder};
 use rayon::prelude::*;
-use std::ops::Range;
 
 /// Per-virtual-process outcome of a simulated build.
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,7 +51,8 @@ pub struct ProcessOutcome {
     pub calls: u64,
     /// Successful steal operations (GTFock).
     pub steals: u64,
-    /// Distinct steal victims (the model's `s`).
+    /// Regions other than its own this process copied: the distinct
+    /// owners of the tasks it stole (the model's `s`).
     pub victims: u64,
     /// Tasks executed.
     pub tasks: u64,
@@ -323,20 +326,10 @@ impl<'a> GtfockSimModel<'a> {
         self.task_quartets.iter().map(|&q| q as u64).sum()
     }
 
-    /// Estimated sequential-equivalent time using `threads` cores.
-    pub fn t_seq(&self, threads: usize) -> f64 {
-        self.total_cost() / threads as f64
-    }
-
-    /// Communication geometry of `rank`'s region: (bytes, calls) for one
+    /// Communication geometry of `rank`'s region: bytes and calls for one
     /// direction (D prefetch; F flush is the same again).
-    fn region_comm(&self, part: &StaticPartition, rank: usize) -> (u64, u64) {
+    fn region_comm(&self, part: &StaticPartition, rank: usize) -> Traffic {
         let (rows, cols) = part.task_block(rank);
-        self.region_comm_shells(rows, cols)
-    }
-
-    /// [`Self::region_comm`] over explicit (row, col) shell ranges.
-    fn region_comm_shells(&self, rows: Range<usize>, cols: Range<usize>) -> (u64, u64) {
         let n = self.prob.nshells();
         let mut bytes = 0u64;
         let mut calls = 0u64;
@@ -364,7 +357,7 @@ impl<'a> GtfockSimModel<'a> {
         let (fc, rc) = mask_stats(&mark_c, &self.funcs);
         bytes += fr * fc * 8;
         calls += rr * rc;
-        (bytes, calls)
+        Traffic { bytes, calls }
     }
 
     /// Run the discrete-event simulation for `ncores` total cores with the
@@ -380,21 +373,20 @@ impl<'a> GtfockSimModel<'a> {
         self.simulate_faulty(machine, ncores, steal.into(), None, &Recorder::disabled())
     }
 
-    /// [`Self::simulate`] with telemetry and an optional fault plan. The
-    /// scheduling decisions come from the same [`Scheduler`] the threaded
-    /// builder runs; this loop only charges model time for each answer.
-    /// With an enabled recorder every simulated process gets a per-rank
-    /// event stream (task start/end, steal attempt/success with victim
-    /// rank, D-prefetch, F-flush) stamped with *simulated* time via
-    /// [`Recorder::side_event_at`].
-    ///
-    /// Faults follow the threaded builder's semantics:
+    /// [`Self::simulate`] with telemetry and an optional fault plan. Each
+    /// process is the lane the threaded builder runs, over a virtual
+    /// clock: the loop pops the earliest rank, lets its lane take one
+    /// scheduler answer and reschedules it at the lane's clock. With an
+    /// enabled recorder every process gets a per-rank event stream (task
+    /// start/end, steal attempt/success with victim rank, D-prefetch,
+    /// F-flush) stamped with *simulated* time via
+    /// [`Recorder::side_event_at`]. Faults follow the threaded builder's
+    /// semantics:
     ///
     /// * A rank dies after `after_tasks` tasks without flushing. After the
-    ///   last survivor finishes (the join), [`recovery_assignment`] deals
-    ///   every unflushed task over the survivors, each of which copies
-    ///   the union of the dead regions' D, runs its share and flushes the
-    ///   same geometry.
+    ///   last survivor finishes (the join), the unflushed tasks are dealt
+    ///   over the survivors, each of which copies the regions of its
+    ///   tasks' owners, runs its share and flushes those regions.
     /// * A straggler's task *wall* time stretches by the slowdown factor;
     ///   `t_comp` stays unscaled (the cycles were always there — the
     ///   slowdown is interference).
@@ -411,253 +403,163 @@ impl<'a> GtfockSimModel<'a> {
     ) -> SimResult {
         let fault = fault.filter(|p| p.is_active());
         let nodes = (ncores / machine.cores_per_node).max(1);
-        let threads = machine.cores_per_node.min(ncores);
         let grid = ProcessGrid::squarest(nodes);
         let nprocs = grid.nprocs();
         let part = StaticPartition::new(grid, self.prob.nshells());
         let sched = Scheduler::new(&part, steal, fault);
-
-        let mut out = vec![ProcessOutcome::default(); nprocs];
-        let mut victims_of: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
-        let region: Vec<(u64, u64)> = (0..nprocs).map(|r| self.region_comm(&part, r)).collect();
-        let mut ops = vec![0u64; nprocs];
-        // Fault bookkeeping, empty when `fault` is None: the exactly-once
-        // ledger, the ids each rank ran (marked when it flushes), deaths.
-        let board = fault.map(|_| CompletionBoard::new(part.ntasks()));
-        let mut ran: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
-        let mut dead = vec![false; nprocs];
-        let slowdown = |rank: usize| fault.map_or(1.0, |p| p.slowdown(rank));
-        // One comm point moving `geometry` = (bytes, calls); `None` is a
-        // steal's queue update only.
-        let comm =
-            |o: &mut ProcessOutcome, ops: &mut [u64], rank, now, geometry: Option<(u64, u64)>| {
-                let base = match geometry {
-                    Some((b, c)) => {
-                        o.bytes += b;
-                        o.calls += c;
-                        machine.comm_time(c, b)
-                    }
-                    None => machine.latency,
-                };
-                let t = base + drop_surcharge(fault, &machine, rank, now, ops, rec);
-                o.t_comm += t;
-                t
-            };
-        // Charge `task` on `rank` from `start`; returns its end time. A
-        // straggler's wall time stretches; t_comp stays pure.
-        let run_task = |o: &mut ProcessOutcome, rank: usize, task: u32, start: f64| {
-            let task = task as usize;
-            let cost = self.task_cost[task] as f64 / threads as f64;
-            o.t_comp += cost;
-            o.tasks += 1;
-            let end = start + cost * slowdown(rank);
-            if rec.is_enabled() {
-                let n = self.prob.nshells();
-                let (m, n, quartets) = (
-                    (task / n) as u32,
-                    (task % n) as u32,
-                    self.task_quartets[task],
-                );
-                rec.side_event_at(rank, start, EventKind::TaskStart { m, n });
-                rec.side_event_at(rank, end, EventKind::TaskEnd { m, n, quartets });
-            }
-            end
-        };
-        // Close `rank`'s stream at `end` after a flush of `(bytes, calls)`.
-        let finish = |o: &mut ProcessOutcome, rank: usize, end: f64, (bytes, calls)| {
-            o.t_fock = end;
-            if rec.is_enabled() {
-                rec.side_event_at(rank, end, EventKind::FFlush { bytes, calls });
-                rec.side_event_at(rank, end, EventKind::WorkerEnd);
-            }
+        let ctx = Ctx::new(part, fault, rec);
+        let region: Vec<Traffic> = (0..nprocs).map(|r| self.region_comm(&part, r)).collect();
+        let rank0 = Virtual {
+            model: self,
+            ctx: &ctx,
+            machine,
+            threads: machine.cores_per_node.min(ncores),
+            region: &region,
+            rank: 0,
+            clock: 0.0,
+            ops: 0,
+            out: ProcessOutcome::default(),
         };
 
+        let mut lanes: Vec<_> = (0..nprocs)
+            .map(|rank| Lane::new(&ctx, rank, Virtual { rank, ..rank0 }).start())
+            .collect();
         let mut sim: Sim<usize> = Sim::new();
-        for rank in 0..nprocs {
-            // D prefetch happens first.
-            let t = comm(&mut out[rank], &mut ops, rank, 0.0, Some(region[rank]));
-            if rec.is_enabled() {
-                let (bytes, calls) = region[rank];
-                rec.side_event_at(rank, 0.0, EventKind::WorkerStart);
-                rec.side_event_at(rank, t, EventKind::DPrefetch { bytes, calls });
-            }
-            if slowdown(rank) > 1.0 {
-                rec.counter(obs::names::FAULT_INJECTED).add(1);
-                if rec.is_enabled() {
-                    rec.side_event_at(
-                        rank,
-                        0.0,
-                        EventKind::Fault {
-                            code: fault_code::STRAGGLER,
-                            detail: (slowdown(rank) * 1000.0) as u32,
-                        },
-                    );
-                }
-            }
-            sim.schedule(t, rank);
+        for lane in &lanes {
+            sim.schedule(lane.backend.clock, lane.backend.rank);
         }
-
         let mut events = 0u64;
         while let Some((now, rank)) = sim.pop() {
             events += 1;
             if events > 10_000_000 {
                 panic!("DES runaway: {} events, rank {}, now {}", events, rank, now);
             }
-            let (start, task) = match sched.next(rank) {
-                Next::Task(t) => (now, t),
-                Next::Stolen {
-                    victim,
-                    task,
-                    moved,
-                } => {
-                    if rec.is_enabled() {
-                        let v = victim as u32;
-                        rec.side_event_at(rank, now, EventKind::StealAttempt { victim: v });
-                        rec.side_event_at(
-                            rank,
-                            now,
-                            EventKind::StealSuccess {
-                                victim: v,
-                                tasks: moved as u32,
-                            },
-                        );
-                    }
-                    out[rank].steals += 1;
-                    // Copy the victim's D-local once per distinct victim
-                    // (the paper keeps the copied buffer while stealing
-                    // repeatedly from the same victim, Section III-F);
-                    // later steals pay the queue update only.
-                    let geometry = if victims_of[rank].contains(&victim) {
-                        None
-                    } else {
-                        victims_of[rank].push(victim);
-                        Some(region[victim])
-                    };
-                    let t = comm(&mut out[rank], &mut ops, rank, now, geometry);
-                    if rec.is_enabled() {
-                        rec.histogram(obs::analyze::STEAL_NS_HISTOGRAM)
-                            .record_secs(t);
-                    }
-                    (now + t, task)
-                }
-                Next::Died => {
-                    // Everything it ran stays unflushed; its fenced queue
-                    // waits for recovery.
-                    dead[rank] = true;
-                    out[rank].t_fock = now;
-                    rec.counter(obs::names::FAULT_INJECTED).add(1);
-                    if rec.is_enabled() {
-                        rec.side_event_at(
-                            rank,
-                            now,
-                            EventKind::Fault {
-                                code: fault_code::RANK_DEATH,
-                                detail: sched.executed(rank) as u32,
-                            },
-                        );
-                        rec.side_event_at(rank, now, EventKind::WorkerEnd);
-                    }
-                    continue;
-                }
-                Next::Idle => {
-                    // Done: flush own F region plus one flush per
-                    // distinct victim.
-                    let mut flush = region[rank];
-                    for &v in &victims_of[rank] {
-                        flush.0 += region[v].0;
-                        flush.1 += region[v].1;
-                    }
-                    let t = comm(&mut out[rank], &mut ops, rank, now, Some(flush));
-                    out[rank].victims = victims_of[rank].len() as u64;
-                    if let Some(board) = &board {
-                        for &id in &ran[rank] {
-                            board.mark(id as usize);
-                        }
-                    }
-                    finish(&mut out[rank], rank, now + t, flush);
-                    continue;
-                }
-            };
-            if board.is_some() {
-                ran[rank].push(task);
+            if lanes[rank].step(&sched) {
+                sim.schedule(lanes[rank].backend.clock, rank);
             }
-            let end = run_task(&mut out[rank], rank, task, start);
-            sim.schedule(end, rank);
+        }
+        let (mut ranks, mut live) = (Vec::with_capacity(nprocs), Vec::new());
+        for (rank, end) in lanes.into_iter().map(Lane::finish).enumerate() {
+            if !end.died {
+                live.push(rank);
+            }
+            ranks.push(end.backend);
+            ranks[rank].out.victims = end.victims;
         }
 
         // Recovery after the join, dealt exactly as the threaded builder
         // deals it.
-        if let Some(board) = &board {
-            let live: Vec<usize> = (0..nprocs).filter(|&r| !dead[r]).collect();
-            let mut dead_region = (0u64, 0u64);
-            for r in (0..nprocs).filter(|&r| dead[r]) {
-                dead_region.0 += region[r].0;
-                dead_region.1 += region[r].1;
-            }
-            let join = out.iter().map(|o| o.t_fock).fold(0.0, f64::max);
-            for (rank, tasks) in recovery_assignment(&board.missing(), &live) {
-                rec.counter(obs::names::TASK_REQUEUED)
-                    .add(tasks.len() as u64);
-                if rec.is_enabled() {
-                    rec.side_event_at(
-                        rank,
-                        join,
-                        EventKind::Fault {
-                            code: fault_code::TASK_REQUEUE,
-                            detail: tasks.len() as u32,
-                        },
-                    );
-                }
-                let o = &mut out[rank];
-                let mut now = join + comm(o, &mut ops, rank, join, Some(dead_region));
-                for &t in &tasks {
-                    now = run_task(o, rank, t as u32, now);
-                }
-                o.requeued += tasks.len() as u64;
-                let t = comm(o, &mut ops, rank, now, Some(dead_region));
-                finish(o, rank, now + t, dead_region);
-            }
+        let join = ranks.iter().map(|b| b.clock).fold(0.0, f64::max);
+        for (rank, tasks) in recovery_shares(&ctx, &live) {
+            ranks[rank].clock = join;
+            let end = Lane::new(&ctx, rank, ranks[rank]).recover(&tasks);
+            ranks[rank] = end.backend;
+            ranks[rank].out.requeued += end.flushed.expect("a simulated flush cannot fail");
         }
 
         SimResult {
             ncores,
             nprocs,
-            per_process: out,
+            per_process: ranks
+                .iter()
+                .map(|b| ProcessOutcome {
+                    t_fock: b.clock,
+                    ..b.out
+                })
+                .collect(),
         }
     }
 }
 
-/// Extra communication time a comm point pays for fault-injected lost
-/// one-sided ops: each dropped attempt costs one `op_timeout` before the
-/// retry fires. Advances the caller's deterministic per-rank op counter —
-/// the same coin the real GA layer flips — and records the drops.
-fn drop_surcharge(
-    fault: Option<&FaultPlan>,
-    machine: &MachineParams,
+/// The simulator's [`Backend`]: a region is its (bytes, calls) geometry,
+/// a task costs its cost-table entry, transfers cost
+/// [`MachineParams::comm_time`] plus dropped-op retries, and the clock is
+/// this rank's simulated time.
+#[derive(Clone, Copy)]
+struct Virtual<'a> {
+    model: &'a GtfockSimModel<'a>,
+    ctx: &'a Ctx<'a>,
+    machine: MachineParams,
+    /// Cores per process: a task's cost divides over them.
+    threads: usize,
+    /// Each rank's region geometry, one direction.
+    region: &'a [Traffic],
     rank: usize,
-    now: f64,
-    ops: &mut [u64],
-    rec: &Recorder,
-) -> f64 {
-    let Some(p) = fault else { return 0.0 };
-    let r = p.retries_for(rank, ops[rank]);
-    ops[rank] += r as u64 + 1;
-    if r == 0 {
-        return 0.0;
+    /// Simulated seconds.
+    clock: f64,
+    /// One-sided ops issued so far: the drop coin's index.
+    ops: u64,
+    out: ProcessOutcome,
+}
+
+impl Virtual<'_> {
+    /// Advance the clock over one comm point moving `traffic`; `None` is
+    /// a steal's queue update only.
+    fn comm(&mut self, traffic: Option<Traffic>) {
+        let base = match traffic {
+            Some(t) => {
+                self.out.bytes += t.bytes;
+                self.out.calls += t.calls;
+                self.machine.comm_time(t.calls, t.bytes)
+            }
+            None => self.machine.latency,
+        };
+        let t = base + self.drop_surcharge();
+        self.out.t_comm += t;
+        self.clock += t;
     }
-    rec.counter(obs::names::FAULT_INJECTED).add(r as u64);
-    rec.counter(obs::names::GA_RETRIES).add(r as u64);
-    if rec.is_enabled() {
-        rec.side_event_at(
-            rank,
-            now,
-            EventKind::Fault {
-                code: fault_code::OP_DROP,
-                detail: r,
-            },
-        );
+
+    /// Extra communication time a comm point pays for fault-injected lost
+    /// one-sided ops: each dropped attempt costs one `op_timeout` before
+    /// the retry fires. Advances the rank's deterministic op counter — the
+    /// same coin the real GA layer flips — and records the drops.
+    fn drop_surcharge(&mut self) -> f64 {
+        let Some(p) = self.ctx.fault else { return 0.0 };
+        let r = p.retries_for(self.rank, self.ops);
+        self.ops += r as u64 + 1;
+        if r == 0 {
+            return 0.0;
+        }
+        let rec = self.ctx.rec;
+        rec.counter(obs::names::FAULT_INJECTED).add(r as u64);
+        rec.counter(obs::names::GA_RETRIES).add(r as u64);
+        let (code, detail) = (fault_code::OP_DROP, r);
+        self.event(EventKind::Fault { code, detail });
+        r as f64 * self.machine.op_timeout
     }
-    r as f64 * machine.op_timeout
+}
+
+impl Backend for Virtual<'_> {
+    type Region = Traffic;
+
+    fn event(&mut self, kind: EventKind) {
+        self.ctx.rec.side_event_at(self.rank, self.clock, kind);
+    }
+
+    fn fetch(&mut self, owner: usize) -> Option<(Traffic, Traffic)> {
+        let geometry = self.region[owner];
+        self.comm(Some(geometry));
+        Some((geometry, geometry))
+    }
+
+    fn run(&mut self, task: u32, _: &mut Traffic, slowdown: f64) -> u64 {
+        let task = task as usize;
+        let cost = self.model.task_cost[task] as f64 / self.threads as f64;
+        self.out.t_comp += cost;
+        self.out.tasks += 1;
+        self.clock += cost * slowdown;
+        self.model.task_quartets[task] as u64
+    }
+
+    fn flush(&mut self, geometry: Traffic) -> Result<Traffic, GaError> {
+        self.comm(Some(geometry));
+        Ok(geometry)
+    }
+
+    fn steal(&mut self) {
+        self.out.steals += 1;
+        self.comm(None);
+    }
 }
 
 /// Contiguous runs in a sorted index list — the number of rectangular GA
@@ -848,7 +750,9 @@ impl<'a> NwchemSimModel<'a> {
         }
     }
 
-    /// Cost + screened quartet count of one atom quartet (I,J,K,L).
+    /// Cost + screened quartet count of one atom quartet (I,J,K,L). When
+    /// (IJ) = (KL) the two pair lists are one, and (MN|PQ) and (PQ|MN)
+    /// are one quartet: only pairs at list positions a ≤ b count.
     #[inline]
     fn quartet_cost(&self, i: usize, j: usize, k: usize, l: usize) -> (f64, u64) {
         let nat = self.natoms;
@@ -857,12 +761,14 @@ impl<'a> NwchemSimModel<'a> {
         if a.is_empty() || b.is_empty() {
             return (0.0, 0);
         }
+        let same = (i, j) == (k, l);
         let tau = self.prob.tau;
         let cnt = match &self.dn {
             None => {
-                // Two-pointer count of surviving shell quartets.
+                // Two-pointer count of surviving ordered pairs.
                 let mut kk = b.len();
                 let mut cnt = 0u64;
+                let mut diag = 0u64;
                 for &(qa, _, _) in a {
                     while kk > 0 && qa * b[kk - 1].0 <= tau {
                         kk -= 1;
@@ -871,19 +777,25 @@ impl<'a> NwchemSimModel<'a> {
                         break;
                     }
                     cnt += kk as u64;
+                    diag += u64::from(qa * qa > tau);
                 }
-                cnt
+                // Ordered pairs of one list are 2·off-diagonal + diagonal.
+                if same {
+                    (cnt + diag) / 2
+                } else {
+                    cnt
+                }
             }
             Some(d) => {
                 // Exact weighted count with early breaks at the capped
                 // bound (per-quartet weight ≤ wcap everywhere).
                 let wcap = d.weight_cap();
                 let mut cnt = 0u64;
-                for &(qa, m, nsh) in a {
+                for (ia, &(qa, m, nsh)) in a.iter().enumerate() {
                     if qa * b[0].0 * wcap <= tau {
                         break;
                     }
-                    for &(qb, p, q) in b {
+                    for &(qb, p, q) in &b[if same { ia } else { 0 }..] {
                         if qa * qb * wcap <= tau {
                             break;
                         }
@@ -970,8 +882,6 @@ impl<'a> NwchemSimModel<'a> {
             out[rank].t_queue += queue_t;
             if rec.is_enabled() {
                 rec.side_event_at(rank, now + queue_t, EventKind::QueueAccess);
-                rec.histogram(obs::analyze::QUEUE_NS_HISTOGRAM)
-                    .record_secs(queue_t);
             }
 
             match tasks.next() {
@@ -1330,6 +1240,27 @@ mod tests {
         }
         let q: u64 = totals.iter().map(|t| t.quartets).sum();
         assert_eq!(q, model.total_quartets());
+        assert!(totals.iter().any(|t| t.steals > 0), "no steal to check");
+        // Owner-region rule: a rank fetches its own region once, plus the
+        // region of every other owner whose task it ran; those owners are
+        // its victims.
+        let part = StaticPartition::new(ProcessGrid::squarest(r.nprocs), prob.nshells());
+        for (rank, p) in r.per_process.iter().enumerate() {
+            let mut owners = std::collections::BTreeSet::new();
+            let mut prefetches = 0;
+            for e in recording.events(rank) {
+                match e.kind {
+                    EventKind::TaskEnd { m, n, .. } => {
+                        owners.insert(part.owner_of_task(m as usize, n as usize));
+                    }
+                    EventKind::DPrefetch { .. } => prefetches += 1,
+                    _ => {}
+                }
+            }
+            owners.remove(&rank);
+            assert_eq!(prefetches, 1 + owners.len(), "rank {rank}");
+            assert_eq!(p.victims, owners.len() as u64, "rank {rank}");
+        }
         // Simulated timestamps are monotone per worker and end at t_fock.
         for (rank, p) in r.per_process.iter().enumerate() {
             let ev = recording.events(rank);

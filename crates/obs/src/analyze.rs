@@ -10,16 +10,6 @@
 use crate::event::EventKind;
 use crate::timeline::{Recording, WorkerTotals};
 
-/// Histogram name of the GTFock work-stealing scan latency (seconds spent
-/// row-scanning victims per successful steal), recorded by the threaded
-/// builder and the DES alike.
-pub const STEAL_NS_HISTOGRAM: &str = "gtfock.steal_ns";
-
-/// Histogram name of the centralized-scheduler task-claim latency (one
-/// `nxtval` round trip including contention), recorded by the threaded
-/// NWChem-style builder and the DES alike.
-pub const QUEUE_NS_HISTOGRAM: &str = "nwchem.queue_ns";
-
 /// Summary statistics of a sample of durations (seconds).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dist {

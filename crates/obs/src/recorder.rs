@@ -286,25 +286,6 @@ impl WorkerRec {
             });
         }
     }
-
-    #[inline]
-    pub fn steal_attempt(&mut self, victim: usize) {
-        if self.lane.is_some() {
-            self.event(EventKind::StealAttempt {
-                victim: victim as u32,
-            });
-        }
-    }
-
-    #[inline]
-    pub fn steal_success(&mut self, victim: usize, tasks: usize) {
-        if self.lane.is_some() {
-            self.event(EventKind::StealSuccess {
-                victim: victim as u32,
-                tasks: tasks as u32,
-            });
-        }
-    }
 }
 
 impl Drop for WorkerRec {

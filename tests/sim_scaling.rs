@@ -10,10 +10,13 @@ use fock_repro::chem::shells::BasisInstance;
 use fock_repro::chem::{generators, BasisSetKind};
 use fock_repro::core::sim_exec::{GtfockSimModel, NwchemSimModel, StealConfig};
 use fock_repro::core::tasks::FockProblem;
-use fock_repro::core::{build_fock_nwchem, try_build_fock_gtfock_rec, NwchemConfig, SchedulerOpts};
-use fock_repro::distrt::{FaultPlan, MachineParams};
+use fock_repro::core::{
+    build_fock_nwchem, try_build_fock_gtfock_rec, NwchemConfig, SchedulerOpts, StaticPartition,
+};
+use fock_repro::distrt::{FaultPlan, MachineParams, ProcessGrid};
 use fock_repro::eri::{CostModel, DensityNorms};
 use fock_repro::obs::{EventKind, Recorder, Recording};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 fn workload(mol: fock_repro::chem::Molecule) -> (FockProblem, CostModel) {
@@ -186,6 +189,30 @@ fn per_rank(recording: &Recording, p: usize) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// Owner-region rule, alike on both executors: rank r fetches its own D
+/// region once plus the region of every other owner among the (m, n) of
+/// its TaskEnd events, and those owners are its victims.
+fn assert_owner_regions(recording: &Recording, prob: &FockProblem, victims: &[u64]) {
+    let p = victims.len();
+    let part = StaticPartition::new(ProcessGrid::squarest(p), prob.nshells());
+    for (rank, &v) in victims.iter().enumerate() {
+        let mut owners = BTreeSet::new();
+        let mut prefetches = 0;
+        for e in recording.events(rank) {
+            match e.kind {
+                EventKind::TaskEnd { m, n, .. } => {
+                    owners.insert(part.owner_of_task(m as usize, n as usize));
+                }
+                EventKind::DPrefetch { .. } => prefetches += 1,
+                _ => {}
+            }
+        }
+        owners.remove(&rank);
+        assert_eq!(prefetches, 1 + owners.len(), "p={p} rank {rank}");
+        assert_eq!(v, owners.len() as u64, "p={p} rank {rank}");
+    }
+}
+
 /// Threaded GTFock build: report plus the TaskEnd-derived recording.
 fn threaded(c: &Case, opts: SchedulerOpts) -> (fock_repro::core::BuildReport, Recording) {
     let rec = Recorder::enabled();
@@ -240,9 +267,12 @@ fn threads_and_des_agree_on_totals_with_stealing() {
                 ends.iter().all(|&k| k == 1),
                 "p={p}: a task ended twice or never"
             );
-            let (_, s) = des(&model, p, StealConfig::paper(), None);
+            assert_owner_regions(&t, &c.prob, &rep.victims);
+            let (r, s) = des(&model, p, StealConfig::paper(), None);
             let des_q: u64 = per_rank(&s, p).iter().map(|&(_, q)| q).sum();
             assert_eq!(rep.total_quartets(), des_q, "p={p}");
+            let des_victims: Vec<u64> = r.per_process.iter().map(|o| o.victims).collect();
+            assert_owner_regions(&s, &c.prob, &des_victims);
         }
     }
 }
@@ -267,9 +297,6 @@ fn threads_and_des_requeue_identically_per_rank() {
 fn threaded_nwchem_claims_the_des_task_stream() {
     let c = alkane();
     let model = NwchemSimModel::with_density(&c.prob, &c.cost, Some(&c.dn));
-    // The NWChem DES charges per-atom-quartet counts that include both
-    // (MN|PQ) and (PQ|MN) when (IJ) = (KL); the exact total is the GTFock
-    // model's, which the threaded baseline must hit.
     let quartets = des_model(&c).total_quartets();
     for p in [2usize, 4, 8] {
         let (_, rep) = build_fock_nwchem(
@@ -282,5 +309,12 @@ fn threaded_nwchem_claims_the_des_task_stream() {
         );
         assert_eq!(rep.queue_accesses, model.total_tasks(5) + p as u64, "p={p}");
         assert_eq!(rep.total_quartets(), quartets, "p={p}");
+        let rec = Recorder::enabled();
+        model.simulate_rec(one_core_nodes(), p, 5, &rec);
+        let des_q: u64 = per_rank(&rec.recording().expect("enabled"), p)
+            .iter()
+            .map(|&(_, q)| q)
+            .sum();
+        assert_eq!(rep.total_quartets(), des_q, "p={p}");
     }
 }
