@@ -9,7 +9,9 @@
 //!    fencing as configured by [`StealConfig`], Section III-F) — and runs
 //!    each task in the buffer of the task owner's region, fetching that
 //!    region's D on the first task that needs it,
-//! 3. flushes every local F buffer into the distributed F.
+//! 3. flushes every local F buffer into the distributed F, each block once;
+//!    after the join (and recovery) G is symmetrized once
+//!    ([`crate::sink::symmetrize`]).
 //!
 //! Steps 1–3, death and recovery are the per-rank executor of the
 //! crate-private `lane` module, one lane per thread; this module supplies
@@ -50,11 +52,11 @@ use crate::build::{
     record_class_stats, record_dmax, record_pairdata, BuildError, BuildReport,
     DENSITY_SKIPPED_COUNTER, QUARTETS_COUNTER,
 };
-use crate::lane::{recovery_shares, Backend, Ctx, Lane, LaneEnd, Traffic};
+use crate::lane::{on_threads, recovery_shares, Backend, Ctx, Lane, LaneEnd, Traffic};
 use crate::localbuf::{LocalBuffers, LocalSink, ShellDims};
 use crate::partition::StaticPartition;
 use crate::sched::{Scheduler, StealConfig};
-use crate::sink::{do_task, TaskCounts};
+use crate::sink::{do_task, symmetrize, TaskCounts};
 use crate::tasks::FockProblem;
 use distrt::{FaultPlan, GaError, GlobalArray, ProcessGrid};
 use eri::{ClassBatcher, DensityNorms, EriEngine};
@@ -257,21 +259,6 @@ impl LaneOut {
     }
 }
 
-/// Run `f` on one scoped thread per item; results in item order.
-fn on_threads<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .into_iter()
-            .map(|item| scope.spawn(move || f(item)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
-}
-
 /// Fallible [`build_fock_gtfock_rec`]: under fault injection the build
 /// recovers lost tasks (rank death, abandoned prefetches) exactly once,
 /// and returns `Err` only when recovery itself fails or a flush tore F.
@@ -368,7 +355,9 @@ pub fn try_build_fock_gtfock_rec(
         *c = sh.ga_d.stats(rank);
         c.merge(&sh.ga_f.stats(rank));
     }
-    Ok((sh.ga_f.to_dense(), report))
+    let mut g = sh.ga_f.to_dense();
+    symmetrize(&mut g, nbf);
+    Ok((g, report))
 }
 
 #[cfg(test)]
@@ -483,10 +472,13 @@ mod tests {
         assert!(rep.load_balance() >= 1.0);
         assert_eq!(rep.total_requeued(), 0);
         assert_eq!(rep.ranks_died, 0);
-        // Everyone prefetched D and flushed F → nonzero comm.
+        // Everyone prefetched D and flushed F → nonzero comm, and each
+        // rank accumulates every F block it fetched as D once.
         for c in &rep.comm {
             assert!(c.total_calls() > 0);
             assert!(c.total_bytes() > 0);
+            assert_eq!(c.get_calls, c.acc_calls);
+            assert_eq!(c.get_bytes, c.acc_bytes);
         }
     }
 

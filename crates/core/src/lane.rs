@@ -1,16 +1,28 @@
-//! One rank's GTFock executor, written once for real threads and the
-//! discrete-event simulator.
+//! The per-process executors of both build families, each written once for
+//! real threads and the discrete-event simulator.
 //!
-//! A [`Lane`] reacts to each [`Scheduler`] answer: it runs a task in the D
-//! region of the task's *owner* (the rank whose static block holds it),
-//! fetched on the first task that needs it; a steal pays one queue update;
-//! a death stops the lane unflushed. At its end a lane flushes every region
-//! once and marks the flushed tasks on the [`CompletionBoard`]; after the
-//! join, [`recovery_shares`] deals the unflushed tasks to fresh lanes.
-//! A [`Backend`] supplies the rest: the clock, fetch/run/flush, a steal's
-//! cost and event stamping — GA, kernel and real time in [`crate::gtfock`],
-//! cost table, comm model and a virtual clock in [`crate::sim_exec`].
+//! GTFock: a [`Lane`] reacts to each [`Scheduler`] answer: it runs a task
+//! in the D region of the task's *owner* (the rank whose static block holds
+//! it), fetched on the first task that needs it; a steal pays one queue
+//! update; a death stops the lane unflushed. At its end a lane flushes every
+//! region once and marks the flushed tasks on the [`CompletionBoard`];
+//! after the join, [`recovery_shares`] deals the unflushed tasks to fresh
+//! lanes. A [`Backend`] supplies the rest: the clock, fetch/run/flush, a
+//! steal's cost and event stamping — GA, kernel and real time in
+//! [`crate::gtfock`], cost table, comm model and a virtual clock in
+//! [`crate::sim_exec`].
+//!
+//! NWChem: an [`AtomLane`] is one process of Algorithm 2. It claims tasks
+//! from the central queue until the empty poll and walks each task's
+//! L-chunk; an atom quartet that passes the atom-level Schwarz test is
+//! screened, and only if a shell quartet survives does the process get the
+//! D blocks of its distinct atom pairs ([`atom_pairs`]), compute, and
+//! accumulate each F block once. An [`AtomBackend`] supplies the queue,
+//! screening, transfers and clock — `nxtval`, the kernel and the GA in
+//! [`crate::nwchem`], the serialized queue, cost table and comm model in
+//! [`crate::sim_exec`] — so both clocks move the same blocks.
 
+use crate::nwchem::{AtomMap, AtomTask};
 use crate::partition::StaticPartition;
 use crate::sched::{recovery_assignment, Next, Scheduler};
 use crate::tasks::CompletionBoard;
@@ -18,7 +30,7 @@ use distrt::{FaultPlan, GaError};
 use obs::{fault_code, EventKind, Recorder};
 
 /// Bytes and one-sided calls of one region transfer.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Traffic {
     pub bytes: u64,
     pub calls: u64,
@@ -245,4 +257,121 @@ pub(crate) fn recovery_shares(ctx: &Ctx, live: &[usize]) -> Vec<(usize, Vec<usiz
     let dealt: usize = shares.iter().map(|(_, tasks)| tasks.len()).sum();
     ctx.rec.counter(obs::names::TASK_REQUEUED).add(dealt as u64);
     shares
+}
+
+/// Run `f` on one scoped thread per item; results in item order.
+pub(crate) fn on_threads<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| scope.spawn(move || f(item)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker thread panicked"))
+            .collect()
+    })
+}
+
+/// An unordered atom pair as (larger, smaller) atom index.
+pub(crate) type AtomPair = (usize, usize);
+
+/// The distinct atom pairs of atom quartet (IJ|KL) — the D blocks it reads
+/// and the F blocks it updates — in first-seen order over (IJ), (KL), (IK),
+/// (IL), (JK), (JL). Returns the list and its length (at most six).
+pub(crate) fn atom_pairs([i, j, k, l]: [usize; 4]) -> ([AtomPair; 6], usize) {
+    let mut pairs = [(0, 0); 6];
+    let mut len = 0;
+    for (a, b) in [(i, j), (k, l), (i, k), (i, l), (j, k), (j, l)] {
+        let pair = (a.max(b), a.min(b));
+        if !pairs[..len].contains(&pair) {
+            pairs[len] = pair;
+            len += 1;
+        }
+    }
+    (pairs, len)
+}
+
+/// What differs between the threaded and the simulated NWChem process.
+pub(crate) trait AtomBackend {
+    /// Record `kind` on this process's stream, stamped with the backend's
+    /// clock.
+    fn event(&mut self, kind: EventKind);
+    /// One access to the central queue: the task it hands this process, or
+    /// `None` once the stream is exhausted.
+    fn claim(&mut self) -> Option<AtomTask>;
+    /// Screen the shell quartets of atom quartet `q`; returns how many
+    /// survive (they are what [`Self::compute`] computes).
+    fn screen(&mut self, q: [usize; 4]) -> u64;
+    /// Get the D blocks of `pairs`.
+    fn fetch(&mut self, pairs: &[AtomPair]);
+    /// Compute the quartets the last screen kept into the fetched blocks.
+    fn compute(&mut self);
+    /// Accumulate the F block of each fetched pair into F, once.
+    fn flush(&mut self);
+}
+
+/// One NWChem process: Algorithm 2's claim loop over an [`AtomBackend`].
+pub(crate) struct AtomLane<'a, B> {
+    atoms: &'a AtomMap,
+    tau: f64,
+    pub backend: B,
+    /// Queue accesses, the final empty poll included.
+    pub claims: u64,
+}
+
+impl<'a, B: AtomBackend> AtomLane<'a, B> {
+    pub fn new(atoms: &'a AtomMap, tau: f64, mut backend: B) -> Self {
+        backend.event(EventKind::WorkerStart);
+        AtomLane {
+            atoms,
+            tau,
+            backend,
+            claims: 0,
+        }
+    }
+
+    /// Claim until the queue runs dry.
+    pub fn run(mut self) -> Self {
+        while self.step() {}
+        self
+    }
+
+    /// Claim one task and run its L-chunk. False after the empty poll,
+    /// which ends the process.
+    pub fn step(&mut self) -> bool {
+        let task = self.backend.claim();
+        self.claims += 1;
+        self.backend.event(EventKind::QueueAccess);
+        let Some((i, j, k, l_lo, l_hi)) = task else {
+            self.backend.event(EventKind::WorkerEnd);
+            return false;
+        };
+        let (m, n) = (i as u32, j as u32);
+        self.backend.event(EventKind::TaskStart { m, n });
+        let quartets = (l_lo..=l_hi)
+            .map(|l| self.atom_quartet([i, j, k, l]))
+            .sum::<u64>() as u32;
+        self.backend.event(EventKind::TaskEnd { m, n, quartets });
+        true
+    }
+
+    /// One atom quartet of Algorithm 2: the atom-level Schwarz test, then
+    /// screen; only with a surviving quartet get D, compute and accumulate
+    /// F. Returns the quartets computed.
+    fn atom_quartet(&mut self, q: [usize; 4]) -> u64 {
+        let [i, j, k, l] = q;
+        if self.atoms.pair_value(i, j) * self.atoms.pair_value(k, l) <= self.tau {
+            return 0;
+        }
+        let survivors = self.backend.screen(q);
+        if survivors > 0 {
+            let (pairs, len) = atom_pairs(q);
+            self.backend.fetch(&pairs[..len]);
+            self.backend.compute();
+            self.backend.flush();
+        }
+        survivors
+    }
 }

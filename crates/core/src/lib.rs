@@ -19,9 +19,10 @@
 //! * [`sched`] — the work-stealing scheduler of Section III-F (queues,
 //!   victim choice, steal size, fencing, death, recovery assignment),
 //!   written once for the threaded builder and the simulator,
-//! * `lane` (crate-private) — one rank's GTFock executor (owner-region
-//!   fetch/flush, exactly-once marking, death, recovery) behind a real and
-//!   a virtual clock,
+//! * `lane` (crate-private) — the per-process executors, each behind a
+//!   real and a virtual clock: GTFock's (owner-region fetch/flush,
+//!   exactly-once marking, death, recovery) and NWChem's (claim, screen,
+//!   per-atom-pair fetch, compute, flush),
 //! * [`gtfock`] — the paper's algorithm on threads: static partition +
 //!   prefetch + the [`sched`] scheduler (Algorithms 3 and 4),
 //! * [`nwchem`] — the NWChem-style baseline: block-row distribution,

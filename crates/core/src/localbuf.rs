@@ -10,9 +10,10 @@
 //!
 //! Updates and reads arrive for *ordered* shell pairs; a pair stored only
 //! in the opposite orientation is served transposed (D is symmetric).
-//! When flushing, every stored block is accumulated into the global F as
-//! ½·block + ½·blockᵀ, which makes the assembled F exactly symmetric and
-//! exactly equal to the ordered-update sum (see `sink` module docs).
+//! When flushing, every stored block is accumulated into the global F once,
+//! in the orientation it is stored; the builder symmetrizes the assembled
+//! F after the join ([`crate::sink::symmetrize`], see the `sink` module
+//! docs), so each D block fetched is matched by one F block flushed.
 
 use crate::partition::StaticPartition;
 use crate::sink::FockSink;
@@ -122,40 +123,26 @@ impl LocalBuffers {
         Ok(())
     }
 
-    /// Accumulate the local F updates into the distributed F as
-    /// ½·block + ½·blockᵀ per stored block (one-sided accs, accounted).
-    /// On `Err` the flush stopped mid-way: an unknown prefix of the
-    /// buffer's blocks already landed in F, so the caller must treat the
-    /// whole distributed F as compromised (the builders surface this as a
-    /// failed build; the SCF driver rebuilds).
+    /// Accumulate each stored F block once into the distributed F, in its
+    /// stored orientation (one-sided accs, accounted). On `Err` the flush
+    /// stopped mid-way: an unknown prefix of the buffer's blocks already
+    /// landed in F, so the caller must treat the whole distributed F as
+    /// compromised (the builders surface this as a failed build; the SCF
+    /// driver rebuilds).
     pub fn try_flush_f(
         &self,
         prob: &FockProblem,
         f: &GlobalArray,
         rank: usize,
     ) -> Result<(), GaError> {
-        let mut tbuf: Vec<f64> = Vec::new();
         for &(a, b) in &self.blocks {
             let (sa, sb) = (
                 &prob.basis.shells[a as usize],
                 &prob.basis.shells[b as usize],
             );
-            let (na, nb) = (sa.nfuncs(), sb.nfuncs());
             let off = self.block_off[a as usize * self.nshells + b as usize] as usize;
-            let blk = &self.fbuf[off..off + na * nb];
-            // ½ · block into (a, b)…
-            tbuf.clear();
-            tbuf.extend(blk.iter().map(|&v| v * 0.5));
-            f.try_acc(rank, sa.bf_range(), sb.bf_range(), &tbuf, 1.0)?;
-            // …and ½ · blockᵀ into (b, a).
-            tbuf.clear();
-            tbuf.resize(na * nb, 0.0);
-            for i in 0..na {
-                for j in 0..nb {
-                    tbuf[j * na + i] = 0.5 * blk[i * nb + j];
-                }
-            }
-            f.try_acc(rank, sb.bf_range(), sa.bf_range(), &tbuf, 1.0)?;
+            let blk = &self.fbuf[off..off + sa.nfuncs() * sb.nfuncs()];
+            f.try_acc(rank, sa.bf_range(), sb.bf_range(), blk, 1.0)?;
         }
         Ok(())
     }

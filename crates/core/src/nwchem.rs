@@ -5,22 +5,30 @@
 //! dynamic scheduler (a shared atomic counter standing in for NWChem's
 //! `nxtval`) hands tasks to processes. Every process replays the task
 //! stream of [`atom_tasks`], counting task ids, and executes the ids the
-//! scheduler assigns to it: exactly the structure of Algorithm 2. The
-//! simulator ([`crate::sim_exec::NwchemSimModel`]) walks the same stream.
-//! D blocks are fetched per atom quartet and F blocks accumulated per atom
-//! quartet — the per-quartet communication the paper contrasts with
-//! GTFock's bulk prefetch.
+//! scheduler assigns to it: exactly the structure of Algorithm 2.
+//!
+//! Each process is the crate-private `lane` module's NWChem executor, one
+//! per thread: claim, the L-chunk loop, screen, fetch, compute and flush
+//! are written there once, and the simulator
+//! ([`crate::sim_exec::NwchemSimModel`]) runs the same executor over a
+//! virtual clock. This module supplies its threaded backend: `nxtval`, the
+//! screening loop and batched kernel, and GA transfers. An atom quartet
+//! with a surviving shell quartet gets the D block of each distinct atom
+//! pair and accumulates each F block once — the per-quartet communication
+//! the paper contrasts with GTFock's bulk prefetch; one with none moves
+//! nothing. G is symmetrized once after the join.
 
 use crate::build::{
     record_class_stats, record_dmax, record_pairdata, BuildReport, DENSITY_SKIPPED_COUNTER,
     QUARTETS_COUNTER,
 };
-use crate::sink::{apply_quartet, FockSink, TaskCounts, QUARTET_PERMS};
+use crate::lane::{on_threads, AtomBackend, AtomLane, AtomPair};
+use crate::sink::{apply_quartet, symmetrize, FockSink, TaskCounts, QUARTET_PERMS};
 use crate::tasks::FockProblem;
 use distrt::{GlobalArray, ProcessGrid};
 use eri::{ClassBatcher, DensityNorms, EriEngine, QuartetClass};
 use obs::{EventKind, Recorder, WorkerRec};
-use std::collections::HashMap;
+use std::iter::Enumerate;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -112,17 +120,6 @@ impl AtomMap {
     pub fn pair_value(&self, i: usize, j: usize) -> f64 {
         self.pair[i * self.natoms + j]
     }
-
-    /// Atom of a shell index.
-    pub fn atom_of_shell(&self, prob: &FockProblem) -> Vec<u32> {
-        let mut v = vec![0u32; prob.nshells()];
-        for (a, r) in self.shells.iter().enumerate() {
-            for s in r.clone() {
-                v[s] = a as u32;
-            }
-        }
-        v
-    }
 }
 
 /// One task of Algorithm 2: atom quartets `(I J | K, L)` for
@@ -167,81 +164,83 @@ pub fn atom_tasks(
 /// smallest orbit member whose atom signature equals (I,J,K,L).
 #[inline]
 fn class_rep_within(atom_of_shell: &[u32], shells: [usize; 4], atoms: [u32; 4]) -> bool {
-    let mut best: Option<[usize; 4]> = None;
-    for perm in QUARTET_PERMS {
-        let t = [
-            shells[perm[0]],
-            shells[perm[1]],
-            shells[perm[2]],
-            shells[perm[3]],
-        ];
-        let ta = [
-            atom_of_shell[t[0]],
-            atom_of_shell[t[1]],
-            atom_of_shell[t[2]],
-            atom_of_shell[t[3]],
-        ];
-        if ta == atoms {
-            best = Some(match best {
-                None => t,
-                Some(b) if t < b => t,
-                Some(b) => b,
-            });
+    QUARTET_PERMS
+        .map(|perm| perm.map(|slot| shells[slot]))
+        .into_iter()
+        .filter(|t| t.map(|s| atom_of_shell[s]) == atoms)
+        .min()
+        == Some(shells)
+}
+
+/// The D and F blocks of one atom quartet's distinct atom pairs, each held
+/// in the orientation [`crate::lane::atom_pairs`] gives it; the transposed
+/// pair is served from the same block. Reused across atom quartets.
+struct PairCache<'a> {
+    bfs: &'a [Range<usize>],
+    atom_of_bf: &'a [u32],
+    /// (a, b, offset into `d` and `f`) per held pair.
+    slots: Vec<(u32, u32, usize)>,
+    d: Vec<f64>,
+    f: Vec<f64>,
+}
+
+impl PairCache<'_> {
+    /// Get the D blocks of `pairs` and zero their F blocks.
+    fn load(&mut self, ga_d: &GlobalArray, rank: usize, pairs: &[AtomPair]) {
+        self.slots.clear();
+        let mut len = 0;
+        for &(a, b) in pairs {
+            self.slots.push((a as u32, b as u32, len));
+            len += self.bfs[a].len() * self.bfs[b].len();
         }
-    }
-    best == Some(shells)
-}
-
-/// Per-task cache of fetched D / accumulated F atom-pair blocks.
-struct PairCache {
-    nbf_of: Vec<usize>,
-    bf0_of: Vec<usize>,
-    d: HashMap<(u32, u32), Vec<f64>>,
-    f: HashMap<(u32, u32), Vec<f64>>,
-    atom_of_bf: Vec<u32>,
-}
-
-impl PairCache {
-    fn locate(&self, i: usize, j: usize) -> ((u32, u32), bool) {
-        let (ai, aj) = (self.atom_of_bf[i], self.atom_of_bf[j]);
-        if self.d.contains_key(&(ai, aj)) {
-            ((ai, aj), false)
-        } else {
-            debug_assert!(
-                self.d.contains_key(&(aj, ai)),
-                "pair ({ai},{aj}) not fetched"
-            );
-            ((aj, ai), true)
+        self.d.resize(len, 0.0);
+        self.f.clear();
+        self.f.resize(len, 0.0);
+        for &(a, b, off) in &self.slots {
+            let (ra, rb) = (self.bfs[a as usize].clone(), self.bfs[b as usize].clone());
+            let end = off + ra.len() * rb.len();
+            ga_d.get(rank, ra, rb, &mut self.d[off..end]);
         }
     }
 
+    /// Accumulate each held F block into `ga_f` once.
+    fn flush(&self, ga_f: &GlobalArray, rank: usize) {
+        for &(a, b, off) in &self.slots {
+            let (ra, rb) = (self.bfs[a as usize].clone(), self.bfs[b as usize].clone());
+            let end = off + ra.len() * rb.len();
+            ga_f.acc(rank, ra, rb, &self.f[off..end], 1.0);
+        }
+    }
+
+    /// Position of element (i, j) in `d` and `f`.
     #[inline]
-    fn elem(&self, key: (u32, u32), i: usize, j: usize, transposed: bool) -> usize {
-        let (a, b) = (key.0 as usize, key.1 as usize);
-        let (bi, bj) = (self.bf0_of[a], self.bf0_of[b]);
-        let (na, nb) = (self.nbf_of[a], self.nbf_of[b]);
-        let _ = na;
-        if !transposed {
-            (i - bi) * nb + (j - bj)
-        } else {
-            (j - bi) * nb + (i - bj)
+    fn index(&self, i: usize, j: usize) -> usize {
+        let (ai, aj) = (self.atom_of_bf[i], self.atom_of_bf[j]);
+        for &(a, b, off) in &self.slots {
+            let (r, c) = if (a, b) == (ai, aj) {
+                (i, j)
+            } else if (a, b) == (aj, ai) {
+                (j, i)
+            } else {
+                continue;
+            };
+            let (ra, rb) = (&self.bfs[a as usize], &self.bfs[b as usize]);
+            return off + (r - ra.start) * rb.len() + (c - rb.start);
         }
+        unreachable!("atom pair ({ai}, {aj}) not fetched")
     }
 }
 
-impl FockSink for PairCache {
+impl FockSink for PairCache<'_> {
     #[inline]
     fn d(&self, i: usize, j: usize) -> f64 {
-        let (key, t) = self.locate(i, j);
-        let e = self.elem(key, i, j, t);
-        self.d[&key][e]
+        self.d[self.index(i, j)]
     }
 
     #[inline]
     fn f_add(&mut self, i: usize, j: usize, v: f64) {
-        let (key, t) = self.locate(i, j);
-        let e = self.elem(key, i, j, t);
-        self.f.get_mut(&key).expect("F block missing")[e] += v;
+        let k = self.index(i, j);
+        self.f[k] += v;
     }
 }
 
@@ -269,257 +268,219 @@ pub fn build_fock_nwchem_rec(
     assert!(cfg.nprocs > 0 && cfg.chunk > 0);
     let nbf = prob.nbf();
     assert_eq!(d_dense.len(), nbf * nbf);
-    let atoms = AtomMap::new(prob);
-    let atom_of_shell = atoms.atom_of_shell(prob);
-    // Effective-density block norms — same weighted quartet test as the
-    // sequential and GTFock paths, so all builders agree quartet-for-quartet.
-    let dn = DensityNorms::compute(&prob.basis, d_dense);
-    record_dmax(rec, dn.max);
-    // Force the shared pair table before the workers race to it.
-    record_pairdata(rec, prob.pairs());
-    let mut atom_of_bf = vec![0u32; nbf];
-    for (a, r) in atoms.bfs.iter().enumerate() {
-        for i in r.clone() {
-            atom_of_bf[i] = a as u32;
+    let sh = Shared::new(prob, d_dense, cfg.nprocs, rec);
+    let sh = &sh;
+    let outs = on_threads((0..cfg.nprocs).collect(), |rank| {
+        let tasks = atom_tasks(&sh.atoms, prob.tau, prob.screening.max_q, cfg.chunk);
+        let lane = AtomLane::new(&sh.atoms, prob.tau, Process::new(sh, rank, tasks)).run();
+        let mut p = lane.backend;
+        rec.counter(QUARTETS_COUNTER).add(p.counts.computed);
+        rec.counter(DENSITY_SKIPPED_COUNTER)
+            .add(p.counts.skipped_density);
+        record_class_stats(rec, &p.batcher.take_stats());
+        Out {
+            rank,
+            claims: lane.claims,
+            t_fock: p.start.elapsed().as_secs_f64(),
+            t_comp: p.comp,
+            counts: p.counts,
+            end_t: p.w.now(),
         }
-    }
-
-    // Block-row distribution, as NWChem does (Section II-F).
-    let grid = ProcessGrid::new(cfg.nprocs, 1);
-    let mut ga_d = GlobalArray::from_dense(grid, nbf, nbf, d_dense);
-    let mut ga_f = GlobalArray::zeros(grid, nbf, nbf);
-    ga_d.attach_recorder(rec);
-    ga_f.attach_recorder(rec);
-    let (ga_d, ga_f) = (ga_d, ga_f);
-    let next_task = AtomicU64::new(0);
-    let queue_accesses = AtomicU64::new(0);
-
-    struct Out {
-        rank: usize,
-        t_fock: f64,
-        t_comp: f64,
-        quartets: u64,
-        density_skipped: u64,
-        end_t: f64,
-    }
-
-    let outs: Vec<Out> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for rank in 0..cfg.nprocs {
-            let (ga_d, ga_f) = (&ga_d, &ga_f);
-            let (next_task, queue_accesses) = (&next_task, &queue_accesses);
-            let (atoms, atom_of_shell, atom_of_bf) = (&atoms, &atom_of_shell, &atom_of_bf);
-            let dn = &dn;
-            handles.push(scope.spawn(move || {
-                let mut w = rec.worker(rank);
-                w.event(EventKind::WorkerStart);
-                let start = Instant::now();
-                let mut comp = 0.0;
-                let mut quartets = 0u64;
-                let mut density_skipped = 0u64;
-                let mut eng = EriEngine::new();
-                let mut batcher = ClassBatcher::new();
-                // nxtval: one shared-counter access per claim.
-                let claim = |w: &mut WorkerRec| {
-                    queue_accesses.fetch_add(1, Ordering::Relaxed);
-                    w.event(EventKind::QueueAccess);
-                    next_task.fetch_add(1, Ordering::Relaxed)
-                };
-                let mut my_task = claim(&mut w);
-                let tasks = atom_tasks(atoms, prob.tau, prob.screening.max_q, cfg.chunk);
-                for (id, (i, j, k, l_lo, l_hi)) in tasks.enumerate() {
-                    if id as u64 != my_task {
-                        continue;
-                    }
-                    w.task_start(i, j);
-                    let mut task_q = 0u64;
-                    for l in l_lo..=l_hi {
-                        if atoms.pair_value(i, j) * atoms.pair_value(k, l) > prob.tau {
-                            let c = do_atom_quartet(
-                                prob,
-                                atoms,
-                                atom_of_shell,
-                                atom_of_bf,
-                                ga_d,
-                                ga_f,
-                                rank,
-                                &mut eng,
-                                &mut batcher,
-                                dn,
-                                [i, j, k, l],
-                                &mut comp,
-                            );
-                            task_q += c.computed;
-                            density_skipped += c.skipped_density;
-                        }
-                    }
-                    w.task_end(i, j, task_q);
-                    quartets += task_q;
-                    my_task = claim(&mut w);
-                }
-                w.event(EventKind::WorkerEnd);
-                let end_t = w.now();
-                rec.counter(QUARTETS_COUNTER).add(quartets);
-                rec.counter(DENSITY_SKIPPED_COUNTER).add(density_skipped);
-                record_class_stats(rec, &batcher.take_stats());
-                Out {
-                    rank,
-                    t_fock: start.elapsed().as_secs_f64(),
-                    t_comp: comp,
-                    quartets,
-                    density_skipped,
-                    end_t,
-                }
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
     });
 
     let mut report = BuildReport::zeros(cfg.nprocs);
-    report.queue_accesses = queue_accesses.load(Ordering::Relaxed);
     let t_last = outs.iter().map(|o| o.end_t).fold(0.0, f64::max);
     for o in outs {
+        report.queue_accesses += o.claims;
         report.t_fock[o.rank] = o.t_fock;
         report.t_comp[o.rank] = o.t_comp;
-        report.quartets[o.rank] = o.quartets;
-        report.density_skipped[o.rank] = o.density_skipped;
-        let mut c = ga_d.stats(o.rank);
-        c.merge(&ga_f.stats(o.rank));
-        report.comm[o.rank] = c;
-        if rec.is_enabled() {
-            rec.side_event_at(
-                o.rank,
-                o.end_t,
-                EventKind::BarrierWait {
-                    seconds: t_last - o.end_t,
-                },
-            );
-        }
+        report.quartets[o.rank] = o.counts.computed;
+        report.density_skipped[o.rank] = o.counts.skipped_density;
+        report.comm[o.rank] = sh.ga_d.stats(o.rank);
+        report.comm[o.rank].merge(&sh.ga_f.stats(o.rank));
+        let seconds = t_last - o.end_t;
+        rec.side_event_at(o.rank, o.end_t, EventKind::BarrierWait { seconds });
     }
-    (ga_f.to_dense(), report)
+    let mut g = sh.ga_f.to_dense();
+    symmetrize(&mut g, nbf);
+    (g, report)
 }
 
-/// Execute one atom quartet: fetch its 6 D atom-pair blocks, compute the
-/// selected shell quartets, accumulate its F blocks. Returns the quartet
-/// counts (computed + density-skipped). `comp` accrues pure compute time.
-#[allow(clippy::too_many_arguments)]
-fn do_atom_quartet(
-    prob: &FockProblem,
-    atoms: &AtomMap,
-    atom_of_shell: &[u32],
-    atom_of_bf: &[u32],
-    ga_d: &GlobalArray,
-    ga_f: &GlobalArray,
-    rank: usize,
-    eng: &mut EriEngine,
-    batcher: &mut ClassBatcher,
-    dn: &DensityNorms,
-    quartet: [usize; 4],
-    comp: &mut f64,
-) -> TaskCounts {
-    let [i, j, k, l] = quartet;
-    // The six unordered atom pairs this quartet touches.
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(6);
-    for &(a, b) in &[(i, j), (k, l), (i, k), (i, l), (j, k), (j, l)] {
-        let key = (a as u32, b as u32);
-        let rkey = (b as u32, a as u32);
-        if !pairs.contains(&key) && !pairs.contains(&rkey) {
-            pairs.push(key);
+/// What every process of one build shares.
+struct Shared<'a> {
+    prob: &'a FockProblem,
+    rec: &'a Recorder,
+    atoms: AtomMap,
+    atom_of_shell: Vec<u32>,
+    atom_of_bf: Vec<u32>,
+    /// Effective-density block norms — the same weighted quartet test as
+    /// the sequential and GTFock paths, so all builders agree
+    /// quartet-for-quartet.
+    dn: DensityNorms,
+    ga_d: GlobalArray,
+    ga_f: GlobalArray,
+    /// `nxtval`: the next task id the shared counter hands out.
+    next_task: AtomicU64,
+}
+
+impl<'a> Shared<'a> {
+    fn new(prob: &'a FockProblem, d_dense: &[f64], nprocs: usize, rec: &'a Recorder) -> Self {
+        let atoms = AtomMap::new(prob);
+        let dn = DensityNorms::compute(&prob.basis, d_dense);
+        record_dmax(rec, dn.max);
+        // Force the shared pair table before the workers race to it.
+        record_pairdata(rec, prob.pairs());
+        let nbf = prob.nbf();
+        let mut atom_of_shell = vec![0u32; prob.nshells()];
+        let mut atom_of_bf = vec![0u32; nbf];
+        for (a, (shells, bfs)) in atoms.shells.iter().zip(&atoms.bfs).enumerate() {
+            atom_of_shell[shells.clone()].fill(a as u32);
+            atom_of_bf[bfs.clone()].fill(a as u32);
+        }
+        // Block-row distribution, as NWChem does (Section II-F).
+        let grid = ProcessGrid::new(nprocs, 1);
+        let mut ga_d = GlobalArray::from_dense(grid, nbf, nbf, d_dense);
+        let mut ga_f = GlobalArray::zeros(grid, nbf, nbf);
+        ga_d.attach_recorder(rec);
+        ga_f.attach_recorder(rec);
+        Shared {
+            prob,
+            rec,
+            atom_of_shell,
+            atom_of_bf,
+            atoms,
+            dn,
+            ga_d,
+            ga_f,
+            next_task: AtomicU64::new(0),
         }
     }
-    let nbf_of: Vec<usize> = atoms.bfs.iter().map(|r| r.len()).collect();
-    let bf0_of: Vec<usize> = atoms.bfs.iter().map(|r| r.start).collect();
-    let mut cache = PairCache {
-        nbf_of,
-        bf0_of,
-        d: HashMap::new(),
-        f: HashMap::new(),
-        atom_of_bf: atom_of_bf.to_vec(),
-    };
-    for &(a, b) in &pairs {
-        let (ra, rb) = (atoms.bfs[a as usize].clone(), atoms.bfs[b as usize].clone());
-        let mut blk = vec![0.0; ra.len() * rb.len()];
-        ga_d.get(rank, ra, rb, &mut blk);
-        cache.d.insert((a, b), blk);
-        cache.f.insert(
-            (a, b),
-            vec![0.0; atoms.bfs[a as usize].len() * atoms.bfs[b as usize].len()],
-        );
+}
+
+/// The threaded [`AtomBackend`]: `nxtval` over this process's replay of
+/// the task stream, the screening loop and the batched kernel, GA get/acc
+/// through a [`PairCache`], real time.
+struct Process<'a, I> {
+    sh: &'a Shared<'a>,
+    rank: usize,
+    w: WorkerRec,
+    /// This process's replay of [`atom_tasks`], with task ids.
+    tasks: Enumerate<I>,
+    eng: EriEngine,
+    batcher: ClassBatcher,
+    cache: PairCache<'a>,
+    start: Instant,
+    comp: f64,
+    counts: TaskCounts,
+}
+
+impl<'a, I: Iterator> Process<'a, I> {
+    fn new(sh: &'a Shared<'a>, rank: usize, tasks: I) -> Self {
+        Process {
+            sh,
+            rank,
+            w: sh.rec.worker(rank),
+            tasks: tasks.enumerate(),
+            eng: EriEngine::new(),
+            batcher: ClassBatcher::new(),
+            cache: PairCache {
+                bfs: &sh.atoms.bfs,
+                atom_of_bf: &sh.atom_of_bf,
+                slots: Vec::with_capacity(6),
+                d: Vec::new(),
+                f: Vec::new(),
+            },
+            start: Instant::now(),
+            comp: 0.0,
+            counts: TaskCounts::default(),
+        }
+    }
+}
+
+impl<I: Iterator<Item = AtomTask>> AtomBackend for Process<'_, I> {
+    fn event(&mut self, kind: EventKind) {
+        self.w.event(kind);
     }
 
-    // Compute the selected shell quartets. The atom- and pair-level
-    // early-outs stay Schwarz-only (conservative), so the per-quartet
-    // weighted test below sees exactly the Schwarz-passing set — the
-    // computed and skipped counts match the sequential reference exactly.
-    let t0 = Instant::now();
-    let mut counts = TaskCounts::default();
-    let at = [i as u32, j as u32, k as u32, l as u32];
-    let pd = prob.pairs();
-    let sh = &prob.basis.shells;
-    for m in atoms.shells[i].clone() {
-        for n in atoms.shells[j].clone() {
-            if prob.screening.pair(m, n) * prob.screening.max_q <= prob.tau {
-                continue;
-            }
-            // (MN) > τ/max_q ⇒ the pair is on the screening survivor list,
-            // so every quartet queued below has its pair data.
-            for p in atoms.shells[k].clone() {
-                for q in atoms.shells[l].clone() {
-                    if prob.screening.pair(m, n) * prob.screening.pair(p, q) <= prob.tau {
-                        continue;
+    /// `nxtval`: one shared-counter access, then replay the stream up to
+    /// the id it handed out.
+    fn claim(&mut self) -> Option<AtomTask> {
+        let id = self.sh.next_task.fetch_add(1, Ordering::Relaxed) as usize;
+        self.tasks.find(|&(k, _)| k == id).map(|(_, task)| task)
+    }
+
+    /// Queue the selected shell quartets into the batcher. The atom- and
+    /// pair-level early-outs stay Schwarz-only (conservative), so the
+    /// per-quartet weighted test sees exactly the Schwarz-passing set —
+    /// the computed and skipped counts match the sequential reference.
+    fn screen(&mut self, [i, j, k, l]: [usize; 4]) -> u64 {
+        let t0 = Instant::now();
+        let (prob, atoms) = (self.sh.prob, &self.sh.atoms);
+        let (sc, tau, sh) = (&prob.screening, prob.tau, &prob.basis.shells);
+        let at = [i as u32, j as u32, k as u32, l as u32];
+        let mut c = TaskCounts::default();
+        for m in atoms.shells[i].clone() {
+            for n in atoms.shells[j].clone() {
+                // (MN) > τ/max_q ⇒ the pair is on the screening survivor
+                // list, so every quartet queued below has its pair data.
+                if sc.pair(m, n) * sc.max_q <= tau {
+                    continue;
+                }
+                for p in atoms.shells[k].clone() {
+                    for q in atoms.shells[l].clone() {
+                        let schwarz = sc.pair(m, n) * sc.pair(p, q);
+                        if schwarz <= tau
+                            || !class_rep_within(&self.sh.atom_of_shell, [m, n, p, q], at)
+                        {
+                            continue;
+                        }
+                        if schwarz * self.sh.dn.quartet_weight(m, n, p, q) <= tau {
+                            c.skipped_density += 1;
+                            continue;
+                        }
+                        let class = QuartetClass::try_of(sh[m].l, sh[n].l, sh[p].l, sh[q].l);
+                        self.batcher
+                            .push(class, [m as u32, n as u32, p as u32, q as u32]);
+                        c.computed += 1;
                     }
-                    if !class_rep_within(atom_of_shell, [m, n, p, q], at) {
-                        continue;
-                    }
-                    if prob.screening.pair(m, n)
-                        * prob.screening.pair(p, q)
-                        * dn.quartet_weight(m, n, p, q)
-                        <= prob.tau
-                    {
-                        counts.skipped_density += 1;
-                        continue;
-                    }
-                    batcher.push(
-                        QuartetClass::try_of(sh[m].l, sh[n].l, sh[p].l, sh[q].l),
-                        [m as u32, n as u32, p as u32, q as u32],
-                    );
-                    counts.computed += 1;
                 }
             }
         }
+        self.counts.computed += c.computed;
+        self.counts.skipped_density += c.skipped_density;
+        self.comp += t0.elapsed().as_secs_f64();
+        c.computed
     }
-    batcher.flush(eng, pd, |quartet, block| {
-        let [m, n, p, q] = quartet;
-        apply_quartet(
-            &mut cache,
-            prob,
-            [m as usize, n as usize, p as usize, q as usize],
-            block,
-        );
-    });
-    *comp += t0.elapsed().as_secs_f64();
 
-    // Flush the F blocks (½ + ½ᵀ — see localbuf docs).
-    let mut tbuf: Vec<f64> = Vec::new();
-    for (&(a, b), blk) in &cache.f {
-        let (ra, rb) = (atoms.bfs[a as usize].clone(), atoms.bfs[b as usize].clone());
-        let (na, nb) = (ra.len(), rb.len());
-        tbuf.clear();
-        tbuf.extend(blk.iter().map(|&v| 0.5 * v));
-        ga_f.acc(rank, ra.clone(), rb.clone(), &tbuf, 1.0);
-        tbuf.clear();
-        tbuf.resize(na * nb, 0.0);
-        for ii in 0..na {
-            for jj in 0..nb {
-                tbuf[jj * na + ii] = 0.5 * blk[ii * nb + jj];
-            }
-        }
-        ga_f.acc(rank, rb, ra, &tbuf, 1.0);
+    fn fetch(&mut self, pairs: &[AtomPair]) {
+        self.cache.load(&self.sh.ga_d, self.rank, pairs);
     }
-    counts
+
+    fn compute(&mut self) {
+        let t0 = Instant::now();
+        let prob = self.sh.prob;
+        let cache = &mut self.cache;
+        self.batcher
+            .flush(&mut self.eng, prob.pairs(), |quartet, block| {
+                apply_quartet(cache, prob, quartet.map(|s| s as usize), block);
+            });
+        self.comp += t0.elapsed().as_secs_f64();
+    }
+
+    fn flush(&mut self) {
+        self.cache.flush(&self.sh.ga_f, self.rank);
+    }
+}
+
+/// A process's totals once the queue ran dry.
+struct Out {
+    rank: usize,
+    claims: u64,
+    t_fock: f64,
+    t_comp: f64,
+    counts: TaskCounts,
+    /// Recorder timestamp at the end (join wait = latest end minus this).
+    end_t: f64,
 }
 
 #[cfg(test)]

@@ -151,11 +151,6 @@ pub struct ScfConfig {
     /// full build of iteration 0, every later iteration uses ΔD. Ignored
     /// when `incremental` is off.
     pub rebuild_every: usize,
-    /// Fraction of the *old* density mixed into each new density
-    /// (0.0 = plain Roothaan). Damping stabilizes oscillating cases.
-    pub damping: f64,
-    /// Level shift added to virtual orbitals of F' (0.0 = none).
-    pub level_shift: f64,
     /// Convergence threshold on |ΔE| (hartree).
     pub e_tol: f64,
     /// Convergence threshold on max |ΔD|.
@@ -198,8 +193,6 @@ impl std::fmt::Debug for ScfConfig {
             .field("use_diis", &self.use_diis)
             .field("incremental", &self.incremental)
             .field("rebuild_every", &self.rebuild_every)
-            .field("damping", &self.damping)
-            .field("level_shift", &self.level_shift)
             .field("e_tol", &self.e_tol)
             .field("d_tol", &self.d_tol)
             .field("tau", &self.tau)
@@ -221,8 +214,6 @@ impl Default for ScfConfig {
             use_diis: false,
             incremental: false,
             rebuild_every: 8,
-            damping: 0.0,
-            level_shift: 0.0,
             e_tol: 1e-8,
             d_tol: 1e-6,
             tau: 1e-11,
@@ -272,16 +263,6 @@ impl ScfConfigBuilder {
 
     pub fn rebuild_every(mut self, period: usize) -> Self {
         self.cfg.rebuild_every = period;
-        self
-    }
-
-    pub fn damping(mut self, frac: f64) -> Self {
-        self.cfg.damping = frac;
-        self
-    }
-
-    pub fn level_shift(mut self, shift: f64) -> Self {
-        self.cfg.level_shift = shift;
         self
     }
 
@@ -530,25 +511,11 @@ pub fn run_scf_on(prob: Arc<FockProblem>, cfg: ScfConfig) -> Result<ScfResult, S
         let energy = e_elec + e_nuc;
         history.push(energy);
 
-        let mut f_for_density = if cfg.use_diis {
-            diis.extrapolate(&fock, &d, s)
+        let d_new = if cfg.use_diis {
+            density_from_fock(&diis.extrapolate(&fock, &d, s), x, nocc, cfg.density)
         } else {
-            fock.clone()
+            density_from_fock(&fock, x, nocc, cfg.density)
         };
-        if cfg.level_shift != 0.0 {
-            // Shift virtual orbitals up: F ← F + λ(S − S·D·S); identity
-            // on the occupied space is (approximately) S·D·S for the
-            // current density.
-            let sds = gemm(1.0, &gemm(1.0, s, &d, 0.0, None), s, 0.0, None);
-            let mut shift = s.clone();
-            shift.axpy(-1.0, &sds);
-            f_for_density.axpy(cfg.level_shift, &shift);
-        }
-        let mut d_new = density_from_fock(&f_for_density, x, nocc, cfg.density);
-        if cfg.damping > 0.0 {
-            d_new.scale(1.0 - cfg.damping);
-            d_new.axpy(cfg.damping, &d);
-        }
         let d_change = d_new.max_abs_diff(&d);
         let e_change = (energy - e_prev).abs();
         d = d_new;
@@ -773,12 +740,12 @@ mod tests {
         let fluent = ScfConfig::builder()
             .max_iter(30)
             .diis(true)
-            .damping(0.1)
+            .rebuild_every(4)
             .tau(1e-10)
             .build();
         assert_eq!(fluent.max_iter, 30);
         assert!(fluent.use_diis);
-        assert_eq!(fluent.damping, 0.1);
+        assert_eq!(fluent.rebuild_every, 4);
         assert_eq!(fluent.tau, 1e-10);
         // Untouched fields keep the defaults.
         let def = ScfConfig::default();
@@ -919,36 +886,6 @@ mod tests {
         // The guess only changes the starting point, never the answer —
         // and the overlap-weighted start should not converge slower.
         assert!(gwh.iterations <= core.iterations + 1);
-    }
-
-    #[test]
-    fn damping_and_level_shift_converge_to_same_energy() {
-        let plain = run_scf(
-            generators::water(),
-            BasisSetKind::Sto3g,
-            ScfConfig::default(),
-        )
-        .unwrap();
-        let stabilized = run_scf(
-            generators::water(),
-            BasisSetKind::Sto3g,
-            ScfConfig {
-                damping: 0.3,
-                level_shift: 0.2,
-                max_iter: 200,
-                ..ScfConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(stabilized.converged, "stabilized run failed to converge");
-        assert!(
-            (plain.energy - stabilized.energy).abs() < 1e-6,
-            "{} vs {}",
-            plain.energy,
-            stabilized.energy
-        );
-        // Stabilizers slow convergence; they must not change the answer.
-        assert!(stabilized.iterations >= plain.iterations);
     }
 
     #[test]

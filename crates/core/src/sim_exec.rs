@@ -10,20 +10,22 @@
 //! and call counts (Tables VI–VII), and the load-balance ratio
 //! (Table VIII).
 //!
-//! Each simulated GTFock process is the per-rank executor of the
-//! crate-private `lane` module — the one the threaded builder runs, with
-//! [`crate::sched`] deciding what runs next — over a virtual clock; this
-//! module supplies its backend (cost table, comm model, simulated time).
-//! NWChem's tasks come from
-//! [`crate::nwchem::atom_tasks`], the generator the threaded baseline
-//! claims from.
+//! Each simulated process, of either family, is the per-process executor
+//! of the crate-private `lane` module that the threaded builder runs, over
+//! a virtual clock: GTFock's `Lane`, with [`crate::sched`] deciding what
+//! runs next, and NWChem's `AtomLane`, claiming from the one
+//! [`crate::nwchem::atom_tasks`] stream. This module supplies their
+//! backends: cost table, comm model, the serialized central queue and
+//! simulated time.
 //!
 //! Approximations (documented in DESIGN.md): steal victims are located
 //! with the scheduler's global view of queue states (no probe messages
 //! are charged); NWChem per-atom-quartet compute cost uses exact screened
-//! quartet *counts* but an atom-type-averaged cost per quartet.
+//! quartet *counts* but an atom-type-averaged cost per quartet, and one
+//! call per atom-pair block and direction (the real GA splits a block at
+//! block-row owners).
 
-use crate::lane::{recovery_shares, Backend, Ctx, Lane, Traffic};
+use crate::lane::{recovery_shares, AtomBackend, AtomLane, AtomPair, Backend, Ctx, Lane, Traffic};
 use crate::nwchem::{atom_tasks, AtomMap, AtomTask};
 use crate::partition::StaticPartition;
 use crate::sched::Scheduler;
@@ -33,6 +35,7 @@ use distrt::{FaultPlan, GaError, MachineParams, ProcessGrid, Sim};
 use eri::{CostModel, DensityNorms};
 use obs::{fault_code, EventKind, Recorder};
 use rayon::prelude::*;
+use std::cell::{Cell, RefCell};
 
 /// Per-virtual-process outcome of a simulated build.
 #[derive(Debug, Clone, Copy, Default)]
@@ -221,61 +224,12 @@ impl<'a> GtfockSimModel<'a> {
                     } else {
                         let mut c = 0.0f64;
                         let mut qn = 0u64;
-                        for tp in 0..ntypes {
-                            let a = &by_type[m][tp];
-                            if a.is_empty() {
-                                continue;
-                            }
-                            for tq in 0..ntypes {
-                                let b = &by_type[nn][tq];
-                                if b.is_empty() {
-                                    continue;
-                                }
-                                let cq = cost.cost_by_types(tm, tp as u16, tn, tq as u16);
-                                let cnt = match dn {
-                                    None => {
-                                        // Two-pointer count of pairs with
-                                        // qa*qb > tau: as qa decreases, the
-                                        // admissible prefix of b shrinks
-                                        // monotonically.
-                                        let mut k = b.len();
-                                        let mut cnt = 0u64;
-                                        for &(qa, _) in a {
-                                            while k > 0 && qa * b[k - 1].0 <= tau {
-                                                k -= 1;
-                                            }
-                                            if k == 0 {
-                                                break;
-                                            }
-                                            cnt += k as u64;
-                                        }
-                                        cnt
-                                    }
-                                    Some(d) => {
-                                        // Per-quartet dmax defeats the
-                                        // two-pointer trick; count exactly,
-                                        // breaking early at the capped bound
-                                        // (weight ≤ wcap everywhere).
-                                        let mut cnt = 0u64;
-                                        for &(qa, p) in a {
-                                            if qa * b[0].0 * wcap <= tau {
-                                                break;
-                                            }
-                                            for &(qb, q) in b {
-                                                if qa * qb * wcap <= tau {
-                                                    break;
-                                                }
-                                                let w =
-                                                    d.quartet_weight(m, p as usize, nn, q as usize);
-                                                if qa * qb * w > tau {
-                                                    cnt += 1;
-                                                }
-                                            }
-                                        }
-                                        cnt
-                                    }
-                                };
-                                c += cq * cnt as f64;
+                        for (tp, a) in by_type[m].iter().enumerate() {
+                            for (tq, b) in by_type[nn].iter().enumerate() {
+                                let cnt = surviving_pairs(a, b, tau, false, dn, |p, q| {
+                                    [m, p as usize, nn, q as usize]
+                                });
+                                c += cost.cost_by_types(tm, tp as u16, tn, tq as u16) * cnt as f64;
                                 qn += cnt;
                             }
                         }
@@ -562,6 +516,59 @@ impl Backend for Virtual<'_> {
     }
 }
 
+/// Surviving pairs (x, y) ∈ a × b of two Schwarz lists sorted by q
+/// descending: q_x·q_y·w > τ, with w the density weight of the quartet
+/// `quartet(x, y)` names (1 without a density). Without a density this is
+/// a two-pointer count; with one, an exact count that breaks early at the
+/// capped weight. `same`: a and b are one list whose (x, y) and (y, x) are
+/// one quartet, so only positions x ≤ y count.
+fn surviving_pairs<T: Copy>(
+    a: &[(f64, T)],
+    b: &[(f64, T)],
+    tau: f64,
+    same: bool,
+    dn: Option<&DensityNorms>,
+    quartet: impl Fn(T, T) -> [usize; 4],
+) -> u64 {
+    if a.is_empty() || b.is_empty() {
+        return 0;
+    }
+    let Some(d) = dn else {
+        // As q_x decreases, the admissible prefix of b shrinks
+        // monotonically.
+        let (mut k, mut cnt, mut diag) = (b.len(), 0u64, 0u64);
+        for &(qa, _) in a {
+            while k > 0 && qa * b[k - 1].0 <= tau {
+                k -= 1;
+            }
+            if k == 0 {
+                break;
+            }
+            cnt += k as u64;
+            diag += u64::from(qa * qa > tau);
+        }
+        // Ordered pairs of one list are 2·off-diagonal + diagonal.
+        return if same { (cnt + diag) / 2 } else { cnt };
+    };
+    let wcap = d.weight_cap();
+    let mut cnt = 0u64;
+    for (ia, &(qa, x)) in a.iter().enumerate() {
+        if qa * b[0].0 * wcap <= tau {
+            break;
+        }
+        for &(qb, y) in &b[if same { ia } else { 0 }..] {
+            if qa * qb * wcap <= tau {
+                break;
+            }
+            let [m, n, p, q] = quartet(x, y);
+            if qa * qb * d.quartet_weight(m, n, p, q) > tau {
+                cnt += 1;
+            }
+        }
+    }
+    cnt
+}
+
 /// Contiguous runs in a sorted index list — the number of rectangular GA
 /// calls needed to fetch those rows/cols after the spatial reordering.
 fn runs(sorted: &[u32]) -> u64 {
@@ -603,20 +610,18 @@ pub struct NwchemSimModel<'a> {
     prob: &'a FockProblem,
     atoms: AtomMap,
     /// Per atom pair (i*nat+j, canonical pairs only populated for i>=j …
-    /// but stored for all (i,j)): (Schwarz value, shell m, shell n) sorted
-    /// by value descending. Shell ids feed the density-weighted test.
-    pair_q: Vec<Vec<(f64, u32, u32)>>,
+    /// but stored for all (i,j)): (Schwarz value, [shell m, shell n])
+    /// sorted by value descending. Shell ids feed the density-weighted
+    /// test.
+    pair_q: Vec<Vec<(f64, [u32; 2])>>,
     /// Average quartet cost c̄(apt1, apt2) between atom-type pairs
     /// (indexed by atom-pair type id), seconds.
     avg_cost: Vec<f64>,
     /// Atom-pair type id per atom pair.
     pair_type: Vec<usize>,
-    /// D/F block bytes of atom pair (i,j).
-    pair_bytes: Vec<u64>,
     /// Effective-density block norms for weighted quartet counting (None →
     /// plain Schwarz).
     dn: Option<DensityNorms>,
-    natoms: usize,
 }
 
 impl<'a> NwchemSimModel<'a> {
@@ -626,7 +631,6 @@ impl<'a> NwchemSimModel<'a> {
 
     /// [`Self::new`] with density-weighted quartet counts, matching the
     /// weighted test the threaded NWChem builder applies per quartet.
-    #[allow(clippy::needless_range_loop)] // type-bucket indices are used symbolically
     pub fn with_density(
         prob: &'a FockProblem,
         cost: &CostModel,
@@ -635,28 +639,23 @@ impl<'a> NwchemSimModel<'a> {
         let atoms = AtomMap::new(prob);
         let nat = atoms.natoms;
         // Atom type = multiset of shell types (C vs H etc.); identify by
-        // the type ids of the atom's shells.
-        let atom_type_sig: Vec<Vec<u16>> = (0..nat)
+        // the type ids of the atom's shells, numbered in first-seen order.
+        let mut atom_types: Vec<Vec<u16>> = Vec::new();
+        let atom_type: Vec<usize> = (0..nat)
             .map(|a| {
-                let mut v: Vec<u16> = atoms.shells[a]
+                let mut sig: Vec<u16> = atoms.shells[a]
                     .clone()
                     .map(|s| cost.type_of_shell[s])
                     .collect();
-                v.sort_unstable();
-                v
-            })
-            .collect();
-        let mut atom_types: Vec<Vec<u16>> = Vec::new();
-        let atom_type: Vec<usize> = (0..nat)
-            .map(
-                |a| match atom_types.iter().position(|t| *t == atom_type_sig[a]) {
-                    Some(i) => i,
-                    None => {
-                        atom_types.push(atom_type_sig[a].clone());
+                sig.sort_unstable();
+                atom_types
+                    .iter()
+                    .position(|t| *t == sig)
+                    .unwrap_or_else(|| {
+                        atom_types.push(sig);
                         atom_types.len() - 1
-                    }
-                },
-            )
+                    })
+            })
             .collect();
         let ntypes_at = atom_types.len();
         // Atom-pair type = (type(i), type(j)) collapsed.
@@ -669,7 +668,7 @@ impl<'a> NwchemSimModel<'a> {
         let nptypes = ntypes_at * ntypes_at;
 
         // Shell-pair q lists per atom pair (canonical shell pairs within).
-        let mut pair_q: Vec<Vec<(f64, u32, u32)>> = vec![Vec::new(); nat * nat];
+        let mut pair_q: Vec<Vec<(f64, [u32; 2])>> = vec![Vec::new(); nat * nat];
         let thresh = prob.tau / prob.screening.max_q;
         for i in 0..nat {
             for j in 0..nat {
@@ -681,7 +680,7 @@ impl<'a> NwchemSimModel<'a> {
                         }
                         let q = prob.screening.pair(m, nsh);
                         if q >= thresh {
-                            v.push((q, m as u32, nsh as u32));
+                            v.push((q, [m as u32, nsh as u32]));
                         }
                     }
                 }
@@ -694,18 +693,10 @@ impl<'a> NwchemSimModel<'a> {
         // c(tm,tn,tp,tq) over the shell-type products of representative
         // atom pairs.
         let mut avg_cost = vec![0.0f64; nptypes * nptypes];
-        let rep_of_ptype: Vec<Option<(usize, usize)>> = {
-            let mut reps = vec![None; nptypes];
-            for i in 0..nat {
-                for j in 0..nat {
-                    let pt = pair_type[i * nat + j];
-                    if reps[pt].is_none() {
-                        reps[pt] = Some((i, j));
-                    }
-                }
-            }
-            reps
-        };
+        let mut rep_of_ptype: Vec<Option<(usize, usize)>> = vec![None; nptypes];
+        for (k, &pt) in pair_type.iter().enumerate() {
+            rep_of_ptype[pt].get_or_insert((k / nat, k % nat));
+        }
         for (pt1, r1) in rep_of_ptype.iter().enumerate() {
             let Some((i1, j1)) = r1 else { continue };
             for (pt2, r2) in rep_of_ptype.iter().enumerate() {
@@ -731,22 +722,13 @@ impl<'a> NwchemSimModel<'a> {
             }
         }
 
-        let pair_bytes: Vec<u64> = (0..nat * nat)
-            .map(|k| {
-                let (i, j) = (k / nat, k % nat);
-                (atoms.bfs[i].len() * atoms.bfs[j].len() * 8) as u64
-            })
-            .collect();
-
         NwchemSimModel {
             prob,
             atoms,
             pair_q,
             avg_cost,
             pair_type,
-            pair_bytes,
             dn: dn.cloned(),
-            natoms: nat,
         }
     }
 
@@ -755,85 +737,15 @@ impl<'a> NwchemSimModel<'a> {
     /// are one quartet: only pairs at list positions a ≤ b count.
     #[inline]
     fn quartet_cost(&self, i: usize, j: usize, k: usize, l: usize) -> (f64, u64) {
-        let nat = self.natoms;
-        let a = &self.pair_q[i * nat + j];
-        let b = &self.pair_q[k * nat + l];
-        if a.is_empty() || b.is_empty() {
-            return (0.0, 0);
-        }
+        let nat = self.atoms.natoms;
+        let (a, b) = (&self.pair_q[i * nat + j], &self.pair_q[k * nat + l]);
         let same = (i, j) == (k, l);
-        let tau = self.prob.tau;
-        let cnt = match &self.dn {
-            None => {
-                // Two-pointer count of surviving ordered pairs.
-                let mut kk = b.len();
-                let mut cnt = 0u64;
-                let mut diag = 0u64;
-                for &(qa, _, _) in a {
-                    while kk > 0 && qa * b[kk - 1].0 <= tau {
-                        kk -= 1;
-                    }
-                    if kk == 0 {
-                        break;
-                    }
-                    cnt += kk as u64;
-                    diag += u64::from(qa * qa > tau);
-                }
-                // Ordered pairs of one list are 2·off-diagonal + diagonal.
-                if same {
-                    (cnt + diag) / 2
-                } else {
-                    cnt
-                }
-            }
-            Some(d) => {
-                // Exact weighted count with early breaks at the capped
-                // bound (per-quartet weight ≤ wcap everywhere).
-                let wcap = d.weight_cap();
-                let mut cnt = 0u64;
-                for (ia, &(qa, m, nsh)) in a.iter().enumerate() {
-                    if qa * b[0].0 * wcap <= tau {
-                        break;
-                    }
-                    for &(qb, p, q) in &b[if same { ia } else { 0 }..] {
-                        if qa * qb * wcap <= tau {
-                            break;
-                        }
-                        let w = d.quartet_weight(m as usize, nsh as usize, p as usize, q as usize);
-                        if qa * qb * w > tau {
-                            cnt += 1;
-                        }
-                    }
-                }
-                cnt
-            }
-        };
+        let cnt = surviving_pairs(a, b, self.prob.tau, same, self.dn.as_ref(), |x, y| {
+            [x[0], x[1], y[0], y[1]].map(|s| s as usize)
+        });
         let nptypes = (self.avg_cost.len() as f64).sqrt() as usize;
         let c = self.avg_cost[self.pair_type[i * nat + j] * nptypes + self.pair_type[k * nat + l]];
         (c * cnt as f64, cnt)
-    }
-
-    /// Communication of one atom quartet: 6 D gets + 6 F accs over its
-    /// unordered atom pairs.
-    #[inline]
-    fn quartet_comm(&self, i: usize, j: usize, k: usize, l: usize) -> (u64, u64) {
-        let nat = self.natoms;
-        let mut pairs = [(0usize, 0usize); 6];
-        let raw = [(i, j), (k, l), (i, k), (i, l), (j, k), (j, l)];
-        let mut np = 0;
-        for &(a, b) in &raw {
-            let key = if a >= b { (a, b) } else { (b, a) };
-            if !pairs[..np].contains(&key) {
-                pairs[np] = key;
-                np += 1;
-            }
-        }
-        let mut bytes = 0u64;
-        for &(a, b) in &pairs[..np] {
-            bytes += self.pair_bytes[a * nat + b];
-        }
-        // D get + F acc for each block.
-        (bytes * 2, np as u64 * 2)
     }
 
     /// Run the discrete-event simulation: one process per core, block-row
@@ -848,8 +760,11 @@ impl<'a> NwchemSimModel<'a> {
     }
 
     /// [`Self::simulate`] with telemetry: queue accesses, task start/end,
-    /// and per-task block traffic recorded per simulated process with
-    /// simulated timestamps.
+    /// and per-atom-quartet block traffic recorded per simulated process
+    /// with simulated timestamps. Each process is the NWChem executor the
+    /// threaded baseline runs, over a virtual clock: the loop pops the
+    /// earliest process, lets it claim and run one task and reschedules it
+    /// at its clock.
     pub fn simulate_rec(
         &self,
         machine: MachineParams,
@@ -858,111 +773,33 @@ impl<'a> NwchemSimModel<'a> {
         rec: &Recorder,
     ) -> SimResult {
         let nprocs = ncores.max(1);
-        let machine = MachineParams {
-            bandwidth: machine.bandwidth / machine.cores_per_node.max(1) as f64,
-            ..machine
-        };
-        let mut tasks = self.tasks(chunk);
-        let mut out = vec![ProcessOutcome::default(); nprocs];
+        let central = Central::new(self, machine, chunk, rec);
+        let mut lanes: Vec<_> = (0..nprocs)
+            .map(|rank| {
+                let process = VirtualProcess::new(&central, rank);
+                AtomLane::new(&self.atoms, self.prob.tau, process)
+            })
+            .collect();
         let mut sim: Sim<usize> = Sim::new();
-        let mut queue_free_at = 0.0f64;
         for rank in 0..nprocs {
-            if rec.is_enabled() {
-                rec.side_event_at(rank, 0.0, EventKind::WorkerStart);
-            }
             sim.schedule(0.0, rank);
         }
-        let mut done = vec![false; nprocs];
-        while let Some((now, rank)) = sim.pop() {
-            // GetTask: serialized access to the central queue.
-            let begin = queue_free_at.max(now);
-            let service = machine.atomic_op + machine.latency;
-            queue_free_at = begin + service;
-            let queue_t = (begin - now) + service;
-            out[rank].t_queue += queue_t;
-            if rec.is_enabled() {
-                rec.side_event_at(rank, now + queue_t, EventKind::QueueAccess);
-            }
-
-            match tasks.next() {
-                None => {
-                    if !done[rank] {
-                        done[rank] = true;
-                        out[rank].t_fock = now + queue_t;
-                        if rec.is_enabled() {
-                            rec.side_event_at(rank, now + queue_t, EventKind::WorkerEnd);
-                        }
-                    }
-                }
-                Some((i, j, k, l_lo, l_hi)) => {
-                    out[rank].tasks += 1;
-                    let mut task_time = queue_t;
-                    let mut task_quartets = 0u64;
-                    let mut task_bytes = 0u64;
-                    for l in l_lo..=l_hi {
-                        if self.atoms.pair_value(i, j) * self.atoms.pair_value(k, l)
-                            <= self.prob.tau
-                        {
-                            continue;
-                        }
-                        let (cost, cnt) = self.quartet_cost(i, j, k, l);
-                        if cost == 0.0 {
-                            continue;
-                        }
-                        let (bytes, calls) = self.quartet_comm(i, j, k, l);
-                        let comm_t = machine.comm_time(calls, bytes);
-                        out[rank].t_comp += cost;
-                        out[rank].t_comm += comm_t;
-                        out[rank].bytes += bytes;
-                        out[rank].calls += calls;
-                        task_time += cost + comm_t;
-                        task_quartets += cnt;
-                        task_bytes += bytes;
-                    }
-                    if rec.is_enabled() {
-                        rec.side_event_at(
-                            rank,
-                            now + queue_t,
-                            EventKind::TaskStart {
-                                m: i as u32,
-                                n: j as u32,
-                            },
-                        );
-                        if task_bytes > 0 {
-                            // Half the traffic is D gets, half F accs.
-                            rec.side_event_at(
-                                rank,
-                                now + task_time,
-                                EventKind::CommGet {
-                                    bytes: task_bytes / 2,
-                                },
-                            );
-                            rec.side_event_at(
-                                rank,
-                                now + task_time,
-                                EventKind::CommAcc {
-                                    bytes: task_bytes / 2,
-                                },
-                            );
-                        }
-                        rec.side_event_at(
-                            rank,
-                            now + task_time,
-                            EventKind::TaskEnd {
-                                m: i as u32,
-                                n: j as u32,
-                                quartets: task_quartets as u32,
-                            },
-                        );
-                    }
-                    sim.schedule(now + task_time, rank);
-                }
+        while let Some((_, rank)) = sim.pop() {
+            if lanes[rank].step() {
+                sim.schedule(lanes[rank].backend.clock(), rank);
             }
         }
+        let per_process = lanes
+            .iter()
+            .map(|l| ProcessOutcome {
+                t_fock: l.backend.clock(),
+                ..l.backend.out
+            })
+            .collect();
         SimResult {
             ncores,
             nprocs,
-            per_process: out,
+            per_process,
         }
     }
 
@@ -989,6 +826,132 @@ impl<'a> NwchemSimModel<'a> {
             }
         }
         total
+    }
+}
+
+/// What every simulated NWChem process shares: the model, the machine
+/// (with the node's NIC shared by its processes) and the central queue —
+/// the one task stream, served one access at a time.
+struct Central<'a> {
+    model: &'a NwchemSimModel<'a>,
+    machine: MachineParams,
+    rec: &'a Recorder,
+    tasks: RefCell<Box<dyn Iterator<Item = AtomTask> + 'a>>,
+    /// When the queue finishes its current access.
+    free_at: Cell<f64>,
+}
+
+impl<'a> Central<'a> {
+    fn new(
+        model: &'a NwchemSimModel<'a>,
+        machine: MachineParams,
+        chunk: usize,
+        rec: &'a Recorder,
+    ) -> Self {
+        let bandwidth = machine.bandwidth / machine.cores_per_node.max(1) as f64;
+        Central {
+            model,
+            machine: MachineParams {
+                bandwidth,
+                ..machine
+            },
+            rec,
+            tasks: RefCell::new(Box::new(model.tasks(chunk))),
+            free_at: Cell::new(0.0),
+        }
+    }
+}
+
+/// The NWChem simulator's [`AtomBackend`]: the serialized central queue,
+/// the model's quartet counts and costs, one call per atom-pair block
+/// priced by [`MachineParams::comm_time`], and this process's simulated
+/// clock.
+struct VirtualProcess<'c, 'a> {
+    central: &'c Central<'a>,
+    rank: usize,
+    /// The clock is `since + elapsed`: `since` is when the current task's
+    /// queue access began, `elapsed` the simulated seconds since then.
+    since: f64,
+    elapsed: f64,
+    /// The atom quartet in flight: its compute cost and its gets.
+    cost: f64,
+    got: Traffic,
+    out: ProcessOutcome,
+}
+
+impl<'c, 'a> VirtualProcess<'c, 'a> {
+    fn new(central: &'c Central<'a>, rank: usize) -> Self {
+        VirtualProcess {
+            central,
+            rank,
+            since: 0.0,
+            elapsed: 0.0,
+            cost: 0.0,
+            got: Traffic::default(),
+            out: ProcessOutcome::default(),
+        }
+    }
+
+    fn clock(&self) -> f64 {
+        self.since + self.elapsed
+    }
+}
+
+impl AtomBackend for VirtualProcess<'_, '_> {
+    fn event(&mut self, kind: EventKind) {
+        let t = self.clock();
+        self.central.rec.side_event_at(self.rank, t, kind);
+    }
+
+    /// One access to the central queue, after any access in progress.
+    fn claim(&mut self) -> Option<AtomTask> {
+        let (c, now) = (self.central, self.clock());
+        let begin = c.free_at.get().max(now);
+        let service = c.machine.atomic_op + c.machine.latency;
+        c.free_at.set(begin + service);
+        let queue_t = (begin - now) + service;
+        self.out.t_queue += queue_t;
+        (self.since, self.elapsed) = (now, queue_t);
+        let task = c.tasks.borrow_mut().next();
+        self.out.tasks += u64::from(task.is_some());
+        task
+    }
+
+    fn screen(&mut self, [i, j, k, l]: [usize; 4]) -> u64 {
+        let (cost, quartets) = self.central.model.quartet_cost(i, j, k, l);
+        self.cost = cost;
+        quartets
+    }
+
+    fn fetch(&mut self, pairs: &[AtomPair]) {
+        let bfs = &self.central.model.atoms.bfs;
+        let bytes = pairs
+            .iter()
+            .map(|&(a, b)| (bfs[a].len() * bfs[b].len() * 8) as u64)
+            .sum();
+        self.got = Traffic {
+            bytes,
+            calls: pairs.len() as u64,
+        };
+        self.out.bytes += bytes;
+        self.out.calls += self.got.calls;
+        self.event(EventKind::CommGet { bytes });
+    }
+
+    fn compute(&mut self) {
+        self.out.t_comp += self.cost;
+    }
+
+    /// The accs mirror the gets. The clock moves once per atom quartet, by
+    /// its compute cost plus the comm time of its gets and accs together.
+    fn flush(&mut self) {
+        let Traffic { bytes, calls } = self.got;
+        self.out.bytes += bytes;
+        self.out.calls += calls;
+        let comm_t = self.central.machine.comm_time(2 * calls, 2 * bytes);
+        self.out.t_comm += comm_t;
+        self.elapsed += self.cost + comm_t;
+        self.event(EventKind::CommAcc { bytes });
     }
 }
 

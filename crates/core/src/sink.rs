@@ -14,6 +14,11 @@
 //! the two updates per image, which is exactly equivalent to full
 //! enumeration — no fractional weights, no special cases for coincident
 //! indices. Correctness is checked against brute-force full enumeration.
+//!
+//! The parallel builders hold each F block in one orientation and
+//! accumulate it once, so the global F′ holds every ordered update at
+//! (i, j) or at (j, i); [`symmetrize`] turns it into ½(F′ + F′ᵀ), the
+//! ordered-update sum, exactly symmetric.
 
 use crate::tasks::FockProblem;
 use eri::{ClassBatcher, DensityNorms, EriEngine, QuartetClass};
@@ -130,6 +135,19 @@ pub fn apply_quartet<S: FockSink>(
                     }
                 }
             }
+        }
+    }
+}
+
+/// G ← ½(G + Gᵀ) for a row-major n×n G: the one assembly step of the
+/// parallel builders, after every F block landed.
+pub fn symmetrize(g: &mut [f64], n: usize) {
+    assert_eq!(g.len(), n * n);
+    for i in 0..n {
+        for j in 0..i {
+            let v = 0.5 * (g[i * n + j] + g[j * n + i]);
+            g[i * n + j] = v;
+            g[j * n + i] = v;
         }
     }
 }

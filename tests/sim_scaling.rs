@@ -141,9 +141,11 @@ fn work_conserved_across_core_counts() {
 // Threads-vs-DES equality harness (scheduling half). Both executors run
 // `fock_core::sched`; a DES machine with one core per node gets the same
 // `ProcessGrid::squarest(p)` grid as the threaded builder, so the
-// scheduling observables must agree exactly. GA call and byte counts are
-// not compared: the DES charges contiguous-run calls per region, threads
-// issue one get per shell block.
+// scheduling observables must agree exactly. GTFock GA call and byte
+// counts are not compared: the DES charges contiguous-run calls per region,
+// threads issue one get per shell block. NWChem's are: both executors move
+// one D get and one F acc per distinct atom-pair block of each atom
+// quartet with a surviving shell quartet.
 // ---------------------------------------------------------------------------
 
 struct Case {
@@ -298,7 +300,7 @@ fn threaded_nwchem_claims_the_des_task_stream() {
     let c = alkane();
     let model = NwchemSimModel::with_density(&c.prob, &c.cost, Some(&c.dn));
     let quartets = des_model(&c).total_quartets();
-    for p in [2usize, 4, 8] {
+    for p in [1usize, 2, 4, 8] {
         let (_, rep) = build_fock_nwchem(
             &c.prob,
             &c.d,
@@ -310,11 +312,25 @@ fn threaded_nwchem_claims_the_des_task_stream() {
         assert_eq!(rep.queue_accesses, model.total_tasks(5) + p as u64, "p={p}");
         assert_eq!(rep.total_quartets(), quartets, "p={p}");
         let rec = Recorder::enabled();
-        model.simulate_rec(one_core_nodes(), p, 5, &rec);
+        let r = model.simulate_rec(one_core_nodes(), p, 5, &rec);
         let des_q: u64 = per_rank(&rec.recording().expect("enabled"), p)
             .iter()
             .map(|&(_, q)| q)
             .sum();
         assert_eq!(rep.total_quartets(), des_q, "p={p}");
+        // The threads move the bytes the DES charges. Calls agree at p = 1
+        // only: above that the GA splits a block at block-row owners.
+        let bytes: u64 = rep.comm.iter().map(|c| c.total_bytes()).sum();
+        let des_bytes: u64 = r.per_process.iter().map(|o| o.bytes).sum();
+        assert_eq!(bytes, des_bytes, "p={p}");
+        if p == 1 {
+            let des_calls: u64 = r.per_process.iter().map(|o| o.calls).sum();
+            assert_eq!(rep.comm[0].total_calls(), des_calls);
+        }
+        // Every D block a process gets, it accumulates into F once.
+        for (rank, c) in rep.comm.iter().enumerate() {
+            assert_eq!(c.get_calls, c.acc_calls, "p={p} rank {rank}");
+            assert_eq!(c.get_bytes, c.acc_bytes, "p={p} rank {rank}");
+        }
     }
 }
