@@ -8,7 +8,7 @@
 //! config → time/volume rows machine-readably (see `bench::sweep_json`).
 
 use bench::{
-    banner, flag_full, granularity_sweep_chunks, opt_json, opt_tau, prepare, sweep_json,
+    banner, flag_full, granularity_sweep_chunks, opt_str, opt_tau, prepare, sweep_json,
     test_molecules, SweepRow,
 };
 use distrt::MachineParams;
@@ -16,10 +16,11 @@ use fock_core::sim_exec::NwchemSimModel;
 
 fn main() {
     let full = flag_full();
-    let tau = opt_tau();
+    let tau = opt_tau(1e-10);
     banner(
         "Ablation: baseline task granularity (atom quartets per task)",
         full,
+        tau,
     );
     let machine = MachineParams::lonestar();
     let cores = if full { 1728 } else { 192 };
@@ -52,7 +53,7 @@ fn main() {
             mbytes_per_proc: r.avg_mbytes(),
         });
     }
-    if let Some(path) = opt_json() {
+    if let Some(path) = opt_str("--json") {
         std::fs::write(
             &path,
             sweep_json("ablation_granularity", &w.name, cores, &rows),

@@ -17,8 +17,8 @@ use fock_core::tasks::FockProblem;
 
 fn main() {
     let full = flag_full();
-    let tau = opt_tau();
-    banner("Ablation: spatial shell reordering on vs off", full);
+    let tau = opt_tau(1e-10);
+    banner("Ablation: spatial shell reordering on vs off", full, tau);
     let machine = MachineParams::lonestar();
     let cores = if full { 768 } else { 192 };
 

@@ -9,7 +9,7 @@
 //! machine-readable document (see `bench::sweep_json`).
 
 use bench::{
-    banner, flag_full, opt_json, opt_tau, prepare, scheduler_sweep_configs, sweep_json,
+    banner, flag_full, opt_str, opt_tau, prepare, scheduler_sweep_configs, sweep_json,
     test_molecules, SweepRow,
 };
 use distrt::MachineParams;
@@ -17,10 +17,11 @@ use fock_core::sim_exec::GtfockSimModel;
 
 fn main() {
     let full = flag_full();
-    let tau = opt_tau();
+    let tau = opt_tau(1e-10);
     banner(
         "Ablation: work-stealing victim policy and granularity",
         full,
+        tau,
     );
     let machine = MachineParams::lonestar();
     let cores = if full { 3888 } else { 384 };
@@ -58,7 +59,7 @@ fn main() {
             mbytes_per_proc: r.avg_mbytes(),
         });
     }
-    if let Some(path) = opt_json() {
+    if let Some(path) = opt_str("--json") {
         std::fs::write(
             &path,
             sweep_json("ablation_scheduler", &w.name, cores, &rows),

@@ -6,37 +6,20 @@
 //! premise); stealing removes the residual imbalance, most visibly on the
 //! alkanes where screening makes task costs uneven.
 
-use bench::{banner, core_counts, flag_full, opt_tau, prepare_all};
-use distrt::MachineParams;
-use fock_core::sim_exec::GtfockSimModel;
+use bench::{PaperSweep, Run};
 
 fn main() {
-    let full = flag_full();
-    let tau = opt_tau();
-    banner("Ablation: work stealing on vs off", full);
-    let machine = MachineParams::lonestar();
-    let cores = core_counts(full);
-
-    for w in prepare_all(full, tau) {
-        eprintln!("simulating {} …", w.name);
-        let model = GtfockSimModel::new(&w.prob, &w.cost);
-        println!("# {}", w.name);
-        println!(
-            "{:>6} {:>14} {:>8} {:>14} {:>8} {:>10}",
-            "cores", "T_fock steal", "l", "T_fock static", "l", "gain"
-        );
-        for &c in &cores {
-            let on = model.simulate(machine, c, true);
-            let off = model.simulate(machine, c, false);
-            println!(
-                "{:>6} {:>14.3} {:>8.3} {:>14.3} {:>8.3} {:>9.1}%",
-                c,
-                on.t_fock_max(),
-                on.load_balance(),
-                off.t_fock_max(),
-                off.load_balance(),
-                100.0 * (off.t_fock_max() - on.t_fock_max()) / off.t_fock_max()
-            );
+    let runs = [Run::Gtfock, Run::GtfockStatic];
+    let s = PaperSweep::run("Ablation: work stealing on vs off", &runs, None);
+    for m in &s.series {
+        println!("# {}", m.name);
+        println!(" cores   T_fock steal        l  T_fock static        l       gain");
+        for (ci, c) in s.cores.iter().enumerate() {
+            let (on, off) = (m.at(Run::Gtfock, ci), m.at(Run::GtfockStatic, ci));
+            let (t_on, t_off) = (on.t_fock_max(), off.t_fock_max());
+            let (l_on, l_off) = (on.load_balance(), off.load_balance());
+            let gain = 100.0 * (t_off - t_on) / t_off;
+            println!("{c:>6} {t_on:>14.3} {l_on:>8.3} {t_off:>14.3} {l_off:>8.3} {gain:>9.1}%");
         }
         println!();
     }

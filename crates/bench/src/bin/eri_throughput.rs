@@ -314,7 +314,7 @@ fn main() {
     let full = flag_full();
     let smoke = flag("--smoke");
     let gate = opt_str("--gate");
-    let tau = opt_tau();
+    let tau = opt_tau(1e-10);
     println!("== ERI throughput: reference kernel vs batched class kernels ==");
     println!(
         "molecules: {} | τ = {tau:.0e}",

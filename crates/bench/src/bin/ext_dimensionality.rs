@@ -17,10 +17,11 @@ use fock_core::sim_exec::GtfockSimModel;
 
 fn main() {
     let full = flag_full();
-    let tau = opt_tau();
+    let tau = opt_tau(1e-10);
     banner(
         "Extension: dimensionality sweep (1-D chain → 3-D cluster)",
         full,
+        tau,
     );
     let machine = MachineParams::lonestar();
     let cores = if full { 3888 } else { 768 };

@@ -13,7 +13,7 @@
 //!
 //! `--full` grows both sweeps (benzene SCF, larger flake).
 
-use bench::{banner, flag_full, opt_json, sweep_json, SweepRow};
+use bench::{banner, flag_full, opt_str, sweep_json, SweepRow};
 use chem::reorder::ShellOrdering;
 use chem::shells::BasisInstance;
 use chem::{generators, BasisSetKind, Molecule};
@@ -51,6 +51,7 @@ fn main() {
     banner(
         "Fault sweep: rank death vs energy, requeues, and time",
         full,
+        1e-10,
     );
     let molecule = if full {
         generators::acene(1) // benzene
@@ -150,7 +151,7 @@ fn main() {
         });
     }
 
-    if let Some(path) = opt_json() {
+    if let Some(path) = opt_str("--json") {
         std::fs::write(&path, sweep_json("fault_sweep", &flake_name, ncores, &rows))
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("wrote {path}");

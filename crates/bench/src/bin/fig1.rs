@@ -105,10 +105,11 @@ fn region_elements(
 
 fn main() {
     let full = flag_full();
-    let tau = opt_tau();
+    let tau = opt_tau(1e-10);
     banner(
         "Figure 1: D elements required by one task vs a 50×50 task block",
         full,
+        tau,
     );
     let molecule = if full {
         generators::linear_alkane(100)

@@ -6,81 +6,30 @@
 //! The paper's headline: T_comp is comparable between the codes, but
 //! GTFock's overhead is roughly an order of magnitude lower, and the
 //! baseline's overhead overtakes its computation time at large core
-//! counts on the lighter problems.
+//! counts on the lighter problems. The figure's story is the baseline's
+//! overhead, so `--trace <path>` dumps its timeline at 48 cores.
 
-use bench::{banner, core_counts, flag_full, opt_tau, opt_trace, prepare_all};
-use distrt::MachineParams;
-use fock_core::sim_exec::{GtfockSimModel, NwchemSimModel};
-use obs::Recorder;
+use bench::{PaperSweep, Run};
 
 fn main() {
-    let full = flag_full();
-    let tau = opt_tau();
-    let trace = opt_trace();
-    banner("Figure 2: T_comp vs parallel overhead T_ov", full);
-    let machine = MachineParams::lonestar();
-    let cores = core_counts(full);
-
-    let workloads = prepare_all(full, tau);
-    for w in &workloads {
-        eprintln!("simulating {} …", w.name);
-        let gt = GtfockSimModel::new(&w.prob, &w.cost);
-        let nw = NwchemSimModel::new(&w.prob, &w.cost);
-        println!("# {}", w.name);
-        println!(
-            "{:>6} {:>14} {:>14} {:>14} {:>14}",
-            "cores", "GT-Tcomp(s)", "GT-Tov(s)", "NW-Tcomp(s)", "NW-Tov(s)"
-        );
-        for &c in &cores {
-            let g = gt.simulate(machine, c, true);
-            let n = nw.simulate(machine, c, 5);
-            println!(
-                "{:>6} {:>14.3} {:>14.4} {:>14.3} {:>14.4}",
-                c,
-                g.t_comp_avg(),
-                g.t_ov_avg(),
-                n.t_comp_avg(),
-                n.t_ov_avg()
-            );
+    let runs = [Run::Gtfock, Run::Nwchem];
+    let trace = Some((Run::Nwchem, " NWChem-style"));
+    let s = PaperSweep::run("Figure 2: T_comp vs parallel overhead T_ov", &runs, trace);
+    for m in &s.series {
+        println!("# {}", m.name);
+        println!(" cores    GT-Tcomp(s)      GT-Tov(s)    NW-Tcomp(s)      NW-Tov(s)");
+        let mut ratio = 0.0; // NW/GT overhead at the last (largest) core count
+        for (ci, c) in s.cores.iter().enumerate() {
+            let (g, n) = (m.at(Run::Gtfock, ci), m.at(Run::Nwchem, ci));
+            let (gc, go, nc, no) = (g.t_comp_avg(), g.t_ov_avg(), n.t_comp_avg(), n.t_ov_avg());
+            println!("{c:>6} {gc:>14.3} {go:>14.4} {nc:>14.3} {no:>14.4}");
+            ratio = if go > 0.0 { no / go } else { f64::INFINITY };
         }
-        let g = gt.simulate(machine, *cores.last().unwrap(), true);
-        let n = nw.simulate(machine, *cores.last().unwrap(), 5);
-        let ratio = if g.t_ov_avg() > 0.0 {
-            n.t_ov_avg() / g.t_ov_avg()
-        } else {
-            f64::INFINITY
-        };
-        println!(
-            "# overhead ratio NW/GT at {} cores: {:.1}×\n",
-            cores.last().unwrap(),
-            ratio
-        );
+        let at = s.cores[s.cores.len() - 1];
+        println!("# overhead ratio NW/GT at {at} cores: {ratio:.1}×\n");
     }
     println!("expected shape (paper): comparable T_comp; GTFock's T_ov about an order of");
     println!("magnitude lower; baseline overhead approaches/exceeds its T_comp at scale on");
     println!("the alkanes and the smaller flake.");
-
-    if let Some(path) = trace {
-        // The figure's story is the baseline's overhead, so the trace dumps
-        // the NWChem-style model's per-process timeline (queue accesses,
-        // task start/end, block traffic) at 48 cores — same plumbing as
-        // table8.
-        let rec = Recorder::enabled();
-        let cores = 48;
-        let w = &workloads[0];
-        let nw = NwchemSimModel::new(&w.prob, &w.cost);
-        nw.simulate_rec(machine, cores, 5, &rec);
-        let recording = rec.recording().expect("recorder was enabled");
-        if let Err(e) = std::fs::write(&path, recording.to_json()) {
-            eprintln!("error: cannot write trace to {path}: {e}");
-            std::process::exit(1);
-        }
-        println!();
-        println!(
-            "trace: {} events across {} processes ({} NWChem-style @ {cores} cores) -> {path}",
-            recording.total_events(),
-            recording.nworkers(),
-            w.name
-        );
-    }
+    s.write_trace();
 }

@@ -21,22 +21,13 @@
 //! weighted test to drop: measured C6 ≈ 1.6×, C10 ≈ 1.9×, C14 ≈ 2.1×,
 //! C20 ≳ 2×.
 
-use bench::{banner, flag_full};
+use bench::{banner, flag_full, opt_tau};
 use chem::reorder::ShellOrdering;
 use chem::{generators, BasisSetKind};
 use fock_core::build::DENSITY_SKIPPED_COUNTER;
 use fock_core::scf::{run_scf, ScfConfig, ScfGuess, ScfResult};
 use obs::Recorder;
 use std::time::Instant;
-
-fn opt_tau_default(default: f64) -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--tau")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn run(carbons: usize, tau: f64, incremental: bool, rec: &Recorder) -> ScfResult {
     let t0 = Instant::now();
@@ -80,9 +71,13 @@ fn tail_quartets(r: &ScfResult) -> u64 {
 
 fn main() {
     let full = flag_full();
-    let tau = opt_tau_default(1e-13);
+    let tau = opt_tau(1e-13);
     let carbons = if full { 20 } else { 14 };
-    banner("Incremental (ΔD) builds: density-weighted screening", full);
+    banner(
+        "Incremental (ΔD) builds: density-weighted screening",
+        full,
+        tau,
+    );
     println!(
         "molecule: C{}H{} (linear alkane), basis STO-3G, GWH guess, τ = {tau:.0e}",
         carbons,

@@ -10,8 +10,8 @@ use fock_core::sim_exec::GtfockSimModel;
 
 fn main() {
     let full = flag_full();
-    let tau = opt_tau();
-    banner("Section III-G: performance model analysis", full);
+    let tau = opt_tau(1e-10);
+    banner("Section III-G: performance model analysis", full, tau);
     let machine = MachineParams::lonestar();
     let molecule = test_molecules(full).remove(0); // C96H24 (or scaled C24H12)
     let name = molecule.formula();

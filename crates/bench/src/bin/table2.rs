@@ -11,8 +11,8 @@ use bench::{banner, flag_full, opt_tau, prepare, test_molecules};
 
 fn main() {
     let full = flag_full();
-    let tau = opt_tau();
-    banner("Table II: Test molecules", full);
+    let tau = opt_tau(1e-10);
+    banner("Table II: Test molecules", full, tau);
 
     println!(
         "{:<12} {:>7} {:>8} {:>10} {:>22}",

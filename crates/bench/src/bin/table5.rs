@@ -22,8 +22,8 @@ use std::time::Instant;
 
 fn main() {
     let full = flag_full();
-    banner("Table V: average time per ERI (t_int)", full);
-    let tau = opt_tau();
+    let tau = opt_tau(1e-10);
+    banner("Table V: average time per ERI (t_int)", full, tau);
 
     println!(
         "{:<10} {:>18} {:>16} {:>14} {:>14}",

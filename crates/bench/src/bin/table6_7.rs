@@ -3,80 +3,19 @@
 //! baseline, across core counts (simulated execution; volumes include
 //! local transfers, as in the paper's methodology).
 
-use bench::{banner, core_counts, flag_full, opt_tau, prepare_all};
-use distrt::MachineParams;
-use fock_core::sim_exec::{GtfockSimModel, NwchemSimModel};
+use bench::{PaperSweep, Run};
 
 fn main() {
-    let full = flag_full();
-    let tau = opt_tau();
-    banner(
+    let s = PaperSweep::run(
         "Tables VI & VII: communication volume and call counts",
-        full,
+        &[Run::Gtfock, Run::Nwchem],
+        None,
     );
-    let machine = MachineParams::lonestar();
-    let cores = core_counts(full);
-    let workloads = prepare_all(full, tau);
-
-    struct Row {
-        name: String,
-        data: Vec<(f64, f64, f64, f64)>, // (gt_mb, nw_mb, gt_calls, nw_calls)
-    }
-    let mut rows = Vec::new();
-    for w in &workloads {
-        eprintln!("simulating {} …", w.name);
-        let gt = GtfockSimModel::new(&w.prob, &w.cost);
-        let nw = NwchemSimModel::new(&w.prob, &w.cost);
-        let data = cores
-            .iter()
-            .map(|&c| {
-                let g = gt.simulate(machine, c, true);
-                let n = nw.simulate(machine, c, 5);
-                (g.avg_mbytes(), n.avg_mbytes(), g.avg_calls(), n.avg_calls())
-            })
-            .collect();
-        rows.push(Row {
-            name: w.name.clone(),
-            data,
-        });
-    }
-
     println!("Table VI: average communication volume (MB) per process");
-    print!("{:>6}", "Cores");
-    for r in &rows {
-        print!(
-            " {:>11} {:>11}",
-            format!("{}-GT", r.name),
-            format!("{}-NW", r.name)
-        );
-    }
-    println!();
-    for (ci, &c) in cores.iter().enumerate() {
-        print!("{c:>6}");
-        for r in &rows {
-            print!(" {:>11.1} {:>11.1}", r.data[ci].0, r.data[ci].1);
-        }
-        println!();
-    }
-
+    s.grid(11, 1, |m, r, ci| m.at(r, ci).avg_mbytes());
     println!();
     println!("Table VII: average number of one-sided calls per process");
-    print!("{:>6}", "Cores");
-    for r in &rows {
-        print!(
-            " {:>11} {:>11}",
-            format!("{}-GT", r.name),
-            format!("{}-NW", r.name)
-        );
-    }
-    println!();
-    for (ci, &c) in cores.iter().enumerate() {
-        print!("{c:>6}");
-        for r in &rows {
-            print!(" {:>11.0} {:>11.0}", r.data[ci].2, r.data[ci].3);
-        }
-        println!();
-    }
+    s.grid(11, 0, |m, r, ci| m.at(r, ci).avg_calls());
     println!();
     println!("expected shape (paper): GTFock moves less data in far fewer calls at every");
     println!("core count — bulk prefetch versus per-atom-quartet block traffic.");

@@ -5,36 +5,19 @@
 //! same machine: the paper's canonical purification converged in ≈45
 //! iterations, each costing two distributed (SUMMA) matrix multiplies of
 //! the nbf × nbf density — 2·2·nbf³ flops per multiply spread over the
-//! nodes, plus the SUMMA panel traffic at bandwidth β. The per-node GEMM
-//! rate is measured on this host and scaled to the Table I node
-//! (160 DP GFlop/s).
+//! nodes at a fraction of the Table I node's 160 DP GFlop/s peak, plus
+//! the SUMMA panel traffic at bandwidth β.
 
 use bench::{banner, core_counts, flag_full, opt_tau, prepare, test_molecules};
 use distrt::MachineParams;
 use fock_core::sim_exec::GtfockSimModel;
-use linalg::gemm::gemm;
-use linalg::Mat;
-use std::time::Instant;
-
-/// Measured local GEMM flop rate (flops/s) of this host, one core.
-fn measure_gemm_rate() -> f64 {
-    let n = 192;
-    let a = Mat::from_vec(n, n, (0..n * n).map(|k| (k % 7) as f64 * 0.1).collect());
-    let t0 = Instant::now();
-    let mut reps = 0;
-    while t0.elapsed().as_secs_f64() < 0.3 {
-        let _ = gemm(1.0, &a, &a, 0.0, None);
-        reps += 1;
-    }
-    2.0 * (n as f64).powi(3) * reps as f64 / t0.elapsed().as_secs_f64()
-}
-
 fn main() {
     let full = flag_full();
-    let tau = opt_tau();
+    let tau = opt_tau(1e-10);
     banner(
         "Table IX: percentage of HF iteration spent in purification",
         full,
+        tau,
     );
     let machine = MachineParams::lonestar();
     let molecule = test_molecules(full).remove(1); // C150H30 (or scaled C54H18)
@@ -47,7 +30,6 @@ fn main() {
     // Paper: ≈45 purification iterations in the first HF iteration.
     let purf_iters = 45.0;
     let node_flops = 160e9; // Table I
-    let _local = measure_gemm_rate(); // sanity: host rate exists & is finite
     println!("molecule {name}: nbf = {nbf}, purification iterations = {purf_iters}\n");
 
     // Effective GEMM efficiency: production GA-based SUMMA runs well below
@@ -59,7 +41,7 @@ fn main() {
         "{:>6} {:>12} {:>12} {:>8}",
         "Cores", "T_fock(s)", "T_purf(s)", "%"
     );
-    for &c in &core_counts(full) {
+    for &c in &core_counts() {
         let nodes = (c / machine.cores_per_node).max(1) as f64;
         let t_fock = gt.simulate(machine, c, true).t_fock_max();
         // Two n³ multiplies per iteration, each 2n³ flops; local tiles are

@@ -9,15 +9,20 @@
 //!   core. The scaled molecules preserve the structural contrast (dense
 //!   2-D flakes vs screened 1-D chains) that drives every observable.
 //! * `--tau <v>` — screening tolerance (default 1e-10, the paper's value).
+//!
+//! Tables III/IV, VI/VII, VIII, Fig. 2 and the stealing ablation are views
+//! of one experiment, [`PaperSweep`]: the four molecules × [`core_counts`],
+//! GTFock vs the NWChem-style baseline, simulated once.
 
 use chem::molecule::Molecule;
 use chem::reorder::ShellOrdering;
 use chem::shells::BasisInstance;
 use chem::{generators, BasisSetKind};
+use distrt::MachineParams;
 use eri::CostModel;
-use fock_core::sim_exec::{StealConfig, VictimPolicy};
+use fock_core::sim_exec::{GtfockSimModel, NwchemSimModel, SimResult, StealConfig, VictimPolicy};
 use fock_core::tasks::FockProblem;
-use obs::{json_escape, json_f64};
+use obs::{json_escape, json_f64, Recorder, Recording};
 
 /// A prepared workload: problem + calibrated cost model.
 pub struct Workload {
@@ -63,22 +68,182 @@ pub fn prepare(molecule: Molecule, tau: f64) -> Workload {
     Workload { name, prob, cost }
 }
 
-/// Prepare all four test workloads.
-pub fn prepare_all(full: bool, tau: f64) -> Vec<Workload> {
-    test_molecules(full)
-        .into_iter()
-        .map(|m| {
-            eprintln!("preparing {} …", m.formula());
-            prepare(m, tau)
-        })
-        .collect()
-}
-
 /// The paper's core counts (Tables III–VIII). The centralized scheduler's
 /// saturation point sits in the paper's top decade (p ≈ 3000–4000), so the
-/// scaled default keeps the upper counts.
-pub fn core_counts(_full: bool) -> Vec<usize> {
+/// scaled set keeps the upper counts.
+pub fn core_counts() -> Vec<usize> {
     vec![12, 48, 192, 768, 1728, 3888]
+}
+
+/// One simulation of the paper-table sweep, per molecule and core count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Run {
+    /// GTFock with the paper's work stealing.
+    Gtfock,
+    /// GTFock on its static partition alone.
+    GtfockStatic,
+    /// The NWChem-style baseline.
+    Nwchem,
+}
+
+/// Atom quartets per task of the NWChem-style baseline.
+const NWCHEM_CHUNK: usize = 5;
+
+/// Core count of the `--trace` timeline.
+const TRACE_CORES: usize = 48;
+
+/// One molecule of a [`PaperSweep`].
+pub struct Series {
+    pub name: String,
+    /// Indexed by `Run as usize`: its result at each core count (empty
+    /// when the run was not swept).
+    results: [Vec<SimResult>; 3],
+}
+
+impl Series {
+    /// The result of `run` at the `ci`-th core count.
+    pub fn at(&self, run: Run, ci: usize) -> &SimResult {
+        &self.results[run as usize][ci]
+    }
+}
+
+/// The paper's experiment: each molecule prepared once, each family's DES
+/// model built once per molecule, and every run simulated once per core
+/// count.
+pub struct PaperSweep {
+    pub cores: Vec<usize>,
+    pub series: Vec<Series>,
+    runs: Vec<Run>,
+    /// The traced run on the first molecule at [`TRACE_CORES`].
+    trace: Option<Recording>,
+    /// `--trace` path and the summary line's label of the traced run.
+    trace_to: Option<(String, &'static str)>,
+}
+
+impl PaperSweep {
+    /// Parse `--full`/`--tau`, print the banner, prepare the test molecules
+    /// and simulate `runs`. With `trace` = (run, label) the bin accepts
+    /// `--trace <path>`: that run's timeline, for [`Self::write_trace`].
+    pub fn run(title: &str, runs: &[Run], trace: Option<(Run, &'static str)>) -> PaperSweep {
+        let full = flag_full();
+        let tau = opt_tau(1e-10);
+        let trace_to = trace.and_then(|(run, label)| Some((run, opt_str("--trace")?, label)));
+        banner(title, full, tau);
+        let workloads: Vec<Workload> = test_molecules(full)
+            .into_iter()
+            .map(|m| {
+                eprintln!("preparing {} …", m.formula());
+                prepare(m, tau)
+            })
+            .collect();
+        let traced = trace_to.as_ref().map(|t| t.0);
+        let mut sweep = PaperSweep::over(&workloads, core_counts(), runs, traced);
+        sweep.trace_to = trace_to.map(|(_, path, label)| (path, label));
+        sweep
+    }
+
+    /// Simulate `runs` on `workloads` at every core count; with `trace`,
+    /// also record that run on the first workload at [`TRACE_CORES`].
+    fn over(
+        workloads: &[Workload],
+        cores: Vec<usize>,
+        runs: &[Run],
+        trace: Option<Run>,
+    ) -> PaperSweep {
+        const BUILT: &str = "a model is built for every swept or traced run";
+        let machine = MachineParams::lonestar();
+        let uses_nw = runs.iter().chain(&trace).any(|&r| r == Run::Nwchem);
+        let uses_gt = runs.iter().chain(&trace).any(|&r| r != Run::Nwchem);
+        let mut sweep = PaperSweep {
+            cores,
+            series: Vec::new(),
+            runs: runs.to_vec(),
+            trace: None,
+            trace_to: None,
+        };
+        for w in workloads {
+            eprintln!("simulating {} …", w.name);
+            let gt = uses_gt.then(|| GtfockSimModel::new(&w.prob, &w.cost));
+            let nw = uses_nw.then(|| NwchemSimModel::new(&w.prob, &w.cost));
+            let (gt, nw) = (gt.as_ref(), nw.as_ref());
+            let sim = |run: Run, c: usize, rec: &Recorder| match run {
+                Run::Nwchem => nw.expect(BUILT).simulate_rec(machine, c, NWCHEM_CHUNK, rec),
+                _ => {
+                    let steal = StealConfig::from(run == Run::Gtfock);
+                    gt.expect(BUILT)
+                        .simulate_faulty(machine, c, steal, None, rec)
+                }
+            };
+            if let (Some(run), true) = (trace, sweep.series.is_empty()) {
+                let rec = Recorder::enabled();
+                sim(run, TRACE_CORES, &rec);
+                sweep.trace = rec.recording();
+            }
+            let off = Recorder::disabled();
+            let results = [Run::Gtfock, Run::GtfockStatic, Run::Nwchem].map(|r| {
+                let swept = runs.contains(&r);
+                sweep
+                    .cores
+                    .iter()
+                    .filter(|_| swept)
+                    .map(|&c| sim(r, c, &off))
+                    .collect()
+            });
+            sweep.series.push(Series {
+                name: w.name.clone(),
+                results,
+            });
+        }
+        sweep
+    }
+
+    /// Print a `Cores × <molecule><run suffix>` table: a column per molecule
+    /// and run (no suffix when the sweep has one run), `width` wide with
+    /// `prec` decimals.
+    pub fn grid(&self, width: usize, prec: usize, value: impl Fn(&Series, Run, usize) -> f64) {
+        let suffix = |r| match r {
+            _ if self.runs.len() == 1 => "",
+            Run::Gtfock => "-GT",
+            Run::GtfockStatic => "-ST",
+            Run::Nwchem => "-NW",
+        };
+        print!("{:>6}", "Cores");
+        for m in &self.series {
+            for &r in &self.runs {
+                print!(" {:>width$}", format!("{}{}", m.name, suffix(r)));
+            }
+        }
+        println!();
+        for (ci, c) in self.cores.iter().enumerate() {
+            print!("{c:>6}");
+            for m in &self.series {
+                for &r in &self.runs {
+                    print!(" {:>width$.prec$}", value(m, r, ci));
+                }
+            }
+            println!();
+        }
+    }
+
+    /// With `--trace <path>`, write the traced run's per-process timeline
+    /// (task, steal, comm events in simulated time) as version-1 obs JSON
+    /// and print a summary line.
+    pub fn write_trace(&self) {
+        let (Some((path, label)), Some(recording)) = (&self.trace_to, &self.trace) else {
+            return;
+        };
+        if let Err(e) = std::fs::write(path, recording.to_json()) {
+            eprintln!("error: cannot write trace to {path}: {e}");
+            std::process::exit(1);
+        }
+        println!();
+        println!(
+            "trace: {} events across {} processes ({}{label} @ {TRACE_CORES} cores) -> {path}",
+            recording.total_events(),
+            recording.nworkers(),
+            self.series[0].name
+        );
+    }
 }
 
 /// The static configurations of the `ablation_scheduler` sweep.
@@ -154,12 +319,6 @@ pub fn sweep_json(bench: &str, molecule: &str, cores: usize, rows: &[SweepRow]) 
     out
 }
 
-/// `--json <path>` option: where sweep bins write their machine-readable
-/// rows. `None` when absent.
-pub fn opt_json() -> Option<String> {
-    opt_str("--json")
-}
-
 /// `--full` flag.
 pub fn flag_full() -> bool {
     std::env::args().any(|a| a == "--full")
@@ -170,47 +329,52 @@ pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Generic `--name <value>` string option; exits with an error when the
-/// flag is present without a value.
+/// The value after `name` in `args`: `Ok(None)` when the flag is absent,
+/// an error when it has no value.
+fn arg_value(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("{name} requires a value argument")),
+    }
+}
+
+/// `--tau <v>` in `args`, `default` when absent; an error unless `v` is a
+/// finite non-negative number.
+fn tau_arg(args: &[String], default: f64) -> Result<f64, String> {
+    let Some(v) = arg_value(args, "--tau")? else {
+        return Ok(default);
+    };
+    match v.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        _ => Err(format!("--tau {v}: not a non-negative number")),
+    }
+}
+
+/// Unwrap a command-line parse, or print the error and exit with status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Generic `--name <value>` string option, e.g. `opt_str("--json")`;
+/// exits with an error when the flag is present without a value.
 pub fn opt_str(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(p) if !p.starts_with("--") => Some(p.clone()),
-        _ => {
-            eprintln!("error: {name} requires a value argument");
-            std::process::exit(2);
-        }
-    }
+    or_exit(arg_value(&std::env::args().collect::<Vec<_>>(), name))
 }
 
-/// `--trace <path>` option: where to write a version-1 `obs` JSON
-/// timeline (per-process task/steal/comm events). `None` when absent;
-/// exits with an error when the flag is given without a path.
-pub fn opt_trace() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let i = args.iter().position(|a| a == "--trace")?;
-    match args.get(i + 1) {
-        Some(p) if !p.starts_with("--") => Some(p.clone()),
-        _ => {
-            eprintln!("error: --trace requires a path argument");
-            std::process::exit(2);
-        }
-    }
+/// `--tau <v>` screening tolerance, `default` when absent; exits with an
+/// error on a missing or malformed value.
+pub fn opt_tau(default: f64) -> f64 {
+    or_exit(tau_arg(&std::env::args().collect::<Vec<_>>(), default))
 }
 
-/// `--tau <v>` option (default 1e-10, the paper's tolerance).
-pub fn opt_tau() -> f64 {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--tau")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1e-10)
-}
-
-/// Standard header naming the reproduction context.
-pub fn banner(what: &str, full: bool) {
+/// Standard header naming the reproduction context at tolerance `tau`.
+pub fn banner(what: &str, full: bool, tau: f64) {
     println!("== {what} ==");
     println!(
         "molecules: {} | basis: cc-pVDZ | τ = {:.0e} | machine model: Lonestar (Table I)",
@@ -219,7 +383,7 @@ pub fn banner(what: &str, full: bool) {
         } else {
             "scaled-down set (pass --full for the paper's)"
         },
-        opt_tau()
+        tau
     );
     println!();
 }
@@ -262,6 +426,71 @@ mod tests {
         assert!(j.contains("\"config\":\"chunk=5\""));
         assert!(j.contains("\"t_fock\":1.25"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+    }
+
+    #[test]
+    fn tau_parser_defaults_and_rejects_bad_values() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(tau_arg(&args(&["bin"]), 1e-13), Ok(1e-13));
+        assert_eq!(tau_arg(&args(&["bin", "--tau", "1e-8"]), 1e-10), Ok(1e-8));
+        assert_eq!(
+            tau_arg(&args(&["bin", "--full", "--tau", "0"]), 1e-10),
+            Ok(0.0)
+        );
+        for bad in [
+            &["bin", "--tau"][..],
+            &["bin", "--tau", "--full"],
+            &["bin", "--tau", "1e-8x"],
+        ] {
+            assert!(tau_arg(&args(bad), 1e-10).is_err(), "{bad:?}");
+        }
+        for bad in ["-1e-10", "nan", "inf"] {
+            assert!(
+                tau_arg(&args(&["bin", "--tau", bad]), 1e-10).is_err(),
+                "{bad}"
+            );
+        }
+        assert_eq!(
+            arg_value(&args(&["bin", "--trace", "t.json"]), "--trace"),
+            Ok(Some("t.json".into()))
+        );
+        assert_eq!(arg_value(&args(&["bin"]), "--trace"), Ok(None));
+    }
+
+    #[test]
+    fn sweep_cells_equal_direct_model_calls() {
+        let w = prepare(generators::graphene_flake(1), 1e-10);
+        let cores = vec![12, 48];
+        let runs = [Run::Gtfock, Run::GtfockStatic, Run::Nwchem];
+        let sweep = PaperSweep::over(
+            std::slice::from_ref(&w),
+            cores.clone(),
+            &runs,
+            Some(Run::Nwchem),
+        );
+        let machine = MachineParams::lonestar();
+        let (gt, nw) = (
+            GtfockSimModel::new(&w.prob, &w.cost),
+            NwchemSimModel::new(&w.prob, &w.cost),
+        );
+        let m = &sweep.series[0];
+        assert_eq!(m.name, "C6H6");
+        for (ci, &c) in cores.iter().enumerate() {
+            let direct = [
+                gt.simulate(machine, c, true),
+                gt.simulate(machine, c, false),
+                nw.simulate(machine, c, 5),
+            ];
+            for (run, d) in runs.iter().zip(&direct) {
+                assert_eq!(
+                    format!("{:?}", m.at(*run, ci)),
+                    format!("{d:?}"),
+                    "{run:?} @ {c}"
+                );
+            }
+        }
+        let rec = sweep.trace.as_ref().expect("traced run recorded");
+        assert_eq!(rec.nworkers(), TRACE_CORES);
     }
 
     #[test]

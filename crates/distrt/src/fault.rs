@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] describes every fault a run should experience: ranks
 //! that die after executing a fixed number of their own tasks, straggler
-//! ranks whose compute is slowed by a factor, and per-operation drop/delay
-//! probabilities for one-sided GA calls. All randomness is derived from a
+//! ranks whose compute is slowed by a factor, and a per-operation drop
+//! probability for one-sided GA calls. All randomness is derived from a
 //! splitmix64 hash of `(seed, caller rank, per-caller op index)`, so two
 //! runs with the same plan inject byte-identical fault sequences — the
 //! property the determinism tests in `tests/fault_injection.rs` assert.
@@ -20,9 +20,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Salt distinguishing the drop roll from the delay roll of one op.
+/// Salt of the drop roll of one op.
 const SALT_DROP: u64 = 0x1;
-const SALT_DELAY: u64 = 0x2;
 
 /// Rank `rank` dies after executing `after_tasks` of its own tasks;
 /// everything it computed but never flushed is lost and must be requeued.
@@ -42,18 +41,13 @@ pub struct Straggler {
 /// A deterministic schedule of faults to inject into one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for all probabilistic decisions (op drops/delays).
+    /// Seed for all probabilistic decisions (op drops).
     pub seed: u64,
     pub deaths: Vec<RankDeath>,
     pub stragglers: Vec<Straggler>,
     /// Per one-sided-op probability that the op is dropped before it
     /// touches memory (the caller retries with backoff).
     pub drop_prob: f64,
-    /// Per one-sided-op probability of an injected network delay.
-    pub delay_prob: f64,
-    /// Length of an injected delay (real-thread path; the DES charges
-    /// [`crate::MachineParams::op_timeout`] instead).
-    pub delay: Duration,
     /// Attempts beyond the first before a dropped op becomes a [`GaError`].
     pub max_retries: u32,
     /// Base backoff between retries (doubled per attempt by callers that
@@ -68,8 +62,6 @@ impl Default for FaultPlan {
             deaths: Vec::new(),
             stragglers: Vec::new(),
             drop_prob: 0.0,
-            delay_prob: 0.0,
-            delay: Duration::from_micros(200),
             max_retries: 16,
             backoff: Duration::from_micros(20),
         }
@@ -101,17 +93,6 @@ impl FaultPlan {
     pub fn drop_ops(mut self, p: f64) -> Self {
         assert!((0.0..1.0).contains(&p), "drop probability must be in [0,1)");
         self.drop_prob = p;
-        self
-    }
-
-    /// Delay each one-sided op with probability `p` for `delay`.
-    pub fn delay_ops(mut self, p: f64, delay: Duration) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "delay probability must be in [0,1]"
-        );
-        self.delay_prob = p;
-        self.delay = delay;
         self
     }
 
@@ -147,10 +128,7 @@ impl FaultPlan {
 
     /// True if any fault source is active.
     pub fn is_active(&self) -> bool {
-        !self.deaths.is_empty()
-            || !self.stragglers.is_empty()
-            || self.drop_prob > 0.0
-            || self.delay_prob > 0.0
+        !self.deaths.is_empty() || !self.stragglers.is_empty() || self.drop_prob > 0.0
     }
 
     /// Deterministic uniform draw in [0, 1) for attempt `op` of `caller`.
@@ -162,11 +140,6 @@ impl FaultPlan {
     /// Should attempt `op` by `caller` be dropped?
     pub fn drops_op(&self, caller: usize, op: u64) -> bool {
         self.drop_prob > 0.0 && self.roll(caller, op, SALT_DROP) < self.drop_prob
-    }
-
-    /// Should attempt `op` by `caller` be delayed?
-    pub fn delays_op(&self, caller: usize, op: u64) -> bool {
-        self.delay_prob > 0.0 && self.roll(caller, op, SALT_DELAY) < self.delay_prob
     }
 
     /// Number of dropped attempts before op `op` of `caller` succeeds,

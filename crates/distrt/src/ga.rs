@@ -77,7 +77,7 @@ impl GlobalArray {
     }
 
     /// Arm fault injection: subsequent one-sided ops roll the plan's
-    /// drop/delay probabilities (deterministically, per caller) before
+    /// drop probability (deterministically, per caller) before
     /// touching memory. Use the `try_*` variants to observe failures;
     /// the infallible `get`/`put`/`acc` panic if retries are exhausted.
     pub fn inject_faults(&mut self, plan: Arc<FaultPlan>) {
@@ -247,33 +247,22 @@ impl GlobalArray {
     }
 
     /// Fault gate run once per public one-sided op, before any memory is
-    /// touched. Injected delays sleep; injected drops retry with growing
-    /// (capped) backoff — each attempt draws a fresh deterministic random
-    /// number — until the budget runs out, at which point the whole op
-    /// fails having transferred nothing.
+    /// touched. Injected drops retry with growing (capped) backoff — each
+    /// attempt draws a fresh deterministic random number — until the budget
+    /// runs out, at which point the whole op fails having transferred
+    /// nothing.
     fn op_gate(&self, op: &'static str, caller: usize) -> Result<(), GaError> {
         let Some(fs) = &self.fault else {
             return Ok(());
         };
         let plan = fs.plan();
-        if plan.drop_prob <= 0.0 && plan.delay_prob <= 0.0 {
+        if plan.drop_prob <= 0.0 {
             return Ok(());
         }
         let mut attempts: u32 = 0;
         loop {
             attempts += 1;
             let idx = fs.next_op(caller);
-            if plan.delays_op(caller, idx) {
-                self.rec.counter(obs::names::FAULT_INJECTED).add(1);
-                self.rec.side_event(
-                    caller,
-                    EventKind::Fault {
-                        code: fault_code::OP_DELAY,
-                        detail: attempts,
-                    },
-                );
-                std::thread::sleep(plan.delay);
-            }
             if !plan.drops_op(caller, idx) {
                 return Ok(());
             }

@@ -13,7 +13,7 @@
 //! * [`sim`] — a small discrete-event simulation engine used to model
 //!   cluster-scale executions on a single host,
 //! * [`fault`] — deterministic, seed-driven fault injection (rank death,
-//!   stragglers, dropped/delayed one-sided ops) shared by the GA layer and
+//!   stragglers, dropped one-sided ops) shared by the GA layer and
 //!   both schedulers.
 //!
 //! The GA layer is backed by shared memory (which is also how real Global

@@ -63,8 +63,6 @@ pub mod fault_code {
     pub const STRAGGLER: u32 = 1;
     /// A one-sided op was dropped (`detail` = attempt number).
     pub const OP_DROP: u32 = 2;
-    /// A one-sided op was delayed (`detail` = attempt number).
-    pub const OP_DELAY: u32 = 3;
     /// Lost tasks were requeued for re-execution (`detail` = task count).
     pub const TASK_REQUEUE: u32 = 4;
 }

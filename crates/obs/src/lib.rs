@@ -41,7 +41,7 @@ pub mod timeline;
 /// spelling.
 pub mod names {
     /// Counter: faults the injection layer actually fired (deaths,
-    /// straggles, op drops/delays).
+    /// straggles, op drops).
     pub const FAULT_INJECTED: &str = "fault.injected";
     /// Counter: tasks requeued after being lost to a dead rank or a failed
     /// flush.

@@ -142,15 +142,6 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// Upper bound (exclusive) of bucket `b`: 1, 2, 4, 8, …
-    pub fn bucket_upper(b: usize) -> u64 {
-        if b >= 64 {
-            u64::MAX
-        } else {
-            1u64 << b
-        }
-    }
 }
 
 /// The registry behind an enabled recorder: named counters and histograms,

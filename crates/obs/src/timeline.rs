@@ -92,7 +92,7 @@ pub struct WorkerTotals {
     pub prefetch_bytes: u64,
     pub flush_bytes: u64,
     /// Injected faults observed by this worker (deaths, straggles, op
-    /// drops/delays, requeues — see `event::fault_code`).
+    /// drops, requeues — see `event::fault_code`).
     pub faults: u64,
     /// Seconds spent inside tasks (sum of TaskEnd.t - TaskStart.t over
     /// matched pairs).
