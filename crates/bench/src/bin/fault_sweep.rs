@@ -11,9 +11,12 @@
 //!   path (`t_fock`) stretches as survivors re-run the lost tasks after
 //!   the join (the same recovery assignment as the threaded builder).
 //!
-//! `--full` grows both sweeps (benzene SCF, larger flake).
+//! `--full` grows both sweeps (benzene SCF, larger flake). Both run
+//! STO-3G; `--tau <v>` sets the screening tolerance of both (defaults:
+//! `ScfConfig`'s 1e-11 for the threaded SCF, 1e-10 for the DES). Each
+//! table is headed by the molecule, basis and τ it ran.
 
-use bench::{banner, flag_full, opt_str, sweep_json, SweepRow};
+use bench::{flag_full, opt_str, opt_tau, sweep_json, SweepRow};
 use chem::reorder::ShellOrdering;
 use chem::shells::BasisInstance;
 use chem::{generators, BasisSetKind, Molecule};
@@ -28,7 +31,12 @@ use obs::Recorder;
 use std::sync::Arc;
 use std::time::Instant;
 
-fn scf(molecule: Molecule, grid: ProcessGrid, fault: Option<Arc<FaultPlan>>) -> ScfResult {
+fn scf(
+    molecule: Molecule,
+    tau: f64,
+    grid: ProcessGrid,
+    fault: Option<Arc<FaultPlan>>,
+) -> ScfResult {
     let mut opts = SchedulerOpts::with_grid(grid);
     if let Some(p) = fault {
         opts = opts.fault(p);
@@ -41,6 +49,7 @@ fn scf(molecule: Molecule, grid: ProcessGrid, fault: Option<Arc<FaultPlan>>) -> 
             .ordering(ShellOrdering::cells_default())
             .diis(true)
             .e_tol(1e-10)
+            .tau(tau)
             .build(),
     )
     .expect("scf")
@@ -48,11 +57,18 @@ fn scf(molecule: Molecule, grid: ProcessGrid, fault: Option<Arc<FaultPlan>>) -> 
 
 fn main() {
     let full = flag_full();
-    banner(
-        "Fault sweep: rank death vs energy, requeues, and time",
-        full,
-        1e-10,
+    let scf_tau = opt_tau(ScfConfig::default().tau);
+    let des_tau = opt_tau(1e-10);
+    println!("== Fault sweep: rank death vs energy, requeues, and time ==");
+    println!(
+        "{}",
+        if full {
+            "paper-scale set (--full)"
+        } else {
+            "scaled-down set (pass --full for benzene and a larger flake)"
+        }
     );
+    println!();
     let molecule = if full {
         generators::acene(1) // benzene
     } else {
@@ -61,7 +77,10 @@ fn main() {
     let grid = ProcessGrid::new(4, 2);
     let p = grid.nprocs();
 
-    println!("threaded sweep: SCF on a {p}-rank grid, k ranks killed after 1 task per build");
+    println!(
+        "threaded sweep: {}/STO-3G, τ = {scf_tau:.0e}, SCF on a {p}-rank grid, k ranks killed after 1 task per build",
+        molecule.formula()
+    );
     println!(
         "{:>8} {:>16} {:>12} {:>12} {:>10}",
         "killed", "energy (Ha)", "|dE| vs k=0", "requeued", "time (s)"
@@ -71,7 +90,7 @@ fn main() {
         let plan = (1..=k).fold(FaultPlan::new(42), |pl, r| pl.kill(r, 1));
         let fault = (k > 0).then(|| Arc::new(plan));
         let t = Instant::now();
-        let r = scf(molecule.clone(), grid, fault);
+        let r = scf(molecule.clone(), scf_tau, grid, fault);
         let dt = t.elapsed().as_secs_f64();
         if k == 0 {
             e0 = r.energy;
@@ -96,7 +115,7 @@ fn main() {
     let prob = FockProblem::new(
         flake.clone(),
         BasisSetKind::Sto3g,
-        1e-10,
+        des_tau,
         ShellOrdering::cells_default(),
     )
     .unwrap();
@@ -106,7 +125,9 @@ fn main() {
     let machine = MachineParams::lonestar();
     let ncores = if full { 384 } else { 192 };
 
-    println!("DES sweep: {ncores} cores, dead ranks each lose 3 executed tasks");
+    println!(
+        "DES sweep: {flake_name}/STO-3G, τ = {des_tau:.0e}, {ncores} cores, dead ranks each lose 3 executed tasks"
+    );
     println!(
         "{:>10} {:>8} {:>14} {:>12} {:>12}",
         "dead", "ranks", "t_fock (s)", "stretch", "requeued"

@@ -11,7 +11,8 @@
 //!    back to the eigendecomposition pseudo-inverse square root
 //!    `B = J^{−1/2}·A` when the auto-generated auxiliary basis is
 //!    near-linearly-dependent,
-//! 4. per SCF iteration, J and K are pure GEMMs over `B`
+//! 4. per SCF iteration, J and K come from one streamed pass over `B`,
+//!    two small register-blocked products per auxiliary block
 //!    ([`linalg::df::df_jk`]).
 //!
 //! The setup (steps 1–3) is cached inside the builder behind a problem
@@ -21,6 +22,7 @@
 //! [`DF_3C_NS_COUNTER`], [`DF_METRIC_NS_COUNTER`], [`DF_GEMM_NS_COUNTER`]
 //! and the [`DF_FIT_ERROR_HISTOGRAM`] fitting-quality probe.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -109,6 +111,54 @@ fn fingerprint(prob: &FockProblem, spec: &AuxSpec) -> u64 {
     h
 }
 
+/// Columns of `A` one whitening panel solves at a time.
+const WHITEN_PANEL: usize = 32;
+
+/// `B = L⁻¹·A` in place on the `naux × nbf²` tensor `a`, solving only the
+/// `nbf(nbf+1)/2` columns with μ ≥ ν and mirroring each into its νμ
+/// twin. `A` is bitwise symmetric in μν, and [`forward_substitute`]
+/// treats every column alike, so the result is bitwise the full-width
+/// solve. Scoped threads claim panels of [`WHITEN_PANEL`] columns: each
+/// copies its columns out, solves them in a cache-sized buffer and writes
+/// them back, touching the shared tensor only under its lock.
+fn whiten_unique_columns(l: &Mat, a: &mut [f64], nbf: usize) {
+    let naux = l.nrows();
+    let nn = nbf * nbf;
+    let unique: Vec<(usize, usize)> = (0..nbf)
+        .flat_map(|mu| (0..=mu).map(move |nu| (mu, nu)))
+        .collect();
+    let panels: Vec<&[(usize, usize)]> = unique.chunks(WHITEN_PANEL).collect();
+    let next = AtomicUsize::new(0);
+    let tensor = Mutex::new(a);
+    let worker = || {
+        while let Some(cols) = panels.get(next.fetch_add(1, Ordering::Relaxed)) {
+            let mut panel = {
+                let a = tensor.lock().unwrap();
+                let gathered = (0..naux)
+                    .flat_map(|q| cols.iter().map(move |&(mu, nu)| q * nn + mu * nbf + nu))
+                    .map(|i| a[i])
+                    .collect();
+                Mat::from_vec(naux, cols.len(), gathered)
+            };
+            forward_substitute(l, &mut panel);
+            let mut a = tensor.lock().unwrap();
+            for (q, row) in panel.as_slice().chunks_exact(cols.len()).enumerate() {
+                for (&v, &(mu, nu)) in row.iter().zip(*cols) {
+                    a[q * nn + mu * nbf + nu] = v;
+                    a[q * nn + nu * nbf + mu] = v;
+                }
+            }
+        }
+    };
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    std::thread::scope(|s| {
+        for _ in 1..threads.min(panels.len()) {
+            s.spawn(worker);
+        }
+        worker();
+    });
+}
+
 /// Run the full fitting pipeline for `prob` under `spec`, recording the
 /// setup telemetry into `rec`.
 fn fit(prob: &FockProblem, spec: &AuxSpec, rec: &Recorder) -> Arc<DfData> {
@@ -118,7 +168,13 @@ fn fit(prob: &FockProblem, spec: &AuxSpec, rec: &Recorder) -> Arc<DfData> {
     let naux = aux.naux;
     let metric = eri::df::two_center(&aux);
     let aux_q = eri::df::aux_schwarz(&aux, &metric);
-    let t_metric_integrals = t_metric_start.elapsed().as_secs_f64();
+    // Factor the metric before the 3-center tensor exists, so the two
+    // never share the memory peak: Cholesky when numerically SPD, else
+    // the canonical-orthogonalization pseudo-inverse square root.
+    let metric = Mat::from_vec(naux, naux, metric);
+    let factor = cholesky(&metric).ok_or_else(|| pseudo_inverse_sqrt(&metric, METRIC_DROP_TOL));
+    drop(metric);
+    let t_metric_factor = t_metric_start.elapsed().as_secs_f64();
 
     let t_3c_start = Instant::now();
     let tc = eri::df::three_center(
@@ -131,23 +187,19 @@ fn fit(prob: &FockProblem, spec: &AuxSpec, rec: &Recorder) -> Arc<DfData> {
     );
     let t_3c = t_3c_start.elapsed().as_secs_f64();
 
-    // Whiten: Cholesky forward-solve when the metric is numerically SPD,
-    // else the canonical-orthogonalization pseudo-inverse square root.
     let t_solve_start = Instant::now();
-    let metric_mat = Mat::from_vec(naux, naux, metric);
-    let (b, used_cholesky, aux_kept) = match cholesky(&metric_mat) {
-        Some(l) => {
-            let mut bm = Mat::from_vec(naux, nbf * nbf, tc.a);
-            forward_substitute(&l, &mut bm);
-            (bm.into_vec(), true, naux)
+    let (b, used_cholesky, aux_kept) = match factor {
+        Ok(l) => {
+            let mut b = tc.a;
+            whiten_unique_columns(&l, &mut b, nbf);
+            (b, true, naux)
         }
-        None => {
-            let (x, kept) = pseudo_inverse_sqrt(&metric_mat, METRIC_DROP_TOL);
+        Err((x, kept)) => {
             let am = Mat::from_vec(naux, nbf * nbf, tc.a);
             (gemm(1.0, &x, &am, 0.0, None).into_vec(), false, kept)
         }
     };
-    let t_metric = t_metric_integrals + t_solve_start.elapsed().as_secs_f64();
+    let t_metric = t_metric_factor + t_solve_start.elapsed().as_secs_f64();
 
     let fit_error = eri::df::max_diag_residual(&prob.basis, prob.pairs(), &b, naux);
     rec.counter(DF_3C_NS_COUNTER).add((t_3c * 1e9) as u64);
@@ -326,6 +378,32 @@ mod tests {
         }
         assert_eq!(out.report.nprocs(), 1);
         assert!(out.report.t_fock[0] >= 0.0);
+    }
+
+    #[test]
+    fn unique_column_whitening_is_bitwise_the_full_width_solve() {
+        for mol in [generators::water(), generators::methane()] {
+            let prob =
+                FockProblem::new(mol, BasisSetKind::Sto3g, 1e-11, ShellOrdering::Natural).unwrap();
+            let spec = AuxSpec::default();
+            let data = fit(&prob, &spec, &Recorder::disabled());
+            assert!(data.used_cholesky);
+            let aux = AuxBasis::generate(&prob.basis, &spec);
+            let metric = eri::df::two_center(&aux);
+            let aux_q = eri::df::aux_schwarz(&aux, &metric);
+            let tc = eri::df::three_center(
+                &prob.basis,
+                prob.pairs(),
+                &prob.screening,
+                &aux,
+                &aux_q,
+                prob.tau,
+            );
+            let l = cholesky(&Mat::from_vec(aux.naux, aux.naux, metric)).unwrap();
+            let mut full = Mat::from_vec(aux.naux, prob.nbf() * prob.nbf(), tc.a);
+            forward_substitute(&l, &mut full);
+            assert_eq!(data.b, full.into_vec());
+        }
     }
 
     #[test]

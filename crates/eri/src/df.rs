@@ -21,7 +21,7 @@ use crate::screening::Screening;
 use crate::teints::EriEngine;
 use chem::shells::{odd_double_factorial, BasisInstance, Shell};
 use chem::Vec3;
-use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// Parameters of the auto-generated even-tempered auxiliary basis.
 ///
@@ -215,7 +215,8 @@ pub struct ThreeCenter {
 /// Compute the 3-center tensor `(P|μν)` over the significant shell pairs
 /// of `pairs`/`screening`, skipping aux×pair blocks failing the Schwarz
 /// test against `tau`. `aux_q` comes from [`aux_schwarz`]. Parallel over
-/// aux shells (each owns a disjoint slab of the output).
+/// aux shells: scoped threads claim shells one at a time, and each shell
+/// writes its rows straight into its own disjoint slice of the output.
 pub fn three_center(
     basis: &BasisInstance,
     pairs: &ShellPairData,
@@ -227,19 +228,28 @@ pub fn three_center(
     let naux = aux.naux;
     let nbf = basis.nbf;
     let nshells = basis.shells.len();
-    // One disjoint slab of the [P][μ][ν] tensor per aux shell, computed in
-    // parallel and stitched together in order afterwards.
-    let slabs: Vec<(Vec<f64>, u64, u64)> = (0..aux.nshells())
-        .into_par_iter()
-        .map(|pi| {
+    let mut a = vec![0.0; naux * nbf * nbf];
+    let mut slabs = Vec::with_capacity(aux.nshells());
+    let mut rest = a.as_mut_slice();
+    for p in &aux.shells {
+        let (slab, tail) = rest.split_at_mut(p.nfuncs() * nbf * nbf);
+        slabs.push(slab);
+        rest = tail;
+    }
+    let queue = Mutex::new(slabs.into_iter().enumerate());
+    let worker = || {
+        let mut eng = EriEngine::new();
+        let mut buf = Vec::new();
+        let (mut computed, mut skipped) = (0u64, 0u64);
+        loop {
+            // let-else, not while-let: the guard must drop before the work.
+            let Some((pi, slab)) = queue.lock().unwrap().next() else {
+                break;
+            };
             let p = &aux.shells[pi];
             let np = p.nfuncs();
-            let mut slab = vec![0.0; np * nbf * nbf];
-            let mut eng = EriEngine::new();
-            let mut buf = Vec::new();
             let bra_pair = ShellPair::new(p, &dummy_shell(p.center, p.atom));
             let bra = bra_pair.view(false);
-            let (mut computed, mut skipped) = (0u64, 0u64);
             for m in 0..nshells {
                 for n in m..nshells {
                     let Some(ket) = pairs.view(m, n) else {
@@ -266,16 +276,19 @@ pub fn three_center(
                     }
                 }
             }
-            (slab, computed, skipped)
-        })
-        .collect();
-    let mut a = Vec::with_capacity(naux * nbf * nbf);
-    let (mut blocks_computed, mut blocks_skipped) = (0u64, 0u64);
-    for (slab, computed, skipped) in slabs {
-        a.extend_from_slice(&slab);
-        blocks_computed += computed;
-        blocks_skipped += skipped;
-    }
+        }
+        (computed, skipped)
+    };
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (blocks_computed, blocks_skipped) = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads.min(aux.nshells()))
+            .map(|_| s.spawn(worker))
+            .collect();
+        helpers
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold(worker(), |(c, k), (c2, k2)| (c + c2, k + k2))
+    });
     ThreeCenter {
         a,
         naux,
@@ -345,7 +358,7 @@ mod tests {
         let basis = BasisInstance::new(generators::water(), BasisSetKind::Sto3g).unwrap();
         let aux = AuxBasis::generate(&basis, &AuxSpec::default());
         assert!(aux.naux > basis.nbf, "fitting basis should be larger");
-        let mut seen_atoms = vec![false; 3];
+        let mut seen_atoms = [false; 3];
         let mut offset = 0usize;
         for sh in &aux.shells {
             assert_eq!(sh.bf_offset, offset);

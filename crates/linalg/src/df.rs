@@ -1,4 +1,5 @@
-//! Density-fitting J/K assembly as GEMM-shaped contractions.
+//! Density-fitting J/K assembly in one streamed pass over the fitted
+//! tensor.
 //!
 //! Input is the *whitened* fitted tensor `B` (row-major `[Q][μ][ν]`,
 //! `naux·nbf²` doubles) satisfying `(μν|λσ) ≈ Σ_Q B_{Q,μν} B_{Q,λσ}` —
@@ -7,100 +8,112 @@
 //! symmetry of the 4-center tensor survives the fit: each `B_Q` is a
 //! symmetric `nbf × nbf` matrix.
 //!
-//! The irregular quartet loop of the exact-exchange paths becomes three
-//! dense products:
+//! The irregular quartet loop of the exact-exchange paths becomes, for
+//! each Q block in turn,
 //!
-//! * `γ = B·vec(D)` — one `(naux × nbf²)·(nbf² × 1)` GEMM,
-//! * `J = reshape(Bᵀ·γ)` — one `(nbf² × naux)·(naux × 1)` GEMM,
-//! * `W = B_stack·D` and `K = W′ᵀ·B_stack` — two
-//!   `((naux·nbf) × nbf)`-shaped GEMMs, where `W′` is the per-Q-block
-//!   transpose of `W` (pure data movement, no flops).
+//! * `γ_Q = ⟨B_Q, D⟩` and `J += γ_Q·B_Q`,
+//! * `W = B_Q·D` and `K += W·B_Q` (the upper triangle only; `B_Q` is
+//!   symmetric, so `W·B_Q = B_Q·D·B_Qᵀ`),
 //!
-//! [`df_jk_summa`] runs the same contractions through the distributed
-//! [`summa`](crate::summa::summa) kernel over a process grid, for the
-//! distributed-build case.
+//! with both products run through the register-blocked
+//! [`gemm_acc`] kernel. `B` is borrowed, never copied: the Q range splits
+//! into fixed spans of [`SPAN`] blocks, scoped threads claim spans one at
+//! a time, and each span's J/K partials (`nbf²` each, thread-private) are
+//! folded into the result in span order. The scratch is
+//! `O(threads·nbf²)`, and J and K are bitwise the same on any thread
+//! count.
 
-use crate::gemm::{gemm, gemm_tn};
-use crate::matrix::Mat;
-use crate::summa::summa;
-use distrt::{GlobalArray, ProcessGrid};
+use crate::gemm::gemm_acc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex};
 
-/// Transpose each `nbf × nbf` Q-block of `w` (row-major `[Q][μ][ν]`) in
-/// place of a fresh buffer: returns `w'` with `w'[Q][ν][μ] = w[Q][μ][ν]`.
-fn per_block_transpose(w: &[f64], naux: usize, nbf: usize) -> Vec<f64> {
-    let mut out = vec![0.0; w.len()];
-    for q in 0..naux {
-        let src = &w[q * nbf * nbf..(q + 1) * nbf * nbf];
-        let dst = &mut out[q * nbf * nbf..(q + 1) * nbf * nbf];
-        for i in 0..nbf {
-            for j in 0..nbf {
-                dst[j * nbf + i] = src[i * nbf + j];
-            }
-        }
-    }
-    out
-}
+/// Q blocks per span: the unit of work a thread claims and the unit of
+/// the ordered fold.
+const SPAN: usize = 16;
 
 /// Coulomb and exchange matrices from the whitened DF tensor:
 /// `J_μν = Σ_Q B_{Q,μν}·γ_Q` with `γ_Q = Σ_λσ B_{Q,λσ} D_λσ`, and
-/// `K_μν = Σ_Q (B_Q·D·B_Qᵀ)_μν`. `b` is `naux·nbf²` (layout `[Q][μ][ν]`),
-/// `d` is the `nbf²` density; both returned matrices are `nbf²` dense.
+/// `K_μν = Σ_Q (B_Q·D·B_Q)_μν`. `b` is `naux·nbf²` (layout `[Q][μ][ν]`,
+/// each block symmetric), `d` is the symmetric `nbf²` density; both
+/// returned matrices are `nbf²` dense, and K is exactly symmetric (formed
+/// on the upper triangle and mirrored). Runs on the host's cores.
 pub fn df_jk(b: &[f64], d: &[f64], naux: usize, nbf: usize) -> (Vec<f64>, Vec<f64>) {
-    assert_eq!(b.len(), naux * nbf * nbf, "B tensor shape mismatch");
-    assert_eq!(d.len(), nbf * nbf, "density shape mismatch");
-    // J: γ = B·vec(D), then J = Bᵀ·γ, reshaped.
-    let bmat = Mat::from_vec(naux, nbf * nbf, b.to_vec());
-    let dvec = Mat::from_vec(nbf * nbf, 1, d.to_vec());
-    let gamma = gemm(1.0, &bmat, &dvec, 0.0, None);
-    let j = gemm_tn(&bmat, &gamma).into_vec();
-    // K: stack the Q blocks into ((naux·nbf) × nbf), one GEMM for
-    // W_Q = B_Q·D ∀Q, per-block transpose, one GEMM for Σ_Q W_Qᵀ…B_Q.
-    let bstack = Mat::from_vec(naux * nbf, nbf, b.to_vec());
-    let dmat = Mat::from_vec(nbf, nbf, d.to_vec());
-    let w = gemm(1.0, &bstack, &dmat, 0.0, None);
-    let wt = Mat::from_vec(
-        naux * nbf,
-        nbf,
-        per_block_transpose(w.as_slice(), naux, nbf),
-    );
-    let k = gemm_tn(&wt, &bstack).into_vec();
-    (j, k)
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    df_jk_on(b, d, naux, nbf, threads)
 }
 
-/// [`df_jk`] with the two stacked contractions routed through the
-/// distributed SUMMA kernel on `grid` (panel width `panel`): the
-/// `((naux·nbf) × nbf)` products become distributed multiplies whose
-/// one-sided traffic lands in the grid's GA accounting. The small
-/// `γ`/`J` products (one column) stay local. Bit-compatible results are
-/// *not* guaranteed against [`df_jk`] (different summation order); parity
-/// is ≤ 1e-10 on chemistry-scale inputs.
-pub fn df_jk_summa(
+/// The J/K and the span index the next fold must come from.
+struct Fold {
+    next: usize,
+    j: Vec<f64>,
+    k: Vec<f64>,
+}
+
+/// [`df_jk`] on `threads` threads (the calling thread included).
+pub(crate) fn df_jk_on(
     b: &[f64],
     d: &[f64],
     naux: usize,
     nbf: usize,
-    grid: ProcessGrid,
-    panel: usize,
+    threads: usize,
 ) -> (Vec<f64>, Vec<f64>) {
     assert_eq!(b.len(), naux * nbf * nbf, "B tensor shape mismatch");
     assert_eq!(d.len(), nbf * nbf, "density shape mismatch");
-    let bmat = Mat::from_vec(naux, nbf * nbf, b.to_vec());
-    let dvec = Mat::from_vec(nbf * nbf, 1, d.to_vec());
-    let gamma = gemm(1.0, &bmat, &dvec, 0.0, None);
-    let j = gemm_tn(&bmat, &gamma).into_vec();
-
-    // W = B_stack·D through SUMMA.
-    let ga_b = GlobalArray::from_dense(grid, naux * nbf, nbf, b);
-    let ga_d = GlobalArray::from_dense(grid, nbf, nbf, d);
-    let ga_w = GlobalArray::zeros(grid, naux * nbf, nbf);
-    summa(&ga_b, &ga_d, &ga_w, panel);
-    // K = W′ᵀ·B_stack through SUMMA (transposes materialized locally).
-    let wt = per_block_transpose(&ga_w.to_dense(), naux, nbf);
-    let wt_t = Mat::from_vec(naux * nbf, nbf, wt).transpose();
-    let ga_wt_t = GlobalArray::from_dense(grid, nbf, naux * nbf, wt_t.as_slice());
-    let ga_k = GlobalArray::zeros(grid, nbf, nbf);
-    summa(&ga_wt_t, &ga_b, &ga_k, panel);
-    (j, ga_k.to_dense())
+    let nn = nbf * nbf;
+    let nspans = naux.div_ceil(SPAN);
+    let fold = Mutex::new(Fold {
+        next: 0,
+        j: vec![0.0; nn],
+        k: vec![0.0; nn],
+    });
+    let turn = Condvar::new();
+    let claim = AtomicUsize::new(0);
+    let worker = || {
+        let (mut jp, mut kp, mut w) = (vec![0.0; nn], vec![0.0; nn], vec![0.0; nn]);
+        loop {
+            let span = claim.fetch_add(1, Ordering::Relaxed);
+            if span >= nspans {
+                break;
+            }
+            jp.fill(0.0);
+            kp.fill(0.0);
+            let qs = span * SPAN..((span + 1) * SPAN).min(naux);
+            for bq in b[qs.start * nn..qs.end * nn].chunks_exact(nn) {
+                let gamma: f64 = bq.iter().zip(d).map(|(x, y)| x * y).sum();
+                for (jv, &bv) in jp.iter_mut().zip(bq) {
+                    *jv += gamma * bv;
+                }
+                w.fill(0.0);
+                gemm_acc(1.0, bq, d, &mut w, nbf, nbf, false);
+                gemm_acc(1.0, &w, bq, &mut kp, nbf, nbf, true);
+            }
+            let mut f = turn
+                .wait_while(fold.lock().unwrap(), |f| f.next != span)
+                .unwrap();
+            for (x, y) in f.j.iter_mut().zip(&jp) {
+                *x += y;
+            }
+            for (x, y) in f.k.iter_mut().zip(&kp) {
+                *x += y;
+            }
+            f.next += 1;
+            drop(f);
+            turn.notify_all();
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads.min(nspans) {
+            s.spawn(worker);
+        }
+        worker();
+    });
+    let Fold { j, mut k, .. } = fold.into_inner().unwrap();
+    for mu in 0..nbf {
+        for nu in 0..mu {
+            k[mu * nbf + nu] = k[nu * nbf + mu];
+        }
+    }
+    (j, k)
 }
 
 #[cfg(test)]
@@ -165,34 +178,36 @@ mod tests {
     }
 
     #[test]
-    fn gemm_assembly_matches_loop_nest() {
-        let (naux, nbf) = (13, 6);
-        let (b, d) = symmetric_problem(naux, nbf, 3);
-        let (j, k) = df_jk(&b, &d, naux, nbf);
-        let (jr, kr) = reference_jk(&b, &d, naux, nbf);
-        for i in 0..nbf * nbf {
-            assert!((j[i] - jr[i]).abs() < 1e-12, "J at {i}");
-            assert!((k[i] - kr[i]).abs() < 1e-12, "K at {i}");
-        }
-        // K inherits symmetry from symmetric B_Q and D.
-        for i in 0..nbf {
-            for jj in 0..nbf {
-                assert!((k[i * nbf + jj] - k[jj * nbf + i]).abs() < 1e-12);
+    fn streamed_pass_matches_loop_nest_at_awkward_shapes() {
+        // naux 37 leaves a short last span; nbf 5, 7, 13 leave short row
+        // blocks and column tiles.
+        for (naux, nbf) in [(3, 1), (37, 5), (SPAN + 1, 7), (37, 13)] {
+            let (b, d) = symmetric_problem(naux, nbf, nbf as u64);
+            let (j, k) = df_jk(&b, &d, naux, nbf);
+            let (jr, kr) = reference_jk(&b, &d, naux, nbf);
+            for i in 0..nbf * nbf {
+                assert!((j[i] - jr[i]).abs() < 1e-12, "J at {i} ({naux}, {nbf})");
+                assert!((k[i] - kr[i]).abs() < 1e-12, "K at {i} ({naux}, {nbf})");
+            }
+            for mu in 0..nbf {
+                for nu in 0..nbf {
+                    assert_eq!(k[mu * nbf + nu], k[nu * nbf + mu], "K symmetry");
+                }
             }
         }
     }
 
     #[test]
-    fn summa_route_matches_dense_route() {
-        let (naux, nbf) = (10, 5);
-        let (b, d) = symmetric_problem(naux, nbf, 7);
-        let (j, k) = df_jk(&b, &d, naux, nbf);
-        for grid in [ProcessGrid::new(1, 1), ProcessGrid::new(2, 3)] {
-            let (js, ks) = df_jk_summa(&b, &d, naux, nbf, grid, 4);
-            for i in 0..nbf * nbf {
-                assert!((j[i] - js[i]).abs() < 1e-10, "J at {i}");
-                assert!((k[i] - ks[i]).abs() < 1e-10, "K at {i}");
-            }
+    fn result_is_bitwise_independent_of_thread_count() {
+        let (naux, nbf) = (5 * SPAN + 3, 9);
+        let (b, d) = symmetric_problem(naux, nbf, 11);
+        let one = df_jk_on(&b, &d, naux, nbf, 1);
+        for threads in [2, 3] {
+            assert_eq!(
+                df_jk_on(&b, &d, naux, nbf, threads),
+                one,
+                "{threads} threads"
+            );
         }
     }
 }

@@ -545,11 +545,13 @@ mod tests {
         // exercised.
         let mut m = MetricsSnapshot::default();
         m.counters.insert("screen.skipped".into(), 42);
-        let mut h = HistogramSnapshot::default();
-        h.count = 2;
-        h.sum = 3_000;
-        h.buckets = vec![0; HISTOGRAM_BUCKETS];
-        h.buckets[11] = 2;
+        let mut buckets = vec![0; HISTOGRAM_BUCKETS];
+        buckets[11] = 2;
+        let h = HistogramSnapshot {
+            count: 2,
+            sum: 3_000,
+            buckets,
+        };
         m.histograms.insert("gtfock.steal_ns".into(), h);
         rec = Recording::new(rec.all_events().to_vec(), m);
 

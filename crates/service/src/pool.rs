@@ -393,7 +393,7 @@ mod tests {
         // Several different molecules in flight at once, batch size 1 for
         // maximal interleaving — every G must still match its reference.
         let pool = Arc::new(SharedPool::new(4, 1));
-        let probs = vec![
+        let probs = [
             problem(generators::water()),
             problem(generators::hydrogen(1.4)),
             problem(generators::methane()),

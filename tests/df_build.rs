@@ -99,9 +99,9 @@ fn lu_route_jk(
         .map(|p| (0..naux).map(|q| jinv[p * naux + q] * gamma[q]).sum())
         .collect();
     let mut j = vec![0.0; nbf * nbf];
-    for p in 0..naux {
+    for (p, &cp) in c.iter().enumerate() {
         for (jv, &av) in j.iter_mut().zip(block(p)) {
-            *jv += av * c[p];
+            *jv += av * cp;
         }
     }
     // M_Q = D·A_Q, T_P = Σ_Q (J⁻¹)_PQ M_Q, K = Σ_P A_P·T_P.
