@@ -154,27 +154,59 @@ fn dummy_shell(center: Vec3, atom: usize) -> Shell {
 }
 
 /// The 2-center Coulomb metric `J_PQ = (P|Q)`, dense row-major
-/// `naux × naux` (symmetric).
+/// `naux × naux`, exactly symmetric. Parallel over aux shells: scoped
+/// threads claim shells `P` one at a time, and each writes the blocks
+/// `(P|Q)`, `Q ≥ P`, into its own rows' upper triangle; the lower
+/// triangle is mirrored after the join.
 pub fn two_center(aux: &AuxBasis) -> Vec<f64> {
     let naux = aux.naux;
     let mut j = vec![0.0; naux * naux];
-    let mut eng = EriEngine::new();
-    let mut buf = Vec::new();
-    for (pi, p) in aux.shells.iter().enumerate() {
-        let dp = dummy_shell(p.center, p.atom);
-        let np = p.nfuncs();
-        for q in aux.shells.iter().skip(pi) {
-            let dq = dummy_shell(q.center, q.atom);
-            let nq = q.nfuncs();
-            eng.quartet(p, &dp, q, &dq, &mut buf);
-            // buf is [np][1][nq][1] row-major.
-            for a in 0..np {
-                for b in 0..nq {
-                    let v = buf[a * nq + b];
-                    j[(p.bf_offset + a) * naux + (q.bf_offset + b)] = v;
-                    j[(q.bf_offset + b) * naux + (p.bf_offset + a)] = v;
+    // Each shell's rows, split off lazily rather than collected: no heap
+    // block lands between the metric and the buffers allocated after it.
+    let slabs = aux.shells.iter().scan(j.as_mut_slice(), |rest, p| {
+        let (slab, tail) = std::mem::take(rest).split_at_mut(p.nfuncs() * naux);
+        *rest = tail;
+        Some(slab)
+    });
+    let queue = Mutex::new(slabs.enumerate());
+    let worker = || {
+        let mut eng = EriEngine::new();
+        let mut buf = Vec::new();
+        loop {
+            // let-else, not while-let: the guard must drop before the work.
+            let Some((pi, slab)) = queue.lock().unwrap().next() else {
+                break;
+            };
+            let p = &aux.shells[pi];
+            let dp = dummy_shell(p.center, p.atom);
+            for q in aux.shells.iter().skip(pi) {
+                let dq = dummy_shell(q.center, q.atom);
+                let nq = q.nfuncs();
+                let len = eng.quartet(p, &dp, q, &dq, &mut buf);
+                // buf is [np][1][nq][1] row-major.
+                for (a, vals) in buf[..len].chunks_exact(nq).enumerate() {
+                    slab[a * naux + q.bf_offset..][..nq].copy_from_slice(vals);
                 }
             }
+        }
+    };
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads.min(aux.nshells()))
+            .map(|_| s.spawn(worker))
+            .collect();
+        worker();
+        // Joined, not left to the scope, which detaches its threads: the
+        // next spawn then finds this thread's stack cached instead of
+        // mapping a new one, whose TLS bookkeeping glibc puts on the heap
+        // between the large buffers.
+        for h in helpers {
+            h.join().unwrap();
+        }
+    });
+    for r in 0..naux {
+        for c in 0..r {
+            j[r * naux + c] = j[c * naux + r];
         }
     }
     j
@@ -302,7 +334,8 @@ pub fn three_center(
 /// over the significant shell pairs — the standard robust estimate of the
 /// DF expansion error (the Schwarz inequality makes the diagonal the
 /// worst case). `b` is the fitted tensor, row-major `[P][μ][ν]` with
-/// `naux·nbf²` entries.
+/// `naux·nbf²` entries. Scoped threads claim shell pairs one at a time;
+/// the maximum does not depend on which thread saw which pair.
 pub fn max_diag_residual(
     basis: &BasisInstance,
     pairs: &ShellPairData,
@@ -311,11 +344,15 @@ pub fn max_diag_residual(
 ) -> f64 {
     let nbf = basis.nbf;
     let nshells = basis.shells.len();
-    let mut eng = EriEngine::new();
-    let mut buf = Vec::new();
-    let mut worst = 0.0f64;
-    for m in 0..nshells {
-        for n in m..nshells {
+    let queue = Mutex::new((0..nshells).flat_map(|m| (m..nshells).map(move |n| (m, n))));
+    let worker = || {
+        let mut eng = EriEngine::new();
+        let mut buf = Vec::new();
+        let mut worst = 0.0f64;
+        loop {
+            let Some((m, n)) = queue.lock().unwrap().next() else {
+                break;
+            };
             let Some(view) = pairs.view(m, n) else {
                 continue;
             };
@@ -337,8 +374,16 @@ pub fn max_diag_residual(
                 }
             }
         }
-    }
-    worst
+        worst
+    };
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
+        helpers
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .fold(worker(), f64::max)
+    })
 }
 
 #[cfg(test)]
@@ -427,6 +472,48 @@ mod tests {
             buf[0],
             want
         );
+    }
+
+    /// The serial metric loop: every pair of shells `P ≤ Q` writes its
+    /// block into both triangles, later writes winning.
+    fn two_center_serial(aux: &AuxBasis) -> Vec<f64> {
+        let naux = aux.naux;
+        let mut j = vec![0.0; naux * naux];
+        let mut eng = EriEngine::new();
+        let mut buf = Vec::new();
+        for (pi, p) in aux.shells.iter().enumerate() {
+            let dp = dummy_shell(p.center, p.atom);
+            let np = p.nfuncs();
+            for q in aux.shells.iter().skip(pi) {
+                let dq = dummy_shell(q.center, q.atom);
+                let nq = q.nfuncs();
+                eng.quartet(p, &dp, q, &dq, &mut buf);
+                for a in 0..np {
+                    for b in 0..nq {
+                        let v = buf[a * nq + b];
+                        j[(p.bf_offset + a) * naux + (q.bf_offset + b)] = v;
+                        j[(q.bf_offset + b) * naux + (p.bf_offset + a)] = v;
+                    }
+                }
+            }
+        }
+        j
+    }
+
+    #[test]
+    fn threaded_metric_is_bitwise_the_serial_loop() {
+        for mol in [generators::water(), generators::methane()] {
+            let basis = BasisInstance::new(mol, BasisSetKind::Sto3g).unwrap();
+            let aux = AuxBasis::generate(&basis, &AuxSpec::default());
+            let j = two_center(&aux);
+            assert_eq!(j, two_center_serial(&aux));
+            let n = aux.naux;
+            for p in 0..n {
+                for q in 0..p {
+                    assert_eq!(j[p * n + q], j[q * n + p], "asymmetry at ({p},{q})");
+                }
+            }
+        }
     }
 
     #[test]

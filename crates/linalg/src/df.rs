@@ -84,8 +84,8 @@ pub(crate) fn df_jk_on(
                     *jv += gamma * bv;
                 }
                 w.fill(0.0);
-                gemm_acc(1.0, bq, d, &mut w, nbf, nbf, false);
-                gemm_acc(1.0, &w, bq, &mut kp, nbf, nbf, true);
+                gemm_acc(1.0, bq, d, &mut w, nbf, nbf, None);
+                gemm_acc(1.0, &w, bq, &mut kp, nbf, nbf, Some(0));
             }
             let mut f = turn
                 .wait_while(fold.lock().unwrap(), |f| f.next != span)

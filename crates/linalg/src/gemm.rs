@@ -6,7 +6,7 @@ use crate::matrix::Mat;
 use rayon::prelude::*;
 
 /// Rows of C the kernel updates per pass over B's rows.
-const MR: usize = 4;
+pub(crate) const MR: usize = 4;
 /// Columns of C held in registers per tile.
 const NR: usize = 4;
 
@@ -36,7 +36,7 @@ pub fn gemm(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: Option<&Mat>) -> Mat {
         .enumerate()
         .for_each(|(blk, cblk)| {
             let rows = &as_[blk * MR * k..blk * MR * k + cblk.len() / n * k];
-            gemm_acc(alpha, rows, bs, cblk, k, n, false);
+            gemm_acc(alpha, rows, bs, cblk, k, n, None);
         });
     out
 }
@@ -47,11 +47,20 @@ pub fn gemm(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: Option<&Mat>) -> Mat {
 /// k, so the result does not depend on the blocking.
 ///
 /// C is formed in 4 × 4 register tiles: each pass over B's rows feeds
-/// four rows of C. With `upper`, only the tiles at or right of each row
-/// block's diagonal are formed (columns `j ≥ i0` for the block starting
-/// at row `i0`): the upper triangle of a symmetric product, plus a few
-/// entries below the diagonal that the caller overwrites when it mirrors.
-pub fn gemm_acc(alpha: f64, a: &[f64], b: &[f64], c: &mut [f64], k: usize, n: usize, upper: bool) {
+/// four rows of C. With `upper = Some(d)`, only the tiles at or right of
+/// column `i0 + d` are formed for the row block starting at row `i0`:
+/// the upper triangle of a symmetric product whose C starts at row `d`
+/// of the full matrix, plus a few entries below the diagonal that the
+/// caller ignores or overwrites when it mirrors.
+pub fn gemm_acc(
+    alpha: f64,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    k: usize,
+    n: usize,
+    upper: Option<usize>,
+) {
     assert_eq!(b.len(), k * n, "B shape mismatch");
     if n == 0 {
         return;
@@ -69,7 +78,7 @@ pub fn gemm_acc(alpha: f64, a: &[f64], b: &[f64], c: &mut [f64], k: usize, n: us
             &a[i * k..(i + 1) * k]
         };
         let ablk = [arow(0), arow(1), arow(2), arow(3)];
-        let mut j0 = if upper { i0.min(n) } else { 0 };
+        let mut j0 = upper.map_or(0, |d| (i0 + d).min(n));
         while j0 + NR <= n {
             tile::<NR>(alpha, &ablk, b, cblk, n, j0, rows);
             j0 += NR;
@@ -181,7 +190,7 @@ mod tests {
             let b = random(n, n, 70 + n as u64);
             let full = gemm(1.0, &a, &b, 0.0, None);
             let mut upper = vec![0.0; n * n];
-            gemm_acc(1.0, a.as_slice(), b.as_slice(), &mut upper, n, n, true);
+            gemm_acc(1.0, a.as_slice(), b.as_slice(), &mut upper, n, n, Some(0));
             for i in 0..n {
                 for j in i..n {
                     assert_eq!(upper[i * n + j], full[(i, j)], "n={n} ({i},{j})");

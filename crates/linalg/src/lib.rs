@@ -10,6 +10,8 @@
 //!   the method the paper times in Table IX,
 //! * [`summa`] — the SUMMA distributed matrix multiply over the `distrt`
 //!   Global-Array layer, used by the purification timing experiment,
+//! * [`solve`] — LU with partial pivoting, and a blocked, threaded
+//!   Cholesky factorization bitwise equal to the textbook triple loop,
 //! * [`df`] — density-fitting J/K assembly in one streamed, threaded pass
 //!   over the whitened fitted 3-center tensor; the metric solve lives in
 //!   [`solve`] (Cholesky) and [`eig`] (pseudo-inverse square root).
