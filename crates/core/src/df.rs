@@ -22,7 +22,6 @@
 //! [`DF_3C_NS_COUNTER`], [`DF_METRIC_NS_COUNTER`], [`DF_GEMM_NS_COUNTER`]
 //! and the [`DF_FIT_ERROR_HISTOGRAM`] fitting-quality probe.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -31,6 +30,7 @@ use crate::tasks::FockProblem;
 use eri::{AuxBasis, AuxSpec};
 use linalg::eig::pseudo_inverse_sqrt;
 use linalg::gemm::gemm;
+use linalg::par;
 use linalg::solve::{cholesky, forward_substitute};
 use linalg::Mat;
 use obs::Recorder;
@@ -118,22 +118,24 @@ const WHITEN_PANEL: usize = 32;
 /// `nbf(nbf+1)/2` columns with μ ≥ ν and mirroring each into its νμ
 /// twin. `A` is bitwise symmetric in μν, and [`forward_substitute`]
 /// treats every column alike, so the result is bitwise the full-width
-/// solve. Scoped threads claim panels of [`WHITEN_PANEL`] columns: each
-/// copies its columns out, solves them in a cache-sized buffer and writes
-/// them back, touching the shared tensor only under its lock.
+/// solve. [`par::claim`] workers take panels of [`WHITEN_PANEL`]
+/// columns: each copies its columns out, solves them in a cache-sized
+/// buffer and writes them back, touching the shared tensor only under its
+/// lock.
 fn whiten_unique_columns(l: &Mat, a: &mut [f64], nbf: usize) {
     let naux = l.nrows();
     let nn = nbf * nbf;
     let unique: Vec<(usize, usize)> = (0..nbf)
         .flat_map(|mu| (0..=mu).map(move |nu| (mu, nu)))
         .collect();
-    let panels: Vec<&[(usize, usize)]> = unique.chunks(WHITEN_PANEL).collect();
-    let next = AtomicUsize::new(0);
     let tensor = Mutex::new(a);
-    let worker = || {
-        while let Some(cols) = panels.get(next.fetch_add(1, Ordering::Relaxed)) {
+    par::claim(
+        par::threads(),
+        unique.chunks(WHITEN_PANEL),
+        || (),
+        |_, cols| {
             let mut panel = {
-                let a = tensor.lock().unwrap();
+                let a = tensor.lock().expect("a whitening worker panicked");
                 let gathered = (0..naux)
                     .flat_map(|q| cols.iter().map(move |&(mu, nu)| q * nn + mu * nbf + nu))
                     .map(|i| a[i])
@@ -141,22 +143,15 @@ fn whiten_unique_columns(l: &Mat, a: &mut [f64], nbf: usize) {
                 Mat::from_vec(naux, cols.len(), gathered)
             };
             forward_substitute(l, &mut panel);
-            let mut a = tensor.lock().unwrap();
+            let mut a = tensor.lock().expect("a whitening worker panicked");
             for (q, row) in panel.as_slice().chunks_exact(cols.len()).enumerate() {
-                for (&v, &(mu, nu)) in row.iter().zip(*cols) {
+                for (&v, &(mu, nu)) in row.iter().zip(cols) {
                     a[q * nn + mu * nbf + nu] = v;
                     a[q * nn + nu * nbf + mu] = v;
                 }
             }
-        }
-    };
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    std::thread::scope(|s| {
-        for _ in 1..threads.min(panels.len()) {
-            s.spawn(worker);
-        }
-        worker();
-    });
+        },
+    );
 }
 
 /// Run the full fitting pipeline for `prob` under `spec`, recording the

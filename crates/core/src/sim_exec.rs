@@ -33,8 +33,8 @@ pub use crate::sched::{StealConfig, VictimPolicy};
 use crate::tasks::{symmetry_check, FockProblem};
 use distrt::{FaultPlan, GaError, MachineParams, ProcessGrid, Sim};
 use eri::{CostModel, DensityNorms};
+use linalg::par;
 use obs::{fault_code, EventKind, Recorder};
-use rayon::prelude::*;
 use std::cell::{Cell, RefCell};
 
 /// Per-virtual-process outcome of a simulated build.
@@ -182,64 +182,61 @@ impl<'a> GtfockSimModel<'a> {
         let wcap = dn.map_or(1.0, |d| d.weight_cap());
         let type_of = &cost.type_of_shell;
 
-        let rows: Vec<(Vec<f32>, Vec<u32>)> = (0..n)
-            .into_par_iter()
-            .map(|m| {
-                let tm = type_of[m];
-                let mut costs = vec![0.0f32; n];
-                let mut quartets = vec![0u32; n];
-                for nn in 0..n {
-                    if m != nn && !symmetry_check(m, nn) {
-                        continue;
-                    }
-                    let tn = type_of[nn];
-                    if m == nn {
-                        // Diagonal tasks need the pairwise tie-break; do it
-                        // directly over Φsym(m)².
-                        let mut c = 0.0f64;
-                        let mut qn = 0u32;
-                        for tp in 0..ntypes {
-                            for &(qp, p) in &by_type[m][tp] {
-                                for tq in 0..ntypes {
-                                    let cq = cost.cost_by_types(tm, tp as u16, tn, tq as u16);
-                                    for &(qq, q) in &by_type[m][tq] {
-                                        if qp * qq * wcap <= tau {
-                                            break; // sorted descending
-                                        }
-                                        let (p, q) = (p as usize, q as usize);
-                                        if (p == q || symmetry_check(p, q))
-                                            && dn.is_none_or(|d| {
-                                                qp * qq * d.quartet_weight(m, p, nn, q) > tau
-                                            })
-                                        {
-                                            c += cq;
-                                            qn += 1;
-                                        }
+        let rows: Vec<(Vec<f32>, Vec<u32>)> = par::map(par::threads(), n, |m| {
+            let tm = type_of[m];
+            let mut costs = vec![0.0f32; n];
+            let mut quartets = vec![0u32; n];
+            for nn in 0..n {
+                if m != nn && !symmetry_check(m, nn) {
+                    continue;
+                }
+                let tn = type_of[nn];
+                if m == nn {
+                    // Diagonal tasks need the pairwise tie-break; do it
+                    // directly over Φsym(m)².
+                    let mut c = 0.0f64;
+                    let mut qn = 0u32;
+                    for tp in 0..ntypes {
+                        for &(qp, p) in &by_type[m][tp] {
+                            for tq in 0..ntypes {
+                                let cq = cost.cost_by_types(tm, tp as u16, tn, tq as u16);
+                                for &(qq, q) in &by_type[m][tq] {
+                                    if qp * qq * wcap <= tau {
+                                        break; // sorted descending
+                                    }
+                                    let (p, q) = (p as usize, q as usize);
+                                    if (p == q || symmetry_check(p, q))
+                                        && dn.is_none_or(|d| {
+                                            qp * qq * d.quartet_weight(m, p, nn, q) > tau
+                                        })
+                                    {
+                                        c += cq;
+                                        qn += 1;
                                     }
                                 }
                             }
                         }
-                        costs[nn] = c as f32;
-                        quartets[nn] = qn;
-                    } else {
-                        let mut c = 0.0f64;
-                        let mut qn = 0u64;
-                        for (tp, a) in by_type[m].iter().enumerate() {
-                            for (tq, b) in by_type[nn].iter().enumerate() {
-                                let cnt = surviving_pairs(a, b, tau, false, dn, |p, q| {
-                                    [m, p as usize, nn, q as usize]
-                                });
-                                c += cost.cost_by_types(tm, tp as u16, tn, tq as u16) * cnt as f64;
-                                qn += cnt;
-                            }
-                        }
-                        costs[nn] = c as f32;
-                        quartets[nn] = qn as u32;
                     }
+                    costs[nn] = c as f32;
+                    quartets[nn] = qn;
+                } else {
+                    let mut c = 0.0f64;
+                    let mut qn = 0u64;
+                    for (tp, a) in by_type[m].iter().enumerate() {
+                        for (tq, b) in by_type[nn].iter().enumerate() {
+                            let cnt = surviving_pairs(a, b, tau, false, dn, |p, q| {
+                                [m, p as usize, nn, q as usize]
+                            });
+                            c += cost.cost_by_types(tm, tp as u16, tn, tq as u16) * cnt as f64;
+                            qn += cnt;
+                        }
+                    }
+                    costs[nn] = c as f32;
+                    quartets[nn] = qn as u32;
                 }
-                (costs, quartets)
-            })
-            .collect();
+            }
+            (costs, quartets)
+        });
 
         let mut task_cost = Vec::with_capacity(n * n);
         let mut task_quartets = Vec::with_capacity(n * n);

@@ -21,7 +21,7 @@ use crate::screening::Screening;
 use crate::teints::EriEngine;
 use chem::shells::{odd_double_factorial, BasisInstance, Shell};
 use chem::Vec3;
-use std::sync::Mutex;
+use linalg::par;
 
 /// Parameters of the auto-generated even-tempered auxiliary basis.
 ///
@@ -154,10 +154,10 @@ fn dummy_shell(center: Vec3, atom: usize) -> Shell {
 }
 
 /// The 2-center Coulomb metric `J_PQ = (P|Q)`, dense row-major
-/// `naux × naux`, exactly symmetric. Parallel over aux shells: scoped
-/// threads claim shells `P` one at a time, and each writes the blocks
-/// `(P|Q)`, `Q ≥ P`, into its own rows' upper triangle; the lower
-/// triangle is mirrored after the join.
+/// `naux × naux`, exactly symmetric. Parallel over aux shells:
+/// [`par::claim`] workers take shells `P` one at a time, and each writes
+/// the blocks `(P|Q)`, `Q ≥ P`, into its own rows' upper triangle; the
+/// lower triangle is mirrored after the join.
 pub fn two_center(aux: &AuxBasis) -> Vec<f64> {
     let naux = aux.naux;
     let mut j = vec![0.0; naux * naux];
@@ -168,42 +168,25 @@ pub fn two_center(aux: &AuxBasis) -> Vec<f64> {
         *rest = tail;
         Some(slab)
     });
-    let queue = Mutex::new(slabs.enumerate());
-    let worker = || {
-        let mut eng = EriEngine::new();
-        let mut buf = Vec::new();
-        loop {
-            // let-else, not while-let: the guard must drop before the work.
-            let Some((pi, slab)) = queue.lock().unwrap().next() else {
-                break;
-            };
+    let scratch = || (EriEngine::new(), Vec::new());
+    par::claim(
+        par::threads(),
+        slabs.enumerate(),
+        scratch,
+        |(eng, buf), (pi, slab)| {
             let p = &aux.shells[pi];
             let dp = dummy_shell(p.center, p.atom);
             for q in aux.shells.iter().skip(pi) {
                 let dq = dummy_shell(q.center, q.atom);
                 let nq = q.nfuncs();
-                let len = eng.quartet(p, &dp, q, &dq, &mut buf);
+                let len = eng.quartet(p, &dp, q, &dq, buf);
                 // buf is [np][1][nq][1] row-major.
                 for (a, vals) in buf[..len].chunks_exact(nq).enumerate() {
                     slab[a * naux + q.bf_offset..][..nq].copy_from_slice(vals);
                 }
             }
-        }
-    };
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..threads.min(aux.nshells()))
-            .map(|_| s.spawn(worker))
-            .collect();
-        worker();
-        // Joined, not left to the scope, which detaches its threads: the
-        // next spawn then finds this thread's stack cached instead of
-        // mapping a new one, whose TLS bookkeeping glibc puts on the heap
-        // between the large buffers.
-        for h in helpers {
-            h.join().unwrap();
-        }
-    });
+        },
+    );
     for r in 0..naux {
         for c in 0..r {
             j[r * naux + c] = j[c * naux + r];
@@ -247,8 +230,9 @@ pub struct ThreeCenter {
 /// Compute the 3-center tensor `(P|μν)` over the significant shell pairs
 /// of `pairs`/`screening`, skipping aux×pair blocks failing the Schwarz
 /// test against `tau`. `aux_q` comes from [`aux_schwarz`]. Parallel over
-/// aux shells: scoped threads claim shells one at a time, and each shell
-/// writes its rows straight into its own disjoint slice of the output.
+/// aux shells: [`par::claim`] workers take shells one at a time, and each
+/// shell writes its rows straight into its own disjoint slice of the
+/// output.
 pub fn three_center(
     basis: &BasisInstance,
     pairs: &ShellPairData,
@@ -268,16 +252,13 @@ pub fn three_center(
         slabs.push(slab);
         rest = tail;
     }
-    let queue = Mutex::new(slabs.into_iter().enumerate());
-    let worker = || {
-        let mut eng = EriEngine::new();
-        let mut buf = Vec::new();
-        let (mut computed, mut skipped) = (0u64, 0u64);
-        loop {
-            // let-else, not while-let: the guard must drop before the work.
-            let Some((pi, slab)) = queue.lock().unwrap().next() else {
-                break;
-            };
+    // Per worker: engine, buffer, blocks computed, blocks skipped.
+    let scratch = || (EriEngine::new(), Vec::new(), 0u64, 0u64);
+    let states = par::claim(
+        par::threads(),
+        slabs.into_iter().enumerate(),
+        scratch,
+        |(eng, buf, computed, skipped), (pi, slab)| {
             let p = &aux.shells[pi];
             let np = p.nfuncs();
             let bra_pair = ShellPair::new(p, &dummy_shell(p.center, p.atom));
@@ -288,11 +269,11 @@ pub fn three_center(
                         continue;
                     };
                     if aux_q[pi] * screening.pair(m, n) <= tau {
-                        skipped += 1;
+                        *skipped += 1;
                         continue;
                     }
-                    computed += 1;
-                    eng.quartet_views(&bra, &ket, &mut buf);
+                    *computed += 1;
+                    eng.quartet_views(&bra, &ket, buf);
                     let (nm, nn) = (basis.shells[m].nfuncs(), basis.shells[n].nfuncs());
                     let (om, on) = (basis.shells[m].bf_offset, basis.shells[n].bf_offset);
                     // buf is [np][1][nm][nn]; scatter both μν triangles.
@@ -308,19 +289,10 @@ pub fn three_center(
                     }
                 }
             }
-        }
-        (computed, skipped)
-    };
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (blocks_computed, blocks_skipped) = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..threads.min(aux.nshells()))
-            .map(|_| s.spawn(worker))
-            .collect();
-        helpers
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .fold(worker(), |(c, k), (c2, k2)| (c + c2, k + k2))
-    });
+        },
+    );
+    let (blocks_computed, blocks_skipped) =
+        states.iter().fold((0, 0), |(c, k), s| (c + s.2, k + s.3));
     ThreeCenter {
         a,
         naux,
@@ -334,8 +306,8 @@ pub fn three_center(
 /// over the significant shell pairs — the standard robust estimate of the
 /// DF expansion error (the Schwarz inequality makes the diagonal the
 /// worst case). `b` is the fitted tensor, row-major `[P][μ][ν]` with
-/// `naux·nbf²` entries. Scoped threads claim shell pairs one at a time;
-/// the maximum does not depend on which thread saw which pair.
+/// `naux·nbf²` entries. [`par::claim`] workers take shell pairs one at a
+/// time; the maximum does not depend on which worker saw which pair.
 pub fn max_diag_residual(
     basis: &BasisInstance,
     pairs: &ShellPairData,
@@ -344,19 +316,18 @@ pub fn max_diag_residual(
 ) -> f64 {
     let nbf = basis.nbf;
     let nshells = basis.shells.len();
-    let queue = Mutex::new((0..nshells).flat_map(|m| (m..nshells).map(move |n| (m, n))));
-    let worker = || {
-        let mut eng = EriEngine::new();
-        let mut buf = Vec::new();
-        let mut worst = 0.0f64;
-        loop {
-            let Some((m, n)) = queue.lock().unwrap().next() else {
-                break;
-            };
+    let shell_pairs = (0..nshells).flat_map(|m| (m..nshells).map(move |n| (m, n)));
+    // Per worker: engine, buffer, largest residual seen.
+    let scratch = || (EriEngine::new(), Vec::new(), 0.0f64);
+    let states = par::claim(
+        par::threads(),
+        shell_pairs,
+        scratch,
+        |(eng, buf, worst), (m, n)| {
             let Some(view) = pairs.view(m, n) else {
-                continue;
+                return;
             };
-            eng.quartet_views(&view, &view, &mut buf);
+            eng.quartet_views(&view, &view, buf);
             let (nm, nn) = (basis.shells[m].nfuncs(), basis.shells[n].nfuncs());
             let (om, on) = (basis.shells[m].bf_offset, basis.shells[n].bf_offset);
             for fm in 0..nm {
@@ -370,20 +341,12 @@ pub fn max_diag_residual(
                             v * v
                         })
                         .sum();
-                    worst = worst.max((exact - fitted).abs());
+                    *worst = worst.max((exact - fitted).abs());
                 }
             }
-        }
-        worst
-    };
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(worker)).collect();
-        helpers
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .fold(worker(), f64::max)
-    })
+        },
+    );
+    states.iter().fold(0.0, |w, s| s.2.max(w))
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use crate::hermite::{cart_components_static, hermite_triples, E1d};
 use crate::screening::Screening;
 use chem::shells::{BasisInstance, Shell};
 use chem::Vec3;
-use rayon::prelude::*;
+use linalg::par;
 use std::sync::OnceLock;
 
 /// Per-primitive-pair quantities shared by every quartet the pair enters.
@@ -291,15 +291,12 @@ impl ShellPairData {
     pub fn build(basis: &BasisInstance, screening: &Screening) -> ShellPairData {
         let n = basis.nshells();
         let shells = &basis.shells;
-        let rows: Vec<Vec<(usize, ShellPair)>> = (0..n)
-            .into_par_iter()
-            .map(|m| {
-                (m..n)
-                    .filter(|&p| screening.significant(m, p))
-                    .map(|p| (p, ShellPair::new(&shells[m], &shells[p])))
-                    .collect()
-            })
-            .collect();
+        let rows: Vec<Vec<(usize, ShellPair)>> = par::map(par::threads(), n, |m| {
+            (m..n)
+                .filter(|&p| screening.significant(m, p))
+                .map(|p| (p, ShellPair::new(&shells[m], &shells[p])))
+                .collect()
+        });
         let mut index = vec![ABSENT; n * n];
         let mut pairs = Vec::new();
         for (m, row) in rows.into_iter().enumerate() {

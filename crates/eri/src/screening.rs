@@ -17,7 +17,7 @@
 
 use crate::teints::EriEngine;
 use chem::shells::BasisInstance;
-use rayon::prelude::*;
+use linalg::par;
 
 /// Precomputed screening data for one basis instance.
 #[derive(Debug, Clone)]
@@ -46,27 +46,24 @@ impl Screening {
         // multiplied by bounded prefactors.
         const LOG_CUT: f64 = 69.0;
 
-        let rows: Vec<Vec<f64>> = (0..n)
-            .into_par_iter()
-            .map(|m| {
-                let mut eng = EriEngine::new();
-                let mut row = vec![0.0; n];
-                let sm = &shells[m];
-                let am = sm.min_exp();
-                for (p, sp) in shells.iter().enumerate() {
-                    if p < m {
-                        continue; // filled by symmetry
-                    }
-                    let ap = sp.min_exp();
-                    let mu = am * ap / (am + ap);
-                    if mu * sm.center.dist2(sp.center) > LOG_CUT {
-                        continue;
-                    }
-                    row[p] = eng.schwarz_pair_value(sm, sp);
+        let rows: Vec<Vec<f64>> = par::map(par::threads(), n, |m| {
+            let mut eng = EriEngine::new();
+            let mut row = vec![0.0; n];
+            let sm = &shells[m];
+            let am = sm.min_exp();
+            for (p, sp) in shells.iter().enumerate() {
+                if p < m {
+                    continue; // filled by symmetry
                 }
-                row
-            })
-            .collect();
+                let ap = sp.min_exp();
+                let mu = am * ap / (am + ap);
+                if mu * sm.center.dist2(sp.center) > LOG_CUT {
+                    continue;
+                }
+                row[p] = eng.schwarz_pair_value(sm, sp);
+            }
+            row
+        });
 
         let mut q = vec![0.0; n * n];
         for (m, row) in rows.iter().enumerate() {

@@ -17,14 +17,14 @@
 //!
 //! with both products run through the register-blocked
 //! [`gemm_acc`] kernel. `B` is borrowed, never copied: the Q range splits
-//! into fixed spans of [`SPAN`] blocks, scoped threads claim spans one at
-//! a time, and each span's J/K partials (`nbf²` each, thread-private) are
-//! folded into the result in span order. The scratch is
+//! into fixed spans of [`SPAN`] blocks, [`par::claim`] workers claim spans
+//! one at a time, and each span's J/K partials (`nbf²` each,
+//! thread-private) are folded into the result in span order. The scratch is
 //! `O(threads·nbf²)`, and J and K are bitwise the same on any thread
 //! count.
 
 use crate::gemm::gemm_acc;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use crate::par;
 use std::sync::{Condvar, Mutex};
 
 /// Q blocks per span: the unit of work a thread claims and the unit of
@@ -38,9 +38,11 @@ const SPAN: usize = 16;
 /// returned matrices are `nbf²` dense, and K is exactly symmetric (formed
 /// on the upper triangle and mirrored). Runs on the host's cores.
 pub fn df_jk(b: &[f64], d: &[f64], naux: usize, nbf: usize) -> (Vec<f64>, Vec<f64>) {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    df_jk_on(b, d, naux, nbf, threads)
+    df_jk_on(b, d, naux, nbf, par::threads())
 }
+
+/// What a poisoned fold lock means.
+const FOLD_POISONED: &str = "a J/K worker panicked while folding";
 
 /// The J/K and the span index the next fold must come from.
 struct Fold {
@@ -49,7 +51,7 @@ struct Fold {
     k: Vec<f64>,
 }
 
-/// [`df_jk`] on `threads` threads (the calling thread included).
+/// [`df_jk`] on `threads` threads.
 pub(crate) fn df_jk_on(
     b: &[f64],
     d: &[f64],
@@ -67,47 +69,34 @@ pub(crate) fn df_jk_on(
         k: vec![0.0; nn],
     });
     let turn = Condvar::new();
-    let claim = AtomicUsize::new(0);
-    let worker = || {
-        let (mut jp, mut kp, mut w) = (vec![0.0; nn], vec![0.0; nn], vec![0.0; nn]);
-        loop {
-            let span = claim.fetch_add(1, Ordering::Relaxed);
-            if span >= nspans {
-                break;
+    let scratch = || (vec![0.0; nn], vec![0.0; nn], vec![0.0; nn]);
+    par::claim(threads, 0..nspans, scratch, |(jp, kp, w), span| {
+        jp.fill(0.0);
+        kp.fill(0.0);
+        let qs = span * SPAN..((span + 1) * SPAN).min(naux);
+        for bq in b[qs.start * nn..qs.end * nn].chunks_exact(nn) {
+            let gamma: f64 = bq.iter().zip(d).map(|(x, y)| x * y).sum();
+            for (jv, &bv) in jp.iter_mut().zip(bq) {
+                *jv += gamma * bv;
             }
-            jp.fill(0.0);
-            kp.fill(0.0);
-            let qs = span * SPAN..((span + 1) * SPAN).min(naux);
-            for bq in b[qs.start * nn..qs.end * nn].chunks_exact(nn) {
-                let gamma: f64 = bq.iter().zip(d).map(|(x, y)| x * y).sum();
-                for (jv, &bv) in jp.iter_mut().zip(bq) {
-                    *jv += gamma * bv;
-                }
-                w.fill(0.0);
-                gemm_acc(1.0, bq, d, &mut w, nbf, nbf, None);
-                gemm_acc(1.0, &w, bq, &mut kp, nbf, nbf, Some(0));
-            }
-            let mut f = turn
-                .wait_while(fold.lock().unwrap(), |f| f.next != span)
-                .unwrap();
-            for (x, y) in f.j.iter_mut().zip(&jp) {
-                *x += y;
-            }
-            for (x, y) in f.k.iter_mut().zip(&kp) {
-                *x += y;
-            }
-            f.next += 1;
-            drop(f);
-            turn.notify_all();
+            w.fill(0.0);
+            gemm_acc(1.0, bq, d, w, nbf, nbf, None);
+            gemm_acc(1.0, w, bq, kp, nbf, nbf, Some(0));
         }
-    };
-    std::thread::scope(|s| {
-        for _ in 1..threads.min(nspans) {
-            s.spawn(worker);
+        let mut f = turn
+            .wait_while(fold.lock().expect(FOLD_POISONED), |f| f.next != span)
+            .expect(FOLD_POISONED);
+        for (x, y) in f.j.iter_mut().zip(jp.iter()) {
+            *x += y;
         }
-        worker();
+        for (x, y) in f.k.iter_mut().zip(kp.iter()) {
+            *x += y;
+        }
+        f.next += 1;
+        drop(f);
+        turn.notify_all();
     });
-    let Fold { j, mut k, .. } = fold.into_inner().unwrap();
+    let Fold { j, mut k, .. } = fold.into_inner().expect(FOLD_POISONED);
     for mu in 0..nbf {
         for nu in 0..mu {
             k[mu * nbf + nu] = k[nu * nbf + mu];

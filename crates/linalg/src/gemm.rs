@@ -1,9 +1,9 @@
 //! Dense matrix multiply: one serial, register-blocked kernel
-//! ([`gemm_acc`]) and the `Mat`-level [`gemm`] that runs it over
-//! rayon-parallel row blocks.
+//! ([`gemm_acc`]) and the `Mat`-level [`gemm`] that fans it out over row
+//! blocks through [`par::claim`].
 
 use crate::matrix::Mat;
-use rayon::prelude::*;
+use crate::par;
 
 /// Rows of C the kernel updates per pass over B's rows.
 pub(crate) const MR: usize = 4;
@@ -13,8 +13,8 @@ const NR: usize = 4;
 /// C = alpha·A·B + beta·C. When `c` is `None`, a zero matrix is used
 /// (and `beta` ignored). Returns the result.
 ///
-/// Rows of C are split into [`gemm_acc`] blocks of four, parallelized
-/// across the rayon pool; each element is summed in ascending k.
+/// Rows of C are split into [`gemm_acc`] blocks of four, claimed by
+/// [`par::threads`] workers; each element is summed in ascending k.
 pub fn gemm(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: Option<&Mat>) -> Mat {
     assert_eq!(a.ncols(), b.nrows(), "inner dimension mismatch");
     let (m, k, n) = (a.nrows(), a.ncols(), b.ncols());
@@ -31,13 +31,16 @@ pub fn gemm(alpha: f64, a: &Mat, b: &Mat, beta: f64, c: Option<&Mat>) -> Mat {
         return out;
     }
     let (as_, bs) = (a.as_slice(), b.as_slice());
-    out.as_mut_slice()
-        .par_chunks_mut(MR * n)
-        .enumerate()
-        .for_each(|(blk, cblk)| {
+    let blocks = out.as_mut_slice().chunks_mut(MR * n).enumerate();
+    par::claim(
+        par::threads(),
+        blocks,
+        || (),
+        |_, (blk, cblk)| {
             let rows = &as_[blk * MR * k..blk * MR * k + cblk.len() / n * k];
             gemm_acc(alpha, rows, bs, cblk, k, n, None);
-        });
+        },
+    );
     out
 }
 

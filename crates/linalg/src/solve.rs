@@ -6,7 +6,7 @@
 
 use crate::gemm::{gemm_acc, MR};
 use crate::matrix::Mat;
-use std::sync::Mutex;
+use crate::par;
 
 /// Solve A·x = b by LU decomposition with partial pivoting.
 /// Returns `None` if A is (numerically) singular.
@@ -59,8 +59,8 @@ pub fn solve(a: &Mat, b: &[f64]) -> Option<Vec<f64>> {
 /// Columns of each Cholesky panel.
 const PANEL: usize = 64;
 
-/// Trailing updates with fewer multiply-adds than this run on the
-/// caller's thread: below it, spawning a thread costs more than it saves.
+/// Trailing updates with fewer multiply-adds than this run on one thread:
+/// below it, spawning threads costs more than it saves.
 const PAR_MIN_WORK: usize = 1 << 21;
 
 /// Cholesky factorization `a = L·Lᵀ` of a symmetric positive-definite
@@ -75,18 +75,17 @@ const PAR_MIN_WORK: usize = 1 << 21;
 /// panel of [`PANEL`] rows of U is factored with row axpys and copied
 /// below the diagonal as L's columns; the trailing rows then take the
 /// panel's rank-[`PANEL`] update through [`gemm_acc`] with `alpha = −1`
-/// on the upper triangle, in 4-row blocks claimed by scoped threads.
+/// on the upper triangle, in 4-row blocks claimed by [`par::claim`]
+/// workers.
 /// Every entry is still `a_ij` minus the terms `l_ik·l_jk` in ascending
 /// k, then one division or square root (`c + (−x)·y` rounds exactly like
 /// `c − x·y`), so `L` is bitwise the textbook triple loop's on any
 /// thread count, and the first failing pivot is the same.
 pub fn cholesky(a: &Mat) -> Option<Mat> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    cholesky_on(a.clone(), threads)
+    cholesky_on(a.clone(), par::threads())
 }
 
-/// [`cholesky`] of `a`, in `a`'s own storage, on up to `threads` threads
-/// (the calling thread included).
+/// [`cholesky`] of `a`, in `a`'s own storage, on up to `threads` threads.
 pub(crate) fn cholesky_on(mut a: Mat, threads: usize) -> Option<Mat> {
     let n = a.nrows();
     assert_eq!(n, a.ncols(), "cholesky requires a square matrix");
@@ -132,44 +131,27 @@ pub(crate) fn cholesky_on(mut a: Mat, threads: usize) -> Option<Mat> {
         }
         let panel: &[f64] = panel;
         let m = n - p1;
-        let blocks = Mutex::new(trailing.chunks_mut(MR * n).enumerate());
-        let worker = || loop {
-            // let-else, not while-let: the guard must drop before the work.
-            let Some((blk, c)) = blocks.lock().unwrap().next() else {
-                break;
-            };
-            // The block's own L columns, copied out of the rows it updates.
-            let mut a_blk = [0.0; MR * PANEL];
-            for (dst, row) in a_blk.chunks_exact_mut(nb).zip(c.chunks_exact(n)) {
-                dst.copy_from_slice(&row[p0..p1]);
-            }
-            let rows = c.len() / n;
-            gemm_acc(
-                -1.0,
-                &a_blk[..rows * nb],
-                panel,
-                c,
-                nb,
-                n,
-                Some(p1 + blk * MR),
-            );
-        };
-        let spawn = if m * (m + 1) / 2 * nb < PAR_MIN_WORK {
-            0
+        let threads = if m * (m + 1) / 2 * nb < PAR_MIN_WORK {
+            1
         } else {
-            threads.saturating_sub(1).min(m.div_ceil(MR) - 1)
+            threads
         };
-        std::thread::scope(|s| {
-            let helpers: Vec<_> = (0..spawn).map(|_| s.spawn(worker)).collect();
-            worker();
-            // Joined, not left to the scope, which detaches its threads:
-            // the next panel's spawn then finds this thread's stack cached
-            // instead of mapping a new one, whose TLS bookkeeping glibc
-            // puts on the heap between the large buffers.
-            for h in helpers {
-                h.join().unwrap();
-            }
-        });
+        let blocks = trailing.chunks_mut(MR * n).enumerate();
+        par::claim(
+            threads,
+            blocks,
+            || (),
+            |_, (blk, c)| {
+                // The block's own L columns, copied out of the rows it updates.
+                let mut a_blk = [0.0; MR * PANEL];
+                for (dst, row) in a_blk.chunks_exact_mut(nb).zip(c.chunks_exact(n)) {
+                    dst.copy_from_slice(&row[p0..p1]);
+                }
+                let rows = c.len() / n;
+                let upper = Some(p1 + blk * MR);
+                gemm_acc(-1.0, &a_blk[..rows * nb], panel, c, nb, n, upper);
+            },
+        );
         // The panel's rows of U are spent: move their in-panel part below
         // the diagonal and zero the rest.
         let panel = &mut done[p0 * n..];
