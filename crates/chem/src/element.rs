@@ -10,16 +10,6 @@ pub fn symbol(z: u32) -> Option<&'static str> {
     SYMBOLS.get(z as usize).copied().filter(|s| *s != "?")
 }
 
-/// The atomic number for a (case-insensitive) element symbol.
-pub fn atomic_number(sym: &str) -> Option<u32> {
-    let norm = sym.trim();
-    SYMBOLS
-        .iter()
-        .position(|s| s.eq_ignore_ascii_case(norm))
-        .filter(|&i| i != 0)
-        .map(|i| i as u32)
-}
-
 /// Atomic numbers used throughout the workspace.
 pub const H: u32 = 1;
 pub const HE: u32 = 2;
@@ -32,23 +22,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn roundtrip_symbols() {
-        for z in 1..=10 {
-            let s = symbol(z).unwrap();
-            assert_eq!(atomic_number(s), Some(z));
-        }
-    }
-
-    #[test]
-    fn case_insensitive_lookup() {
-        assert_eq!(atomic_number("he"), Some(2));
-        assert_eq!(atomic_number("C"), Some(6));
-        assert_eq!(atomic_number(" o "), Some(8));
+    fn symbols_match_atomic_numbers() {
+        assert_eq!(symbol(H), Some("H"));
+        assert_eq!(symbol(HE), Some("He"));
+        assert_eq!(symbol(C), Some("C"));
+        assert_eq!(symbol(N), Some("N"));
+        assert_eq!(symbol(O), Some("O"));
     }
 
     #[test]
     fn unknown_symbols() {
-        assert_eq!(atomic_number("Xx"), None);
         assert_eq!(symbol(0), None);
         assert_eq!(symbol(99), None);
     }

@@ -384,16 +384,6 @@ pub fn methane() -> Molecule {
     linear_alkane(1)
 }
 
-/// The paper's four Fock-construction test molecules (Table II), in order.
-/// `scale = 1.0` gives the exact paper molecules; smaller scales shrink each
-/// family proportionally (useful on small machines) while preserving the
-/// 2-D-flake / 1-D-chain structure.
-pub fn paper_test_set(scale: f64) -> Vec<Molecule> {
-    let flake = |n: usize| graphene_flake(((n as f64 * scale).round() as usize).max(1));
-    let alk = |k: usize| linear_alkane(((k as f64 * scale).round() as usize).max(1));
-    vec![flake(4), flake(5), alk(100), alk(144)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,12 +468,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn paper_test_set_full_scale() {
-        let names: Vec<String> = paper_test_set(1.0).iter().map(|m| m.formula()).collect();
-        assert_eq!(names, ["C96H24", "C150H30", "C100H202", "C144H290"]);
     }
 
     #[test]

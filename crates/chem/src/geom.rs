@@ -64,17 +64,6 @@ impl Vec3 {
         assert!(n > 0.0, "cannot normalize zero vector");
         self / n
     }
-
-    /// Component access by axis index 0..3.
-    #[inline]
-    pub fn axis(self, i: usize) -> f64 {
-        match i {
-            0 => self.x,
-            1 => self.y,
-            2 => self.z,
-            _ => panic!("axis index out of range: {i}"),
-        }
-    }
 }
 
 impl Add for Vec3 {
@@ -162,19 +151,5 @@ mod tests {
     fn normalized_has_unit_length() {
         let a = Vec3::new(0.3, -2.0, 7.0);
         assert!((a.normalized().norm() - 1.0).abs() < 1e-14);
-    }
-
-    #[test]
-    fn axis_access() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        assert_eq!(a.axis(0), 1.0);
-        assert_eq!(a.axis(1), 2.0);
-        assert_eq!(a.axis(2), 3.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn axis_out_of_range_panics() {
-        Vec3::ZERO.axis(3);
     }
 }

@@ -106,55 +106,6 @@ impl Molecule {
         }
         (lo, hi)
     }
-
-    /// Render in XYZ format (coordinates converted to angstrom).
-    pub fn to_xyz(&self) -> String {
-        let mut s = format!("{}\n{}\n", self.natoms(), self.formula());
-        for a in &self.atoms {
-            let ang = 1.0 / crate::BOHR_PER_ANGSTROM;
-            s.push_str(&format!(
-                "{} {:.6} {:.6} {:.6}\n",
-                element::symbol(a.z).unwrap_or("?"),
-                a.pos.x * ang,
-                a.pos.y * ang,
-                a.pos.z * ang
-            ));
-        }
-        s
-    }
-
-    /// Parse XYZ format (coordinates in angstrom).
-    pub fn from_xyz(text: &str) -> Result<Molecule, String> {
-        let mut lines = text.lines();
-        let n: usize = lines
-            .next()
-            .ok_or("empty xyz")?
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad atom count: {e}"))?;
-        let _comment = lines.next().ok_or("missing comment line")?;
-        let mut atoms = Vec::with_capacity(n);
-        for line in lines.take(n) {
-            let mut f = line.split_whitespace();
-            let sym = f.next().ok_or("missing symbol")?;
-            let z = element::atomic_number(sym).ok_or_else(|| format!("unknown element {sym}"))?;
-            let mut coord = |name: &str| -> Result<f64, String> {
-                f.next()
-                    .ok_or_else(|| format!("missing {name}"))?
-                    .parse::<f64>()
-                    .map_err(|e| format!("bad {name}: {e}"))
-            };
-            let (x, y, z3) = (coord("x")?, coord("y")?, coord("z")?);
-            atoms.push(Atom {
-                z,
-                pos: Vec3::new(x, y, z3) * crate::BOHR_PER_ANGSTROM,
-            });
-        }
-        if atoms.len() != n {
-            return Err(format!("expected {n} atoms, found {}", atoms.len()));
-        }
-        Ok(Molecule::new(atoms))
-    }
 }
 
 impl fmt::Display for Molecule {
@@ -214,25 +165,6 @@ mod tests {
             },
         ]);
         assert_eq!(m.formula(), "CH2O");
-    }
-
-    #[test]
-    fn xyz_roundtrip() {
-        let m = h2();
-        let text = m.to_xyz();
-        let m2 = Molecule::from_xyz(&text).unwrap();
-        assert_eq!(m.natoms(), m2.natoms());
-        for (a, b) in m.atoms.iter().zip(&m2.atoms) {
-            assert_eq!(a.z, b.z);
-            assert!(a.pos.dist(b.pos) < 1e-5);
-        }
-    }
-
-    #[test]
-    fn xyz_parse_errors() {
-        assert!(Molecule::from_xyz("").is_err());
-        assert!(Molecule::from_xyz("1\ncomment\nXx 0 0 0\n").is_err());
-        assert!(Molecule::from_xyz("2\ncomment\nH 0 0 0\n").is_err());
     }
 
     #[test]

@@ -163,7 +163,9 @@ pub fn hilbert3(x: u64, y: u64, z: u64, bits: u32) -> u64 {
 /// `max(Φ(M)) − min(Φ(M))` would need screening data, so this cheaper proxy
 /// measures the mean |i−j| over all shell pairs within `radius` bohr.
 /// Smaller is better; the cell ordering should beat a random shuffle.
-pub fn locality_cost(basis: &BasisInstance, radius: f64) -> f64 {
+/// The ordering tests assert on it.
+#[cfg(test)]
+fn locality_cost(basis: &BasisInstance, radius: f64) -> f64 {
     let n = basis.nshells();
     let r2 = radius * radius;
     let mut total = 0.0f64;

@@ -287,7 +287,8 @@ pub trait FockBuild {
     /// ordering). Events and metrics go to `rec`; pass
     /// `&Recorder::disabled()` when telemetry is not wanted. `Err` is only
     /// possible under fault injection (lost tasks / torn flushes); the SCF
-    /// driver reacts by re-basing with a fresh full build.
+    /// driver retries a failed ΔD build as a full build and returns a
+    /// failed full build as [`crate::ScfError::Build`].
     fn build(
         &self,
         prob: &FockProblem,

@@ -218,8 +218,9 @@ fn fit(prob: &FockProblem, spec: &AuxSpec, rec: &Recorder) -> Arc<DfData> {
 }
 
 /// The density-fitting builder. Cheap to construct; all heavy state lives
-/// in the per-problem cache, keyed by [`fingerprint`] so one shared
-/// `Arc<DfBuild>` can serve consecutive problems without stale reuse.
+/// in the per-problem cache, keyed by a fingerprint of the problem and the
+/// auxiliary basis, so one shared `Arc<DfBuild>` can serve consecutive
+/// problems without stale reuse.
 pub struct DfBuild {
     pub spec: AuxSpec,
     cache: Mutex<Option<(u64, Arc<DfData>)>>,

@@ -13,9 +13,7 @@ use linalg::solve::solve;
 use linalg::Mat;
 use std::collections::VecDeque;
 
-/// DIIS state: a sliding window of (Fock, error) pairs. `Clone` so SCF
-/// checkpoints can snapshot and restore the subspace.
-#[derive(Clone)]
+/// DIIS state: a sliding window of (Fock, error) pairs.
 pub struct Diis {
     max_vecs: usize,
     focks: VecDeque<Mat>,

@@ -65,9 +65,7 @@ pub use gtfock::{
 pub use model::ModelParams;
 pub use nwchem::{build_fock_nwchem, build_fock_nwchem_rec, NwchemConfig, NwchemReport};
 pub use partition::StaticPartition;
-pub use scf::{
-    run_scf, run_scf_on, ScfCheckpoint, ScfConfig, ScfConfigBuilder, ScfError, ScfResult,
-};
+pub use scf::{run_scf, run_scf_on, ScfConfig, ScfConfigBuilder, ScfError, ScfResult};
 pub use seq::{build_g_seq, build_g_seq_rec};
 pub use sink::{apply_quartet, do_task, DenseSink, FockSink, TaskCounts};
 pub use tasks::{CompletionBoard, FockProblem, OneElectron};

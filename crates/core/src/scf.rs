@@ -13,7 +13,6 @@ use crate::tasks::FockProblem;
 use chem::molecule::Molecule;
 use chem::reorder::ShellOrdering;
 use chem::BasisSetKind;
-use eri::oneints;
 use linalg::eig::sym_eig;
 use linalg::gemm::{gemm, gemm_nt, gemm_tn};
 use linalg::purify::purify_canonical;
@@ -51,8 +50,9 @@ pub enum ScfError {
     /// More occupied orbitals than basis functions: the closed-shell
     /// determinant cannot be represented in this basis.
     TooManyElectrons { nocc: usize, nbf: usize },
-    /// The Fock builder failed unrecoverably (fault injection exhausted
-    /// retries or recovery), and no checkpoint was available to re-base.
+    /// A full Fock build failed unrecoverably (fault injection exhausted
+    /// retries or recovery). The loop returns this at once; only a failed
+    /// ΔD build is retried, as a full rebuild.
     Build(BuildError),
     /// `require_convergence` was set and the loop ran out of iterations.
     /// The partial energy history is preserved for diagnosis.
@@ -93,34 +93,6 @@ impl std::error::Error for ScfError {
 impl From<BuildError> for ScfError {
     fn from(e: BuildError) -> Self {
         ScfError::Build(e)
-    }
-}
-
-/// Everything needed to resume the SCF loop mid-run: the densities and
-/// accumulated G of the incremental scheme, the energy history, and the
-/// DIIS subspace. Taken every [`ScfConfig::checkpoint_every`] iterations;
-/// the degraded-mode recovery path falls back to the last one when a Fock
-/// build fails unrecoverably.
-#[derive(Clone)]
-pub struct ScfCheckpoint {
-    /// Next iteration to run when resuming from this checkpoint.
-    pub iter: usize,
-    pub d: Mat,
-    pub g_prev: Mat,
-    pub d_prev: Mat,
-    pub fock: Mat,
-    pub e_prev: f64,
-    pub history: Vec<f64>,
-    pub diis: crate::diis::Diis,
-}
-
-impl std::fmt::Debug for ScfCheckpoint {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScfCheckpoint")
-            .field("iter", &self.iter)
-            .field("e_prev", &self.e_prev)
-            .field("history_len", &self.history.len())
-            .finish()
     }
 }
 
@@ -177,13 +149,6 @@ pub struct ScfConfig {
     /// ([`ScfError::NotConverged`]) instead of returning an unconverged
     /// [`ScfResult`]. Off by default for backwards compatibility.
     pub require_convergence: bool,
-    /// Snapshot an [`ScfCheckpoint`] every k iterations (0 = never). The
-    /// last checkpoint is returned in [`ScfResult::checkpoint`] and is the
-    /// fallback state for degraded-mode recovery after a failed build.
-    pub checkpoint_every: usize,
-    /// Resume a previous run: start from this checkpoint's state instead
-    /// of the initial guess.
-    pub resume: Option<ScfCheckpoint>,
 }
 
 impl std::fmt::Debug for ScfConfig {
@@ -201,8 +166,6 @@ impl std::fmt::Debug for ScfConfig {
             .field("density", &self.density)
             .field("recording", &self.recorder.is_enabled())
             .field("require_convergence", &self.require_convergence)
-            .field("checkpoint_every", &self.checkpoint_every)
-            .field("resume", &self.resume.is_some())
             .finish()
     }
 }
@@ -223,8 +186,6 @@ impl Default for ScfConfig {
             density: DensityMethod::Diagonalize,
             recorder: Recorder::disabled(),
             require_convergence: false,
-            checkpoint_every: 0,
-            resume: None,
         }
     }
 }
@@ -311,16 +272,6 @@ impl ScfConfigBuilder {
         self
     }
 
-    pub fn checkpoint_every(mut self, k: usize) -> Self {
-        self.cfg.checkpoint_every = k;
-        self
-    }
-
-    pub fn resume(mut self, cp: ScfCheckpoint) -> Self {
-        self.cfg.resume = Some(cp);
-        self
-    }
-
     pub fn build(self) -> ScfConfig {
         self.cfg
     }
@@ -345,36 +296,14 @@ pub struct ScfResult {
     /// The problem (basis + screening + memoized setup) the run used —
     /// shared, so a cached problem serving many jobs is not duplicated.
     pub problem: Arc<FockProblem>,
-    /// The last checkpoint taken (None unless `checkpoint_every > 0`).
-    /// Feed it back through [`ScfConfig::resume`] to continue the run.
-    pub checkpoint: Option<ScfCheckpoint>,
-}
-
-impl ScfResult {
-    /// Total electric dipole moment about the origin, in atomic units:
-    /// μ = Σ_A Z_A R_A − 2 Σ_ij D_ij ⟨i|r|j⟩ (closed shell; D = C_occ C_occᵀ).
-    pub fn dipole_moment(&self) -> chem::Vec3 {
-        let dm = oneints::dipole_matrices(&self.problem.basis, chem::Vec3::ZERO);
-        let mut mu = chem::Vec3::ZERO;
-        for atom in &self.problem.basis.molecule.atoms {
-            mu += atom.pos * atom.z as f64;
-        }
-        let d = self.density.as_slice();
-        let mut e = [0.0f64; 3];
-        for (axis, m) in dm.iter().enumerate() {
-            e[axis] = d.iter().zip(m).map(|(x, y)| x * y).sum::<f64>();
-        }
-        mu + chem::Vec3::new(-2.0 * e[0], -2.0 * e[1], -2.0 * e[2])
-    }
 }
 
 /// Run restricted Hartree-Fock for a closed-shell molecule.
 ///
-/// Under fault injection a build can fail unrecoverably; the loop then
-/// degrades gracefully — an incremental (ΔD) failure re-bases with a full
-/// rebuild, a full-build failure restores the last [`ScfCheckpoint`]
-/// (once) and continues with incremental builds disabled — before finally
-/// surfacing [`ScfError::Build`].
+/// Under fault injection a build can fail unrecoverably. A failed
+/// incremental (ΔD) build is retried as a full rebuild from the current
+/// density, which also re-bases the accumulated G; a failed full build
+/// returns [`ScfError::Build`] at once.
 pub fn run_scf(
     molecule: Molecule,
     kind: BasisSetKind,
@@ -412,44 +341,25 @@ pub fn run_scf_on(prob: Arc<FockProblem>, cfg: ScfConfig) -> Result<ScfResult, S
     let mut d_prev = Mat::zeros(nbf, nbf);
     let mut e_prev = f64::INFINITY;
     let mut history = Vec::new();
-    let mut start_iter = 0;
-    let mut d = if let Some(cp) = &cfg.resume {
-        g_prev = cp.g_prev.clone();
-        d_prev = cp.d_prev.clone();
-        fock = cp.fock.clone();
-        e_prev = cp.e_prev;
-        history = cp.history.clone();
-        diis = cp.diis.clone();
-        start_iter = cp.iter;
-        cp.d.clone()
-    } else {
-        let f0 = match cfg.guess {
-            ScfGuess::Core => h,
-            ScfGuess::Gwh => prob.gwh_guess(),
-        };
-        density_from_fock(f0, x, nocc, cfg.density)
+    let f0 = match cfg.guess {
+        ScfGuess::Core => h,
+        ScfGuess::Gwh => prob.gwh_guess(),
     };
+    let mut d = density_from_fock(f0, x, nocc, cfg.density);
     let mut converged = false;
     let mut iterations = 0;
     let mut reports = Vec::new();
-    let mut last_checkpoint: Option<ScfCheckpoint> = None;
-    // Degraded mode: after a checkpoint restore, stay on full builds (the
-    // accumulated G of the incremental scheme is no longer trusted) and
-    // never restore a second time.
-    let mut restored_once = false;
-    let mut forced_full = false;
 
-    for it in start_iter..start_iter + cfg.max_iter {
-        iterations = it - start_iter + 1;
+    for it in 0..cfg.max_iter {
+        iterations = it + 1;
         if cfg.recorder.is_enabled() {
             cfg.recorder
                 .side_event(0, EventKind::IterStart { iter: it as u32 });
         }
         // Periodic full rebuilds re-base the accumulated G so per-ΔD-build
         // screening errors cannot pile up across the whole run.
-        let full_build = forced_full
-            || !cfg.incremental
-            || it == start_iter
+        let full_build = !cfg.incremental
+            || it == 0
             || (cfg.rebuild_every > 0 && it.is_multiple_of(cfg.rebuild_every));
         let g_result: Result<Mat, BuildError> = if full_build {
             build_g(&prob, &d, &cfg).map(|(g, report)| {
@@ -474,24 +384,7 @@ pub fn run_scf_on(prob: Arc<FockProblem>, cfg: ScfConfig) -> Result<ScfResult, S
                 }),
             }
         };
-        let g = match g_result {
-            Ok(g) => g,
-            Err(e) => match last_checkpoint.clone() {
-                Some(cp) if !restored_once => {
-                    restored_once = true;
-                    forced_full = true;
-                    d = cp.d;
-                    g_prev = cp.g_prev;
-                    d_prev = cp.d_prev;
-                    fock = cp.fock;
-                    e_prev = cp.e_prev;
-                    history = cp.history;
-                    diis = cp.diis;
-                    continue;
-                }
-                _ => return Err(ScfError::Build(e)),
-            },
-        };
+        let g = g_result?;
         if cfg.incremental {
             g_prev = g.clone();
             d_prev = d.clone();
@@ -520,18 +413,6 @@ pub fn run_scf_on(prob: Arc<FockProblem>, cfg: ScfConfig) -> Result<ScfResult, S
         let e_change = (energy - e_prev).abs();
         d = d_new;
         e_prev = energy;
-        if cfg.checkpoint_every > 0 && iterations.is_multiple_of(cfg.checkpoint_every) {
-            last_checkpoint = Some(ScfCheckpoint {
-                iter: it + 1,
-                d: d.clone(),
-                g_prev: g_prev.clone(),
-                d_prev: d_prev.clone(),
-                fock: fock.clone(),
-                e_prev,
-                history: history.clone(),
-                diis: diis.clone(),
-            });
-        }
         if cfg.recorder.is_enabled() {
             cfg.recorder
                 .side_event(0, EventKind::IterEnd { iter: it as u32 });
@@ -558,7 +439,6 @@ pub fn run_scf_on(prob: Arc<FockProblem>, cfg: ScfConfig) -> Result<ScfResult, S
         density: d,
         reports,
         problem: prob,
-        checkpoint: last_checkpoint,
     })
 }
 
@@ -597,8 +477,10 @@ fn build_g(prob: &FockProblem, d: &Mat, cfg: &ScfConfig) -> Result<(Mat, BuildRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::BuildOutcome;
     use chem::generators;
     use distrt::ProcessGrid;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn h2_sto3g_energy_matches_szabo() {
@@ -912,45 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_resume_reaches_same_energy() {
-        let full = run_scf(
-            generators::water(),
-            BasisSetKind::Sto3g,
-            ScfConfig::builder().diis(true).build(),
-        )
-        .unwrap();
-        // Stop early with checkpointing on, then resume from the snapshot.
-        let first = run_scf(
-            generators::water(),
-            BasisSetKind::Sto3g,
-            ScfConfig::builder()
-                .diis(true)
-                .max_iter(4)
-                .checkpoint_every(2)
-                .build(),
-        )
-        .unwrap();
-        assert!(!first.converged);
-        let cp = first.checkpoint.expect("checkpoint taken");
-        assert_eq!(cp.iter, 4);
-        let resumed = run_scf(
-            generators::water(),
-            BasisSetKind::Sto3g,
-            ScfConfig::builder().diis(true).resume(cp).build(),
-        )
-        .unwrap();
-        assert!(resumed.converged);
-        assert!(
-            (resumed.energy - full.energy).abs() < 1e-8,
-            "{} vs {}",
-            resumed.energy,
-            full.energy
-        );
-        // Resuming skips the iterations already paid for.
-        assert!(resumed.iterations + 4 <= full.iterations + 2);
-    }
-
-    #[test]
     fn scf_error_display_and_source() {
         let e = ScfError::TooManyElectrons { nocc: 5, nbf: 3 };
         assert!(e.to_string().contains("5 occupied"));
@@ -962,34 +805,88 @@ mod tests {
         assert!(std::error::Error::source(&b).is_some());
     }
 
-    #[test]
-    fn water_dipole_moment_sto3g() {
-        // RHF/STO-3G water dipole ≈ 0.60–0.70 a.u. (1.5–1.8 D), directed
-        // along the C₂ᵥ symmetry axis (z in our geometry).
-        let r = run_scf(
-            generators::water(),
-            BasisSetKind::Sto3g,
-            ScfConfig::default(),
-        )
-        .unwrap();
-        let mu = r.dipole_moment();
-        assert!(mu.x.abs() < 1e-6, "x component {:.2e}", mu.x);
-        assert!(mu.y.abs() < 1e-6, "y component {:.2e}", mu.y);
-        assert!((0.5..0.8).contains(&mu.z.abs()), "mu_z = {}", mu.z);
+    /// The sequential builder, except that the calls `fail` picks (by
+    /// 0-based call number) return a lost-task error.
+    struct FailingBuild {
+        calls: AtomicUsize,
+        fail: fn(usize) -> bool,
+    }
+
+    impl FailingBuild {
+        fn new(fail: fn(usize) -> bool) -> Arc<FailingBuild> {
+            Arc::new(FailingBuild {
+                calls: Default::default(),
+                fail,
+            })
+        }
+
+        fn calls(&self) -> usize {
+            self.calls.load(Ordering::Relaxed)
+        }
+    }
+
+    impl FockBuild for FailingBuild {
+        fn name(&self) -> &'static str {
+            "failing"
+        }
+
+        fn build(
+            &self,
+            prob: &FockProblem,
+            d: &[f64],
+            rec: &Recorder,
+        ) -> Result<BuildOutcome, BuildError> {
+            let call = self.calls.fetch_add(1, Ordering::Relaxed);
+            if (self.fail)(call) {
+                return Err(BuildError::Incomplete {
+                    tasks_lost: 1,
+                    tasks_requeued: 0,
+                });
+            }
+            seq_builder().build(prob, d, rec)
+        }
     }
 
     #[test]
-    fn homonuclear_dipole_vanishes() {
-        let r = run_scf(
-            generators::hydrogen(1.4),
+    fn failed_delta_build_rebases_with_a_full_build() {
+        let cfg = || ScfConfig::builder().incremental(true);
+        let clean = run_scf(generators::water(), BasisSetKind::Sto3g, cfg().build()).unwrap();
+        // Call 1 is iteration 1's ΔD build, the first incremental one.
+        let stub = FailingBuild::new(|call| call == 1);
+        let faulted = run_scf(
+            generators::water(),
             BasisSetKind::Sto3g,
-            ScfConfig::default(),
+            cfg().fock_builder(stub.clone()).build(),
         )
         .unwrap();
-        let mu = r.dipole_moment();
-        // H2 centred off-origin still has zero dipole: electronic and
-        // nuclear parts cancel exactly by symmetry.
-        assert!(mu.norm() < 1e-8, "mu = {mu:?}");
+        assert!(faulted.converged);
+        assert!(
+            (faulted.energy - clean.energy).abs() < 1e-10,
+            "{} vs {}",
+            faulted.energy,
+            clean.energy
+        );
+        assert!(faulted.iterations.abs_diff(clean.iterations) <= 1);
+        // One build per iteration, plus the full rebuild that replaced
+        // the lost ΔD build; only successful builds report.
+        assert_eq!(stub.calls(), faulted.iterations + 1);
+        assert_eq!(faulted.reports.len(), faulted.iterations);
+    }
+
+    #[test]
+    fn failed_full_build_returns_build_error() {
+        let stub = FailingBuild::new(|_| true);
+        let cfg = ScfConfig::builder()
+            .incremental(true)
+            .fock_builder(stub.clone())
+            .build();
+        match run_scf(generators::water(), BasisSetKind::Sto3g, cfg) {
+            Err(ScfError::Build(BuildError::Incomplete { tasks_lost: 1, .. })) => {}
+            Err(other) => panic!("expected ScfError::Build, got {other:?}"),
+            Ok(_) => panic!("a run whose every build fails must not succeed"),
+        }
+        // Iteration 0's full build failed, and nothing was retried.
+        assert_eq!(stub.calls(), 1);
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub const QUARTET_PERMS: [[usize; 4]; 8] = [
 ];
 
 /// The subset of [`QUARTET_PERMS`] producing *distinct* ordered shell
-/// tuples for the quartet (shells[0] shells[1] | shells[2] shells[3]).
+/// tuples for the quartet `(shells[0] shells[1] | shells[2] shells[3])`.
 pub fn distinct_images(shells: [usize; 4]) -> Vec<[usize; 4]> {
     let mut tuples: Vec<[usize; 4]> = Vec::with_capacity(8);
     let mut perms = Vec::with_capacity(8);

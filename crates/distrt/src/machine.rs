@@ -36,12 +36,6 @@ impl MachineParams {
         }
     }
 
-    /// Time to transfer `bytes` in one message.
-    #[inline]
-    pub fn xfer_time(&self, bytes: u64) -> f64 {
-        self.latency + bytes as f64 / self.bandwidth
-    }
-
     /// Time for `calls` messages moving `bytes` total.
     #[inline]
     pub fn comm_time(&self, calls: u64, bytes: u64) -> f64 {
@@ -69,8 +63,8 @@ mod tests {
     #[test]
     fn transfer_model_is_affine() {
         let m = MachineParams::lonestar();
-        let t0 = m.xfer_time(0);
-        let t1 = m.xfer_time(5_000_000_000);
+        let t0 = m.comm_time(1, 0);
+        let t1 = m.comm_time(1, 5_000_000_000);
         assert!((t0 - m.latency).abs() < 1e-18);
         assert!((t1 - (m.latency + 1.0)).abs() < 1e-12);
         assert!((m.comm_time(10, 100) - (10.0 * m.latency + 100.0 / m.bandwidth)).abs() < 1e-18);

@@ -83,12 +83,6 @@ impl<E> Sim<E> {
         self.seq += 1;
     }
 
-    /// Schedule `event` after a delay relative to the current clock.
-    pub fn schedule_in(&mut self, delay: f64, event: E) {
-        let at = self.now + delay;
-        self.schedule(at, event);
-    }
-
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(f64, E)> {
         self.heap.pop().map(|e| {
@@ -137,7 +131,7 @@ mod tests {
         assert_eq!(sim.now(), 0.0);
         sim.pop();
         assert_eq!(sim.now(), 5.0);
-        sim.schedule_in(2.5, ());
+        sim.schedule(sim.now() + 2.5, ());
         let (t, _) = sim.pop().unwrap();
         assert_eq!(t, 7.5);
     }

@@ -148,7 +148,7 @@ fn boys_fast_row(table: &[f64], t: f64, out: &mut [f64]) {
 }
 
 /// Batched [`boys_fast`]: fill `out[lane·(m_max+1) .. (lane+1)·(m_max+1)]`
-/// with F_0..F_{m_max}(ts[lane]) for every lane. The batched ERI kernels
+/// with `F_0..F_{m_max}(ts[lane])` for every lane. The batched ERI kernels
 /// gather each class chunk's T arguments into one contiguous array
 /// (SoA pass 1) and evaluate them here in a single sweep, so the table
 /// rows stream through cache instead of being re-fetched per primitive

@@ -39,8 +39,6 @@ pub struct CostModel {
     ntypes: usize,
     /// Seconds per quartet, dense [ntypes⁴].
     cost: Vec<f64>,
-    /// Spherical integrals per quartet, dense [ntypes⁴].
-    nints: Vec<u64>,
     /// Workload-average seconds per ERI (simple mean over classes weighted
     /// by integral count — recomputed against a real workload by Table V).
     pub t_int: f64,
@@ -138,7 +136,6 @@ impl CostModel {
             type_of_shell,
             ntypes: nt,
             cost,
-            nints,
             t_int,
         }
     }
@@ -149,24 +146,12 @@ impl CostModel {
         self.cost[self.key(a, b, c, d)]
     }
 
-    /// Number of spherical integrals in that quartet.
-    #[inline]
-    pub fn quartet_ints(&self, a: usize, b: usize, c: usize, d: usize) -> u64 {
-        self.nints[self.key(a, b, c, d)]
-    }
-
     /// Seconds per quartet for explicit type indices (used by the
     /// class-bucketed prefix sums in the simulator).
     #[inline]
     pub fn cost_by_types(&self, ta: u16, tb: u16, tc: u16, td: u16) -> f64 {
         let nt = self.ntypes;
         self.cost[(((ta as usize) * nt + tb as usize) * nt + tc as usize) * nt + td as usize]
-    }
-
-    #[inline]
-    pub fn ints_by_types(&self, ta: u16, tb: u16, tc: u16, td: u16) -> u64 {
-        let nt = self.ntypes;
-        self.nints[(((ta as usize) * nt + tb as usize) * nt + tc as usize) * nt + td as usize]
     }
 
     #[inline]
@@ -247,16 +232,6 @@ mod tests {
                 > m.quartet_cost(shallow, shallow, shallow, shallow),
             "9-primitive quartets should dominate single-primitive ones"
         );
-    }
-
-    #[test]
-    fn integral_counts() {
-        let b = BasisInstance::new(generators::methane(), BasisSetKind::CcPvdz).unwrap();
-        let m = CostModel::calibrate(&b, 1);
-        let d = b.shells.iter().position(|s| s.l == 2).unwrap();
-        let s = b.shells.iter().position(|s| s.l == 0).unwrap();
-        assert_eq!(m.quartet_ints(d, s, d, s), 25);
-        assert_eq!(m.quartet_ints(s, s, s, s), 1);
     }
 
     #[test]

@@ -225,7 +225,8 @@ fn r_plan(l: usize) -> &'static [RStep] {
 /// batched kernels evaluate the Boys function over a whole lane array first
 /// ([`crate::boys::boys_fast_batch`]) and then build each lane's cube here,
 /// folding the lane prefactor into the l+1 seeds. Same recursion and
-/// grow-only scratch as [`hermite_r`], driven from [`r_plan`].
+/// grow-only scratch as [`hermite_r`], driven from the recursion plan of
+/// order `l`.
 pub fn r_cube_planned<'a>(
     l: usize,
     alpha: f64,

@@ -139,77 +139,6 @@ pub fn nuclear_pair(a: &Shell, b: &Shell, molecule: &Molecule) -> Vec<f64> {
     transform_pair(cart, a.l, b.l)
 }
 
-/// Shell-pair dipole blocks `[na][nb]` for the three Cartesian components
-/// of ⟨a| r − C |b⟩ (electric-dipole integrals about `origin`):
-/// per dimension, ⟨a|x−C_x|b⟩ = (E₁^{ij} + (P_x−C_x)·E₀^{ij}) √(π/p),
-/// composed with plain overlaps in the other two dimensions.
-pub fn dipole_pair(a: &Shell, b: &Shell, origin: chem::Vec3) -> [Vec<f64>; 3] {
-    let (la, lb) = (a.l as usize, b.l as usize);
-    let comps_a = cart_components(a.l);
-    let comps_b = cart_components(b.l);
-    let ab = a.center - b.center;
-    let mut cart = [
-        vec![0.0; ncart(a.l) * ncart(b.l)],
-        vec![0.0; ncart(a.l) * ncart(b.l)],
-        vec![0.0; ncart(a.l) * ncart(b.l)],
-    ];
-    for (&ea, &ca) in a.exps.iter().zip(a.coefs.iter()) {
-        for (&eb, &cb) in b.exps.iter().zip(b.coefs.iter()) {
-            let p = ea + eb;
-            let pc = (a.center * ea + b.center * eb) / p;
-            let sq = (std::f64::consts::PI / p).sqrt();
-            let e: [E1d; 3] = [
-                E1d::new(la, lb, ea, eb, ab.x),
-                E1d::new(la, lb, ea, eb, ab.y),
-                E1d::new(la, lb, ea, eb, ab.z),
-            ];
-            let w = ca * cb;
-            let s1 = |axis: usize, i: usize, j: usize| sq * e[axis].get(i, j, 0);
-            let d1 = |axis: usize, i: usize, j: usize| {
-                sq * (e[axis].get(i, j, 1) + ((pc - origin).axis(axis)) * e[axis].get(i, j, 0))
-            };
-            for (ka, &(ax, ay, az)) in comps_a.iter().enumerate() {
-                for (kb, &(bx, by, bz)) in comps_b.iter().enumerate() {
-                    let (ax, ay, az) = (ax as usize, ay as usize, az as usize);
-                    let (bx, by, bz) = (bx as usize, by as usize, bz as usize);
-                    let k = ka * comps_b.len() + kb;
-                    cart[0][k] += w * d1(0, ax, bx) * s1(1, ay, by) * s1(2, az, bz);
-                    cart[1][k] += w * s1(0, ax, bx) * d1(1, ay, by) * s1(2, az, bz);
-                    cart[2][k] += w * s1(0, ax, bx) * s1(1, ay, by) * d1(2, az, bz);
-                }
-            }
-        }
-    }
-    let [cx, cy, cz] = cart;
-    [
-        transform_pair(cx, a.l, b.l),
-        transform_pair(cy, a.l, b.l),
-        transform_pair(cz, a.l, b.l),
-    ]
-}
-
-/// Full dipole matrices (x, y, z) about `origin`.
-pub fn dipole_matrices(basis: &BasisInstance, origin: chem::Vec3) -> [Vec<f64>; 3] {
-    let n = basis.nbf;
-    let mut out = [vec![0.0; n * n], vec![0.0; n * n], vec![0.0; n * n]];
-    for (si, a) in basis.shells.iter().enumerate() {
-        for b in basis.shells.iter().skip(si) {
-            let blocks = dipole_pair(a, b, origin);
-            let (na, nb) = (a.nfuncs(), b.nfuncs());
-            for (axis, blk) in blocks.iter().enumerate() {
-                for i in 0..na {
-                    for j in 0..nb {
-                        let (gi, gj) = (a.bf_offset + i, b.bf_offset + j);
-                        out[axis][gi * n + gj] = blk[i * nb + j];
-                        out[axis][gj * n + gi] = blk[i * nb + j];
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Assemble a full nbf × nbf matrix from a shell-pair kernel.
 fn assemble<F>(basis: &BasisInstance, mut pair: F) -> Vec<f64>
 where
@@ -238,19 +167,24 @@ pub fn overlap_matrix(basis: &BasisInstance) -> Vec<f64> {
     assemble(basis, overlap_pair)
 }
 
-/// Full kinetic-energy matrix.
-pub fn kinetic_matrix(basis: &BasisInstance) -> Vec<f64> {
+/// Full kinetic-energy matrix (the reference the combined pass is
+/// tested against).
+#[cfg(test)]
+fn kinetic_matrix(basis: &BasisInstance) -> Vec<f64> {
     assemble(basis, kinetic_pair)
 }
 
-/// Full nuclear-attraction matrix.
-pub fn nuclear_matrix(basis: &BasisInstance) -> Vec<f64> {
+/// Full nuclear-attraction matrix (test reference, like [`kinetic_matrix`]).
+#[cfg(test)]
+fn nuclear_matrix(basis: &BasisInstance) -> Vec<f64> {
     let mol = basis.molecule.clone();
     assemble(basis, |a, b| nuclear_pair(a, b, &mol))
 }
 
-/// Core Hamiltonian H_core = T + V.
-pub fn core_hamiltonian(basis: &BasisInstance) -> Vec<f64> {
+/// Core Hamiltonian H_core = T + V, assembled one term at a time (test
+/// reference for [`one_electron_matrices`]).
+#[cfg(test)]
+fn core_hamiltonian(basis: &BasisInstance) -> Vec<f64> {
     let t = kinetic_matrix(basis);
     let mut v = nuclear_matrix(basis);
     for (x, y) in v.iter_mut().zip(&t) {
@@ -263,8 +197,8 @@ pub fn core_hamiltonian(basis: &BasisInstance) -> Vec<f64> {
 ///
 /// The shared-setup path (one [`chem::BasisInstance`] serving many SCF
 /// jobs) computes both matrices exactly once per cached problem, so they
-/// are assembled together — one pass over the pair list instead of three
-/// ([`overlap_matrix`] + [`kinetic_matrix`] + [`nuclear_matrix`]).
+/// are assembled together — one pass over the pair list instead of one
+/// per term (S, T and V).
 pub fn one_electron_matrices(basis: &BasisInstance) -> (Vec<f64>, Vec<f64>) {
     let mol = basis.molecule.clone();
     let n = basis.nbf;
@@ -357,55 +291,6 @@ mod tests {
         let n = basis.nbf;
         for i in 0..n {
             assert!(v[i * n + i] < 0.0);
-        }
-    }
-
-    #[test]
-    fn dipole_of_s_pair_is_center_times_overlap() {
-        // For two s functions, <a| r |b> = P_s * S_ab where P_s is the
-        // Gaussian product centre (contraction-weighted).
-        let basis = BasisInstance::new(generators::hydrogen(1.4), BasisSetKind::Sto3g).unwrap();
-        let a = &basis.shells[0];
-        let b = &basis.shells[1];
-        let s = overlap_pair(a, b)[0];
-        let d = dipole_pair(a, b, chem::Vec3::ZERO);
-        // x and y components vanish (the bond is along z).
-        assert!(d[0][0].abs() < 1e-14);
-        assert!(d[1][0].abs() < 1e-14);
-        // z component positive and bounded by z_B * S.
-        assert!(d[2][0] > 0.0 && d[2][0] < 1.4 * s + 1e-12);
-    }
-
-    #[test]
-    fn dipole_origin_shift_is_overlap_scaled() {
-        // <a| r - C |b> = <a| r |b> - C·S_ab: shifting the origin by ΔC
-        // changes the dipole block by exactly -ΔC·S.
-        let basis = BasisInstance::new(generators::water(), BasisSetKind::Sto3g).unwrap();
-        let a = &basis.shells[2]; // O p shell
-        let b = &basis.shells[3]; // H s
-        let s = overlap_pair(a, b);
-        let d0 = dipole_pair(a, b, chem::Vec3::ZERO);
-        let shift = chem::Vec3::new(0.7, -1.1, 0.4);
-        let d1 = dipole_pair(a, b, shift);
-        for axis in 0..3 {
-            for (k, &sv) in s.iter().enumerate() {
-                let want = d0[axis][k] - shift.axis(axis) * sv;
-                assert!((d1[axis][k] - want).abs() < 1e-12, "axis {axis} k {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn dipole_matrices_symmetric() {
-        let basis = BasisInstance::new(generators::methane(), BasisSetKind::CcPvdz).unwrap();
-        let dm = dipole_matrices(&basis, chem::Vec3::ZERO);
-        let n = basis.nbf;
-        for m in dm.iter() {
-            for i in 0..n {
-                for j in 0..n {
-                    assert!((m[i * n + j] - m[j * n + i]).abs() < 1e-12);
-                }
-            }
         }
     }
 

@@ -104,7 +104,8 @@ pub fn coef_pattern(la: usize, lb: usize) -> &'static CoefPattern {
 
 /// Precomputed data for one ordered shell pair (A, B): one [`PrimPair`]
 /// plus the component coefficients per *significant* primitive pair
-/// (see [`PRIM_TAU_REL`]), in (a-major, b-minor) primitive order.
+/// (relative cutoff `PRIM_TAU_REL`), in (a-major, b-minor) primitive
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct ShellPair {
     la: usize,

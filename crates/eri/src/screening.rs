@@ -103,12 +103,6 @@ impl Screening {
         self.pair(m, p) >= self.tau / self.max_q
     }
 
-    /// Should the quartet (MN|PQ) be computed ((MN)(PQ) > τ)?
-    #[inline]
-    pub fn quartet_allowed(&self, m: usize, nn: usize, p: usize, qq: usize) -> bool {
-        self.pair(m, nn) * self.pair(p, qq) > self.tau
-    }
-
     /// Φ(M), ascending.
     #[inline]
     pub fn phi(&self, m: usize) -> &[u32] {
@@ -320,7 +314,7 @@ mod tests {
             for nn in 0..n {
                 for p in 0..n {
                     for q in 0..n {
-                        if !s.quartet_allowed(m, nn, p, q) {
+                        if s.pair(m, nn) * s.pair(p, q) <= tau {
                             eng.quartet(
                                 &b.shells[m],
                                 &b.shells[nn],

@@ -17,7 +17,7 @@
 //!
 //! with both products run through the register-blocked
 //! [`gemm_acc`] kernel. `B` is borrowed, never copied: the Q range splits
-//! into fixed spans of [`SPAN`] blocks, [`par::claim`] workers claim spans
+//! into fixed spans of `SPAN` blocks, [`par::claim`] workers claim spans
 //! one at a time, and each span's J/K partials (`nbf²` each,
 //! thread-private) are folded into the result in span order. The scratch is
 //! `O(threads·nbf²)`, and J and K are bitwise the same on any thread

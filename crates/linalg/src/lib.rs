@@ -6,7 +6,7 @@
 //! * [`gemm`] — one serial register-blocked kernel, and the matrix
 //!   multiply that fans it out over row blocks,
 //! * [`purify`] — diagonalization-free density construction
-//!   (canonical Palser–Manolopoulos purification + McWeeny refinement),
+//!   (canonical Palser–Manolopoulos purification),
 //!   the method the paper times in Table IX,
 //! * [`solve`] — LU with partial pivoting, and a blocked, threaded
 //!   Cholesky factorization bitwise equal to the textbook triple loop,

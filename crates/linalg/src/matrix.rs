@@ -117,11 +117,6 @@ impl Mat {
         }
         worst
     }
-
-    /// Naive reference matmul (tests and small matrices).
-    pub fn matmul(&self, other: &Mat) -> Mat {
-        crate::gemm::gemm(1.0, self, other, 0.0, None)
-    }
 }
 
 impl Index<(usize, usize)> for Mat {

@@ -111,74 +111,6 @@ pub fn purify_canonical(f_ortho: &Mat, nocc: usize, tol: f64, max_iter: usize) -
     }
 }
 
-/// SP2 purification [Niklasson 2002]: trace-correcting second-order
-/// spectral projection. Each iteration costs *one* matrix multiply
-/// (vs. two for canonical purification): D ← D² when the trace is above
-/// nocc, D ← 2D − D² when below. Converges to the same projector; used
-/// as the purification ablation in the Table IX experiment.
-pub fn purify_sp2(f_ortho: &Mat, nocc: usize, tol: f64, max_iter: usize) -> Purification {
-    let n = f_ortho.nrows();
-    assert_eq!(n, f_ortho.ncols());
-    assert!(nocc > 0 && nocc <= n, "nocc {nocc} out of range for n={n}");
-
-    // Gershgorin bounds, then the linear map D0 = (hi·I − F)/(hi − lo)
-    // placing the spectrum in [0, 1] with occupied states near 1.
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for i in 0..n {
-        let mut radius = 0.0;
-        for j in 0..n {
-            if i != j {
-                radius += f_ortho[(i, j)].abs();
-            }
-        }
-        lo = lo.min(f_ortho[(i, i)] - radius);
-        hi = hi.max(f_ortho[(i, i)] + radius);
-    }
-    let span = (hi - lo).max(1e-300);
-    let mut d = Mat::identity(n);
-    d.scale(hi / span);
-    d.axpy(-1.0 / span, f_ortho);
-
-    let ne = nocc as f64;
-    let mut iterations = 0;
-    for _ in 0..max_iter {
-        iterations += 1;
-        let d2 = gemm(1.0, &d, &d, 0.0, None);
-        let tr_err = d.trace() - d2.trace(); // = tr(D − D²) ≥ 0
-        if tr_err.abs() < tol {
-            break;
-        }
-        if d.trace() - ne > 0.0 {
-            // Too many electrons: D² shrinks every eigenvalue below 1.
-            d = d2;
-        } else {
-            // Too few: 2D − D² grows eigenvalues toward 1.
-            let mut next = d.clone();
-            next.scale(2.0);
-            next.axpy(-1.0, &d2);
-            d = next;
-        }
-    }
-    let d2 = gemm(1.0, &d, &d, 0.0, None);
-    let idem = d2.max_abs_diff(&d);
-    Purification {
-        density: d,
-        iterations,
-        idempotency_error: idem,
-    }
-}
-
-/// One McWeeny refinement step: D ← 3D² − 2D³. Contracts idempotency error
-/// quadratically for a nearly idempotent D.
-pub fn mcweeny_step(d: &Mat) -> Mat {
-    let d2 = gemm(1.0, d, d, 0.0, None);
-    let d3 = gemm(1.0, &d2, d, 0.0, None);
-    let mut out = d2;
-    out.scale(3.0);
-    out.axpy(-2.0, &d3);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,44 +193,6 @@ mod tests {
         let df = gemm(1.0, &p.density, &f, 0.0, None);
         let fd = gemm(1.0, &f, &p.density, 0.0, None);
         assert!(df.max_abs_diff(&fd) < 1e-6);
-    }
-
-    #[test]
-    fn sp2_matches_canonical_projector() {
-        for (n, nocc, seed) in [(8usize, 3usize, 11u64), (14, 6, 12)] {
-            let f = random_sym(n, seed);
-            let sp2 = purify_sp2(&f, nocc, 1e-13, 400);
-            let want = projector(&f, nocc);
-            assert!(
-                sp2.density.max_abs_diff(&want) < 1e-5,
-                "n={n}: diff {}",
-                sp2.density.max_abs_diff(&want)
-            );
-            assert!((sp2.density.trace() - nocc as f64).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn sp2_trace_converges_from_both_sides() {
-        // Whatever the initial trace error sign, SP2 must land on nocc.
-        let f = random_sym(10, 21);
-        for nocc in [2usize, 5, 8] {
-            let p = purify_sp2(&f, nocc, 1e-13, 400);
-            assert!(
-                (p.density.trace() - nocc as f64).abs() < 1e-5,
-                "nocc={nocc}: trace {}",
-                p.density.trace()
-            );
-        }
-    }
-
-    #[test]
-    fn mcweeny_contracts_error() {
-        let f = random_sym(10, 9);
-        let p = purify_canonical(&f, 4, 1e-4, 100); // deliberately loose
-        let refined = mcweeny_step(&p.density);
-        let d2 = gemm(1.0, &refined, &refined, 0.0, None);
-        assert!(d2.max_abs_diff(&refined) <= p.idempotency_error);
     }
 
     #[test]

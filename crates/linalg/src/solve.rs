@@ -72,9 +72,9 @@ const PAR_MIN_WORK: usize = 1 << 21;
 ///
 /// Right-looking and blocked on `U = Lᵀ`, row-major, in one copy of `a`
 /// that turns into `L` panel by panel, with no other heap scratch. Each
-/// panel of [`PANEL`] rows of U is factored with row axpys and copied
+/// panel of `PANEL` rows of U is factored with row axpys and copied
 /// below the diagonal as L's columns; the trailing rows then take the
-/// panel's rank-[`PANEL`] update through [`gemm_acc`] with `alpha = −1`
+/// panel's rank-`PANEL` update through [`gemm_acc`] with `alpha = −1`
 /// on the upper triangle, in 4-row blocks claimed by [`par::claim`]
 /// workers.
 /// Every entry is still `a_ij` minus the terms `l_ik·l_jk` in ascending

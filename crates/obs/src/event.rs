@@ -68,7 +68,7 @@ pub mod fault_code {
 }
 
 impl EventKind {
-    /// Stable machine-readable name (JSON/CSV `kind` field).
+    /// Stable machine-readable name (JSON `kind` field).
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::TaskStart { .. } => "task_start",

@@ -1,4 +1,4 @@
-//! Dependency-free JSON and CSV serialization of recordings.
+//! Dependency-free JSON serialization of recordings.
 //!
 //! The JSON trace is the machine-readable format the bench binaries emit
 //! (`table8 --trace trace.json`):
@@ -16,9 +16,6 @@
 //!   "metrics": {"counters": {"quartets": 240}, "histograms": {...}}
 //! }
 //! ```
-//!
-//! The CSV stream is one event per row (`rank,t,kind,k1=v1;k2=v2`), easy
-//! to load into a dataframe for timeline plots.
 
 use std::fmt::Write as _;
 
@@ -120,66 +117,6 @@ impl Recording {
         s.push_str("],\"metrics\":");
         s.push_str(&metrics_json(self.metrics()));
         s.push('}');
-        s
-    }
-
-    /// One event per row: `rank,t,kind,payload` where payload is
-    /// `;`-separated `key=value` pairs.
-    pub fn events_csv(&self) -> String {
-        let mut s = String::from("rank,t,kind,payload\n");
-        for rank in 0..self.nworkers() {
-            for e in self.events(rank) {
-                let payload: Vec<String> = e
-                    .kind
-                    .fields()
-                    .iter()
-                    .map(|(k, v)| format!("{}={}", k, json_f64(*v)))
-                    .collect();
-                let _ = writeln!(
-                    s,
-                    "{},{},{},{}",
-                    rank,
-                    json_f64(e.t),
-                    e.kind.name(),
-                    payload.join(";")
-                );
-            }
-        }
-        s
-    }
-
-    /// Derived per-worker totals as a CSV table (one worker per row) —
-    /// the shape the paper's per-process tables use.
-    pub fn totals_csv(&self) -> String {
-        let mut s = String::from(
-            "rank,tasks,quartets,steal_attempts,steals,stolen_tasks,queue_accesses,\
-             get_bytes,get_calls,put_bytes,put_calls,acc_bytes,acc_calls,\
-             prefetch_bytes,flush_bytes,busy_secs,barrier_secs,span_secs\n",
-        );
-        for t in self.worker_totals() {
-            let _ = writeln!(
-                s,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                t.rank,
-                t.tasks,
-                t.quartets,
-                t.steal_attempts,
-                t.steals,
-                t.stolen_tasks,
-                t.queue_accesses,
-                t.get_bytes,
-                t.get_calls,
-                t.put_bytes,
-                t.put_calls,
-                t.acc_bytes,
-                t.acc_calls,
-                t.prefetch_bytes,
-                t.flush_bytes,
-                json_f64(t.busy_secs),
-                json_f64(t.barrier_secs),
-                json_f64(t.span_secs),
-            );
-        }
         s
     }
 }
@@ -519,23 +456,6 @@ mod tests {
         let closes = j.matches('}').count();
         assert_eq!(opens, closes);
         assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn csv_one_row_per_event() {
-        let c = sample().events_csv();
-        let lines: Vec<_> = c.trim_end().lines().collect();
-        assert_eq!(lines.len(), 3); // header + 2 events
-        assert_eq!(lines[0], "rank,t,kind,payload");
-        assert!(lines[1].starts_with("0,0.25,task_start,m=3;n=7"));
-    }
-
-    #[test]
-    fn totals_csv_has_header_and_rows() {
-        let c = sample().totals_csv();
-        let lines: Vec<_> = c.trim_end().lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[1].starts_with("0,1,120,"));
     }
 
     #[test]

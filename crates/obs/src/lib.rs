@@ -18,7 +18,7 @@
 //! * [`timeline`] — per-process timeline assembly ([`Recording`]) with
 //!   derived per-worker aggregates ([`WorkerTotals`]) that the Fock
 //!   builders' reports are views over,
-//! * [`export`] — dependency-free JSON and CSV serialization consumed by
+//! * [`export`] — dependency-free JSON serialization consumed by
 //!   the bench binaries (`table8 --trace trace.json`), plus the inverse
 //!   parser ([`Recording::from_json`]) tools use to read traces back,
 //! * [`analyze`] — trace digestion: a [`TraceProfile`] summarizing a

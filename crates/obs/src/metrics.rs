@@ -36,11 +36,6 @@ impl Counter {
         }
     }
 
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
     /// Current value; 0 when disabled.
     pub fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
@@ -219,7 +214,6 @@ mod tests {
     fn disabled_counter_is_inert() {
         let c = Counter::disabled();
         c.add(10);
-        c.incr();
         assert_eq!(c.get(), 0);
     }
 
@@ -268,7 +262,7 @@ mod tests {
                 s.spawn(move || {
                     let c = m.counter("n");
                     for _ in 0..1000 {
-                        c.incr();
+                        c.add(1);
                     }
                 });
             }

@@ -52,15 +52,6 @@ impl Recording {
             .map(|(rank, ev)| WorkerTotals::from_events(rank, ev))
             .collect()
     }
-
-    /// Timestamp of the last event in the recording (0.0 if empty).
-    pub fn t_end(&self) -> f64 {
-        self.events
-            .iter()
-            .filter_map(|ev| ev.last())
-            .map(|e| e.t)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// Aggregates derived from one worker's event stream.
@@ -247,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn recording_t_end_and_counts() {
+    fn recording_counts() {
         let r = Recording::new(
             vec![
                 vec![ev(0.2, EventKind::QueueAccess)],
@@ -260,7 +251,6 @@ mod tests {
         );
         assert_eq!(r.nworkers(), 2);
         assert_eq!(r.total_events(), 3);
-        assert!((r.t_end() - 1.4).abs() < 1e-12);
         let totals = r.worker_totals();
         assert_eq!(totals[1].queue_accesses, 2);
     }

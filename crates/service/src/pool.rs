@@ -291,11 +291,6 @@ impl SharedPool {
         Ok(self.inner.run_build(Arc::clone(prob), d, rec))
     }
 
-    /// Builds currently in flight (for tests and load introspection).
-    pub fn in_flight(&self) -> usize {
-        self.inner.sched.lock().unwrap().jobs.len()
-    }
-
     pub fn workers(&self) -> usize {
         self.workers.len()
     }
@@ -415,7 +410,7 @@ mod tests {
             let (g_seq, _) = build_g_seq(&prob, &d);
             assert!(max_diff(&g_seq, &out.g) < 1e-10);
         }
-        assert_eq!(pool.in_flight(), 0);
+        assert!(pool.inner.sched.lock().unwrap().jobs.is_empty());
     }
 
     #[test]

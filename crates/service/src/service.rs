@@ -28,6 +28,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Shell-pair tasks a pool worker claims from one build per quantum.
+const POOL_BATCH: usize = 8;
+
 /// Metric names the service records into its [`Recorder`].
 pub mod metric {
     /// Counter: jobs accepted into the queue.
@@ -64,8 +67,6 @@ pub struct ServiceConfig {
     /// Jobs allowed to wait in the backlog; submissions beyond this get
     /// [`Rejection::QueueFull`].
     pub queue_depth: usize,
-    /// Shell-pair tasks a pool worker claims from one build per quantum.
-    pub batch: usize,
     /// Telemetry sink for job events, latency histograms and cache
     /// counters. Disabled by default.
     pub recorder: Recorder,
@@ -82,7 +83,6 @@ impl Default for ServiceConfig {
             workers: 4,
             runners: 4,
             queue_depth: 64,
-            batch: 8,
             recorder: Recorder::disabled(),
             shared_pool: true,
         }
@@ -102,11 +102,6 @@ impl ServiceConfig {
 
     pub fn with_queue_depth(mut self, n: usize) -> Self {
         self.queue_depth = n;
-        self
-    }
-
-    pub fn with_batch(mut self, n: usize) -> Self {
-        self.batch = n;
         self
     }
 
@@ -421,7 +416,7 @@ impl ScfService {
             queue_depth: cfg.queue_depth,
             shared_pool: cfg.shared_pool,
             cache: ProblemCache::new(),
-            pool: SharedPool::new(cfg.workers, cfg.batch),
+            pool: SharedPool::new(cfg.workers, POOL_BATCH),
             rec: cfg.recorder.clone(),
             next_id: AtomicU64::new(0),
         });
@@ -557,12 +552,7 @@ mod tests {
 
     #[test]
     fn concurrent_jobs_all_converge_to_reference_energies() {
-        let svc = ScfService::new(
-            ServiceConfig::default()
-                .with_workers(4)
-                .with_runners(3)
-                .with_batch(2),
-        );
+        let svc = ScfService::new(ServiceConfig::default().with_workers(4).with_runners(3));
         let molecules = [
             generators::water(),
             generators::hydrogen(1.4),

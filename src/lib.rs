@@ -8,12 +8,13 @@
 //!   flakes, linear alkanes), and Gaussian basis sets (STO-3G, cc-pVDZ);
 //! * [`eri`] — a pure-Rust McMurchie–Davidson integral engine with
 //!   Cauchy–Schwarz screening and a calibrated per-quartet cost model;
-//! * [`linalg`] — Jacobi eigensolver, GEMM, canonical purification, SUMMA;
+//! * [`linalg`] — Jacobi eigensolver, GEMM, canonical purification,
+//!   Cholesky and density-fitting J/K;
 //! * [`distrt`] — the simulated distributed runtime: process grids, a
 //!   Global-Arrays-like one-sided layer with communication accounting, and
 //!   a discrete-event cluster simulator;
 //! * [`obs`] — the structured telemetry subsystem: lock-free per-worker
-//!   event recording, a metrics registry, timeline assembly, and JSON/CSV
+//!   event recording, a metrics registry, timeline assembly, and JSON
 //!   export, threaded through every builder behind a zero-cost-when-
 //!   disabled [`obs::Recorder`];
 //! * [`core`] (crate `fock-core`) — the paper's algorithm (static
