@@ -149,17 +149,6 @@ impl BasisInstance {
             nbf: offset,
         }
     }
-
-    /// Map each basis-function index to its shell index.
-    pub fn shell_of_bf(&self) -> Vec<usize> {
-        let mut map = vec![0usize; self.nbf];
-        for (si, s) in self.shells.iter().enumerate() {
-            for b in s.bf_range() {
-                map[b] = si;
-            }
-        }
-        map
-    }
 }
 
 /// Fold primitive (l,0,0) norms into the coefficients and scale the
@@ -264,16 +253,5 @@ mod tests {
         let b = BasisInstance::new(generators::methane(), BasisSetKind::Sto3g).unwrap();
         let n = b.nshells();
         b.permuted(&vec![0usize; n]);
-    }
-
-    #[test]
-    fn shell_of_bf_consistent() {
-        let b = BasisInstance::new(generators::water(), BasisSetKind::Sto3g).unwrap();
-        let map = b.shell_of_bf();
-        for (si, s) in b.shells.iter().enumerate() {
-            for bf in s.bf_range() {
-                assert_eq!(map[bf], si);
-            }
-        }
     }
 }

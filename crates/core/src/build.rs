@@ -284,7 +284,7 @@ pub trait FockBuild {
     fn name(&self) -> &'static str;
 
     /// Build G for density `d` (row-major nbf×nbf in the problem's shell
-    /// ordering). Events and metrics go to `rec`; pass
+    /// ordering; symmetric — a builder may read D_ji for D_ij). Events and metrics go to `rec`; pass
     /// `&Recorder::disabled()` when telemetry is not wanted. `Err` is only
     /// possible under fault injection (lost tasks / torn flushes); the SCF
     /// driver retries a failed ΔD build as a full build and returns a
@@ -386,7 +386,9 @@ pub struct SchedulerOpts {
     /// Atom quartets per task (baseline; the paper's choice is 5.
     /// Ignored by GTFock, whose task size is fixed by the shell pair).
     pub chunk: usize,
-    /// Fault-injection plan applied to the build, if any.
+    /// Fault-injection plan for GTFock builds, if any. Ignored by the
+    /// baseline: [`SchedulerOpts::nwchem`] drops it and the NWChem build
+    /// always runs fault-free.
     pub fault: Option<Arc<FaultPlan>>,
 }
 
@@ -440,7 +442,7 @@ impl SchedulerOpts {
     }
 
     /// View as a baseline configuration (grid flattened to a process
-    /// count).
+    /// count; the fault plan is dropped — the baseline runs fault-free).
     pub fn nwchem(&self) -> NwchemConfig {
         NwchemConfig {
             nprocs: self.grid.nprocs(),

@@ -53,7 +53,7 @@ use crate::build::{
     DENSITY_SKIPPED_COUNTER, QUARTETS_COUNTER,
 };
 use crate::lane::{on_threads, recovery_shares, Backend, Ctx, Lane, LaneEnd, Traffic};
-use crate::localbuf::{LocalBuffers, LocalSink, ShellDims};
+use crate::localbuf::LocalBuffers;
 use crate::partition::StaticPartition;
 use crate::sched::{Scheduler, StealConfig};
 use crate::sink::{do_task, symmetrize, TaskCounts};
@@ -121,7 +121,6 @@ pub fn build_fock_gtfock_rec(
 struct Shared<'a> {
     ctx: Ctx<'a>,
     prob: &'a FockProblem,
-    dims: ShellDims,
     /// Block norms of the effective density: the weighted quartet test
     /// drops work ΔD cannot reach.
     dn: DensityNorms,
@@ -179,19 +178,7 @@ impl Backend for Real<'_> {
             t as usize % sh.prob.nshells(),
         );
         let t0 = Instant::now();
-        let mut sink = LocalSink {
-            buf,
-            dims: &sh.dims,
-        };
-        let c = do_task(
-            &mut sink,
-            sh.prob,
-            &mut self.eng,
-            &mut self.batcher,
-            &sh.dn,
-            m,
-            n,
-        );
+        let c = do_task(buf, sh.prob, &mut self.eng, &mut self.batcher, &sh.dn, m, n);
         let dt = t0.elapsed();
         self.comp += dt.as_secs_f64();
         if slowdown > 1.0 {
@@ -291,7 +278,6 @@ pub fn try_build_fock_gtfock_rec(
     let sh = Shared {
         ctx: Ctx::new(part, fault, rec),
         prob,
-        dims: ShellDims::new(prob),
         dn,
         ga_d,
         ga_f,
@@ -364,30 +350,13 @@ pub fn try_build_fock_gtfock_rec(
 mod tests {
     use super::*;
     use crate::seq::build_g_seq;
+    use crate::testutil::{banded_density, max_diff};
     use chem::generators;
     use chem::reorder::ShellOrdering;
     use chem::BasisSetKind;
 
     fn problem(ordering: ShellOrdering) -> FockProblem {
         FockProblem::new(generators::water(), BasisSetKind::Sto3g, 1e-12, ordering).unwrap()
-    }
-
-    fn density(nbf: usize) -> Vec<f64> {
-        let mut d = vec![0.0; nbf * nbf];
-        for i in 0..nbf {
-            for j in 0..nbf {
-                let v = 0.3 / (1.0 + (i as f64 - j as f64).abs());
-                d[i * nbf + j] = v;
-            }
-        }
-        d
-    }
-
-    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
     }
 
     fn cfg(grid: ProcessGrid, steal: bool) -> GtfockConfig {
@@ -401,7 +370,7 @@ mod tests {
     #[test]
     fn matches_sequential_on_1x1() {
         let prob = problem(ShellOrdering::Natural);
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.3);
         let (want, wq) = build_g_seq(&prob, &d);
         let (got, rep) = build_fock_gtfock(&prob, &d, GtfockConfig::default());
         assert_eq!(rep.total_quartets(), wq);
@@ -415,7 +384,7 @@ mod tests {
     #[test]
     fn matches_sequential_on_grids() {
         let prob = problem(ShellOrdering::cells_default());
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.3);
         let (want, wq) = build_g_seq(&prob, &d);
         for grid in [
             ProcessGrid::new(2, 2),
@@ -435,7 +404,7 @@ mod tests {
     #[test]
     fn stealing_off_still_correct() {
         let prob = problem(ShellOrdering::Natural);
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.3);
         let (want, _) = build_g_seq(&prob, &d);
         let (got, rep) = build_fock_gtfock(&prob, &d, cfg(ProcessGrid::new(2, 2), false));
         assert!(rep.steals.iter().all(|&s| s == 0));
@@ -452,7 +421,7 @@ mod tests {
             ShellOrdering::cells_default(),
         )
         .unwrap();
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.3);
         let (want, _) = build_g_seq(&prob, &d);
         let (got, _) = build_fock_gtfock(&prob, &d, cfg(ProcessGrid::new(2, 2), true));
         assert!(
@@ -465,7 +434,7 @@ mod tests {
     #[test]
     fn report_shapes_and_comm() {
         let prob = problem(ShellOrdering::Natural);
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.3);
         let grid = ProcessGrid::new(2, 2);
         let (_, rep) = build_fock_gtfock(&prob, &d, cfg(grid, true));
         assert_eq!(rep.t_fock.len(), 4);
@@ -485,7 +454,7 @@ mod tests {
     #[test]
     fn rank_death_recovers_exactly_once() {
         let prob = problem(ShellOrdering::cells_default());
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.3);
         let (want, _) = build_g_seq(&prob, &d);
         for killed in 0..4 {
             let plan = Arc::new(FaultPlan::new(11).kill(killed, 1));
@@ -513,7 +482,7 @@ mod tests {
     #[test]
     fn requeue_count_is_deterministic() {
         let prob = problem(ShellOrdering::Natural);
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.3);
         let run = || {
             let plan = Arc::new(FaultPlan::new(3).kill(2, 1));
             let (_, rep) = try_build_fock_gtfock_rec(
@@ -539,7 +508,7 @@ mod tests {
     #[test]
     fn straggler_and_dropped_ops_stay_correct() {
         let prob = problem(ShellOrdering::Natural);
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.3);
         let (want, _) = build_g_seq(&prob, &d);
         let plan = Arc::new(
             FaultPlan::new(17)

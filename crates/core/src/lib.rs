@@ -49,6 +49,8 @@ pub mod seq;
 pub mod sim_exec;
 pub mod sink;
 pub mod tasks;
+#[cfg(test)]
+mod testutil;
 
 pub use build::{
     gtfock_builder, nwchem_builder, record_class_stats, seq_builder, BuildError, BuildOutcome,
@@ -67,5 +69,5 @@ pub use nwchem::{build_fock_nwchem, build_fock_nwchem_rec, NwchemConfig, NwchemR
 pub use partition::StaticPartition;
 pub use scf::{run_scf, run_scf_on, ScfConfig, ScfConfigBuilder, ScfError, ScfResult};
 pub use seq::{build_g_seq, build_g_seq_rec};
-pub use sink::{apply_quartet, do_task, DenseSink, FockSink, TaskCounts};
+pub use sink::{apply_quartet, do_task, symmetrize, BlockView, DenseSink, FockSink, TaskCounts};
 pub use tasks::{CompletionBoard, FockProblem, OneElectron};

@@ -8,16 +8,19 @@
 //! per quartet, which is the heart of the paper's communication-cost
 //! reduction.
 //!
-//! Updates and reads arrive for *ordered* shell pairs; a pair stored only
-//! in the opposite orientation is served transposed (D is symmetric).
+//! D and F share one layout: each stored shell block sits row-major at
+//! the same offset in both. The buffers are a [`FockSink`]: a shell pair
+//! stored only in the opposite orientation is served as the stored
+//! block's transposed view (D is symmetric).
 //! When flushing, every stored block is accumulated into the global F once,
 //! in the orientation it is stored; the builder symmetrizes the assembled
 //! F after the join ([`crate::sink::symmetrize`], see the `sink` module
 //! docs), so each D block fetched is matched by one F block flushed.
 
 use crate::partition::StaticPartition;
-use crate::sink::FockSink;
+use crate::sink::{BlockView, FockSink};
 use crate::tasks::FockProblem;
+use chem::Shell;
 use distrt::{GaError, GlobalArray};
 
 /// Process-local prefetched D and accumulation F for one task block.
@@ -27,10 +30,9 @@ pub struct LocalBuffers {
     block_off: Vec<i64>,
     dbuf: Vec<f64>,
     fbuf: Vec<f64>,
-    /// Ordered shell pairs actually stored (for fetch/flush traversal).
-    blocks: Vec<(u32, u32)>,
-    /// bf index → owning shell.
-    shell_of_bf: Vec<u32>,
+    /// (a, b, offset) per stored ordered shell pair (for fetch/flush
+    /// traversal).
+    blocks: Vec<(u32, u32, usize)>,
 }
 
 impl LocalBuffers {
@@ -41,30 +43,21 @@ impl LocalBuffers {
         let (rows, cols) = part.task_block(rank);
 
         let mut block_off = vec![-1i64; nshells * nshells];
-        let mut blocks: Vec<(u32, u32)> = Vec::new();
+        let mut blocks = Vec::new();
         let mut size = 0usize;
-        let add = |a: usize,
-                   b: usize,
-                   blocks: &mut Vec<(u32, u32)>,
-                   off: &mut Vec<i64>,
-                   size: &mut usize| {
+        let mut add = |a: usize, b: usize| {
             let k = a * nshells + b;
-            if off[k] < 0 {
-                off[k] = *size as i64;
-                *size += prob.basis.shells[a].nfuncs() * prob.basis.shells[b].nfuncs();
-                blocks.push((a as u32, b as u32));
+            if block_off[k] < 0 {
+                block_off[k] = size as i64;
+                blocks.push((a as u32, b as u32, size));
+                size += prob.basis.shells[a].nfuncs() * prob.basis.shells[b].nfuncs();
             }
         };
 
-        // (M, Φ(M)) for block rows; (N, Φ(N)) for block cols.
-        for m in rows.clone() {
+        // (M, Φ(M)) for block rows, then (N, Φ(N)) for block cols.
+        for m in rows.clone().chain(cols.clone()) {
             for &p in prob.phi(m) {
-                add(m, p as usize, &mut blocks, &mut block_off, &mut size);
-            }
-        }
-        for n in cols.clone() {
-            for &q in prob.phi(n) {
-                add(n, q as usize, &mut blocks, &mut block_off, &mut size);
+                add(m, p as usize);
             }
         }
         // (Φ(rows), Φ(cols)), each union in first-seen order.
@@ -81,18 +74,16 @@ impl LocalBuffers {
         let phi_cols = union(cols);
         for a in union(rows) {
             for &b in &phi_cols {
-                add(a, b, &mut blocks, &mut block_off, &mut size);
+                add(a, b);
             }
         }
 
-        let shell_of_bf: Vec<u32> = prob.basis.shell_of_bf().iter().map(|&s| s as u32).collect();
         LocalBuffers {
             nshells,
             block_off,
             dbuf: vec![0.0; size],
             fbuf: vec![0.0; size],
             blocks,
-            shell_of_bf,
         }
     }
 
@@ -106,19 +97,11 @@ impl LocalBuffers {
         d: &GlobalArray,
         rank: usize,
     ) -> Result<(), GaError> {
-        for &(a, b) in &self.blocks {
-            let (sa, sb) = (
-                &prob.basis.shells[a as usize],
-                &prob.basis.shells[b as usize],
-            );
-            let off = self.block_off[a as usize * self.nshells + b as usize] as usize;
-            let n = sa.nfuncs() * sb.nfuncs();
-            d.try_get(
-                rank,
-                sa.bf_range(),
-                sb.bf_range(),
-                &mut self.dbuf[off..off + n],
-            )?;
+        let sh = &prob.basis.shells;
+        for &(a, b, off) in &self.blocks {
+            let (ra, rb) = (sh[a as usize].bf_range(), sh[b as usize].bf_range());
+            let end = off + ra.len() * rb.len();
+            d.try_get(rank, ra, rb, &mut self.dbuf[off..end])?;
         }
         Ok(())
     }
@@ -135,83 +118,32 @@ impl LocalBuffers {
         f: &GlobalArray,
         rank: usize,
     ) -> Result<(), GaError> {
-        for &(a, b) in &self.blocks {
-            let (sa, sb) = (
-                &prob.basis.shells[a as usize],
-                &prob.basis.shells[b as usize],
-            );
-            let off = self.block_off[a as usize * self.nshells + b as usize] as usize;
-            let blk = &self.fbuf[off..off + sa.nfuncs() * sb.nfuncs()];
-            f.try_acc(rank, sa.bf_range(), sb.bf_range(), blk, 1.0)?;
+        let sh = &prob.basis.shells;
+        for &(a, b, off) in &self.blocks {
+            let (ra, rb) = (sh[a as usize].bf_range(), sh[b as usize].bf_range());
+            let end = off + ra.len() * rb.len();
+            f.try_acc(rank, ra, rb, &self.fbuf[off..end], 1.0)?;
         }
         Ok(())
     }
+}
 
-    /// Locate the element (i, j) (global function indices): byte offset and
-    /// whether it was found transposed.
+impl FockSink for LocalBuffers {
+    /// The stored block of (a, b), or the stored (b, a) read transposed.
     #[inline]
-    fn locate(&self, i: usize, j: usize) -> (usize, bool) {
-        let (si, sj) = (self.shell_of_bf[i] as usize, self.shell_of_bf[j] as usize);
-        let k = si * self.nshells + sj;
-        let off = self.block_off[k];
+    fn block(&self, shells: &[Shell], a: usize, b: usize) -> BlockView {
+        let off = self.block_off[a * self.nshells + b];
         if off >= 0 {
-            // Row-major within the block; recover in-shell indices from
-            // the block origin (the first bf of each shell).
-            (off as usize, false)
-        } else {
-            let kt = sj * self.nshells + si;
-            let offt = self.block_off[kt];
-            debug_assert!(offt >= 0, "pair ({si},{sj}) not covered by local region");
-            (offt as usize, true)
+            return BlockView::row_major(off as usize, shells[b].nfuncs());
         }
+        let off = self.block_off[b * self.nshells + a];
+        debug_assert!(off >= 0, "pair ({a},{b}) not covered by local region");
+        BlockView::row_major(off as usize, shells[a].nfuncs()).transposed()
     }
 
     #[inline]
-    fn elem_index(&self, prob_shells: &ShellDims, i: usize, j: usize, transposed: bool) -> usize {
-        let (si, sj) = (self.shell_of_bf[i] as usize, self.shell_of_bf[j] as usize);
-        let (ii, jj) = (i - prob_shells.bf0[si], j - prob_shells.bf0[sj]);
-        if !transposed {
-            ii * prob_shells.nf[sj] + jj
-        } else {
-            jj * prob_shells.nf[si] + ii
-        }
-    }
-}
-
-/// Cached shell dimensions for fast element addressing.
-pub struct ShellDims {
-    pub nf: Vec<usize>,
-    pub bf0: Vec<usize>,
-}
-
-impl ShellDims {
-    pub fn new(prob: &FockProblem) -> Self {
-        ShellDims {
-            nf: prob.basis.shells.iter().map(|s| s.nfuncs()).collect(),
-            bf0: prob.basis.shells.iter().map(|s| s.bf_offset).collect(),
-        }
-    }
-}
-
-/// A [`FockSink`] view over `LocalBuffers` + shell dimensions.
-pub struct LocalSink<'a> {
-    pub buf: &'a mut LocalBuffers,
-    pub dims: &'a ShellDims,
-}
-
-impl FockSink for LocalSink<'_> {
-    #[inline]
-    fn d(&self, i: usize, j: usize) -> f64 {
-        let (off, t) = self.buf.locate(i, j);
-        let e = self.buf.elem_index(self.dims, i, j, t);
-        self.buf.dbuf[off + e]
-    }
-
-    #[inline]
-    fn f_add(&mut self, i: usize, j: usize, v: f64) {
-        let (off, t) = self.buf.locate(i, j);
-        let e = self.buf.elem_index(self.dims, i, j, t);
-        self.buf.fbuf[off + e] += v;
+    fn slices(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.dbuf, &mut self.fbuf)
     }
 }
 
@@ -265,42 +197,29 @@ mod tests {
     fn fetch_roundtrips_d_values() {
         let prob = problem();
         let nbf = prob.nbf();
-        let dense: Vec<f64> = {
-            // Symmetric test matrix.
-            let mut d = vec![0.0; nbf * nbf];
-            for i in 0..nbf {
-                for j in 0..nbf {
-                    d[i * nbf + j] = ((i * 31 + j * 17) % 13) as f64 * 0.1;
-                }
-            }
-            for i in 0..nbf {
-                for j in 0..i {
-                    d[i * nbf + j] = d[j * nbf + i];
-                }
-            }
-            d
-        };
+        let dense = crate::testutil::random_density(nbf, 1, 0.5);
         let grid = ProcessGrid::new(2, 2);
         let ga = GlobalArray::from_dense(grid, nbf, nbf, &dense);
         let part = StaticPartition::new(grid, prob.nshells());
-        let dims = ShellDims::new(&prob);
+        let sh = &prob.basis.shells;
         for rank in 0..4 {
             let mut buf = LocalBuffers::for_process(&prob, &part, rank);
             buf.try_fetch_d(&prob, &ga, rank).unwrap();
-            let sink = LocalSink {
-                buf: &mut buf,
-                dims: &dims,
-            };
-            // Spot-check: every covered element reads back correctly,
-            // including transposed lookups.
-            for i in 0..nbf {
-                for j in 0..nbf {
-                    let si = prob.basis.shell_of_bf()[i];
-                    let sj = prob.basis.shell_of_bf()[j];
-                    let k = si * prob.nshells() + sj;
-                    let kt = sj * prob.nshells() + si;
-                    if sink.buf.block_off[k] >= 0 || sink.buf.block_off[kt] >= 0 {
-                        assert_eq!(sink.d(i, j), dense[i * nbf + j], "({i},{j})");
+            // Every covered pair reads back correctly in both
+            // orientations, the transposed one through swapped strides.
+            for a in 0..prob.nshells() {
+                for b in 0..prob.nshells() {
+                    let k = a * prob.nshells() + b;
+                    let kt = b * prob.nshells() + a;
+                    if buf.block_off[k] < 0 && buf.block_off[kt] < 0 {
+                        continue;
+                    }
+                    let view = buf.block(sh, a, b);
+                    let (dbuf, _) = buf.slices();
+                    for (r, i) in sh[a].bf_range().enumerate() {
+                        for (c, j) in sh[b].bf_range().enumerate() {
+                            assert_eq!(dbuf[view.at(r, c)], dense[i * nbf + j], "({i},{j})");
+                        }
                     }
                 }
             }
@@ -313,17 +232,16 @@ mod tests {
         let nbf = prob.nbf();
         let grid = ProcessGrid::new(1, 1);
         let part = StaticPartition::new(grid, prob.nshells());
-        let dims = ShellDims::new(&prob);
         let mut buf = LocalBuffers::for_process(&prob, &part, 0);
-        {
-            let mut sink = LocalSink {
-                buf: &mut buf,
-                dims: &dims,
-            };
-            sink.f_add(0, 3, 2.0);
-            sink.f_add(3, 0, 2.0);
-            sink.f_add(1, 1, 5.0);
-        }
+        // Element (r, c) of shell pair (a, b) through its block view.
+        // Water/STO-3G: shells O 1s, O 2s, O 2p (functions 2..5), H, H.
+        let mut f_add = |a: usize, b: usize, r: usize, c: usize, v: f64| {
+            let view = buf.block(&prob.basis.shells, a, b);
+            buf.slices().1[view.at(r, c)] += v;
+        };
+        f_add(0, 2, 0, 1, 2.0); // F[0][3]
+        f_add(2, 0, 1, 0, 2.0); // F[3][0]
+        f_add(1, 1, 0, 0, 5.0); // F[1][1]
         let f = GlobalArray::zeros(grid, nbf, nbf);
         buf.try_flush_f(&prob, &f, 0).unwrap();
         let d = f.to_dense();

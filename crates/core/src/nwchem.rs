@@ -23,8 +23,9 @@ use crate::build::{
     QUARTETS_COUNTER,
 };
 use crate::lane::{on_threads, AtomBackend, AtomLane, AtomPair};
-use crate::sink::{apply_quartet, symmetrize, FockSink, TaskCounts, QUARTET_PERMS};
+use crate::sink::{apply_quartet, symmetrize, BlockView, FockSink, TaskCounts};
 use crate::tasks::FockProblem;
+use chem::Shell;
 use distrt::{GlobalArray, ProcessGrid};
 use eri::{ClassBatcher, DensityNorms, EriEngine, QuartetClass};
 use obs::{EventKind, Recorder, WorkerRec};
@@ -159,6 +160,20 @@ pub fn atom_tasks(
         })
 }
 
+/// The 8 symmetry permutations of a quartet (slots a,b,c,d of (ab|cd)):
+/// bra swap, ket swap, bra↔ket swap, and their compositions. Each entry
+/// maps image slot → original slot.
+const QUARTET_PERMS: [[usize; 4]; 8] = [
+    [0, 1, 2, 3],
+    [1, 0, 2, 3],
+    [0, 1, 3, 2],
+    [1, 0, 3, 2],
+    [2, 3, 0, 1],
+    [3, 2, 0, 1],
+    [2, 3, 1, 0],
+    [3, 2, 1, 0],
+];
+
 /// Is (m,n,p,q) the representative of its quartet class *within* the
 /// visited atom quartet (I,J,K,L)? Representative = lexicographically
 /// smallest orbit member whose atom signature equals (I,J,K,L).
@@ -177,7 +192,7 @@ fn class_rep_within(atom_of_shell: &[u32], shells: [usize; 4], atoms: [u32; 4]) 
 /// pair is served from the same block. Reused across atom quartets.
 struct PairCache<'a> {
     bfs: &'a [Range<usize>],
-    atom_of_bf: &'a [u32],
+    atom_of_shell: &'a [u32],
     /// (a, b, offset into `d` and `f`) per held pair.
     slots: Vec<(u32, u32, usize)>,
     d: Vec<f64>,
@@ -211,36 +226,33 @@ impl PairCache<'_> {
             ga_f.acc(rank, ra, rb, &self.f[off..end], 1.0);
         }
     }
-
-    /// Position of element (i, j) in `d` and `f`.
-    #[inline]
-    fn index(&self, i: usize, j: usize) -> usize {
-        let (ai, aj) = (self.atom_of_bf[i], self.atom_of_bf[j]);
-        for &(a, b, off) in &self.slots {
-            let (r, c) = if (a, b) == (ai, aj) {
-                (i, j)
-            } else if (a, b) == (aj, ai) {
-                (j, i)
-            } else {
-                continue;
-            };
-            let (ra, rb) = (&self.bfs[a as usize], &self.bfs[b as usize]);
-            return off + (r - ra.start) * rb.len() + (c - rb.start);
-        }
-        unreachable!("atom pair ({ai}, {aj}) not fetched")
-    }
 }
 
 impl FockSink for PairCache<'_> {
+    /// The sub-block of shells (a, b) inside the held block of their
+    /// atoms' pair, read transposed when that pair is held as (B, A).
     #[inline]
-    fn d(&self, i: usize, j: usize) -> f64 {
-        self.d[self.index(i, j)]
+    fn block(&self, shells: &[Shell], a: usize, b: usize) -> BlockView {
+        let (aa, ab) = (self.atom_of_shell[a], self.atom_of_shell[b]);
+        let (ra, rb) = (&self.bfs[aa as usize], &self.bfs[ab as usize]);
+        let (ia, ib) = (
+            shells[a].bf_offset - ra.start,
+            shells[b].bf_offset - rb.start,
+        );
+        for &(x, y, off) in &self.slots {
+            if (x, y) == (aa, ab) {
+                return BlockView::row_major(off + ia * rb.len() + ib, rb.len());
+            }
+            if (x, y) == (ab, aa) {
+                return BlockView::row_major(off + ib * ra.len() + ia, ra.len()).transposed();
+            }
+        }
+        unreachable!("atom pair ({aa}, {ab}) not fetched")
     }
 
     #[inline]
-    fn f_add(&mut self, i: usize, j: usize, v: f64) {
-        let k = self.index(i, j);
-        self.f[k] += v;
+    fn slices(&mut self) -> (&[f64], &mut [f64]) {
+        (&self.d, &mut self.f)
     }
 }
 
@@ -312,7 +324,6 @@ struct Shared<'a> {
     rec: &'a Recorder,
     atoms: AtomMap,
     atom_of_shell: Vec<u32>,
-    atom_of_bf: Vec<u32>,
     /// Effective-density block norms — the same weighted quartet test as
     /// the sequential and GTFock paths, so all builders agree
     /// quartet-for-quartet.
@@ -332,10 +343,8 @@ impl<'a> Shared<'a> {
         record_pairdata(rec, prob.pairs());
         let nbf = prob.nbf();
         let mut atom_of_shell = vec![0u32; prob.nshells()];
-        let mut atom_of_bf = vec![0u32; nbf];
-        for (a, (shells, bfs)) in atoms.shells.iter().zip(&atoms.bfs).enumerate() {
+        for (a, shells) in atoms.shells.iter().enumerate() {
             atom_of_shell[shells.clone()].fill(a as u32);
-            atom_of_bf[bfs.clone()].fill(a as u32);
         }
         // Block-row distribution, as NWChem does (Section II-F).
         let grid = ProcessGrid::new(nprocs, 1);
@@ -347,7 +356,6 @@ impl<'a> Shared<'a> {
             prob,
             rec,
             atom_of_shell,
-            atom_of_bf,
             atoms,
             dn,
             ga_d,
@@ -385,7 +393,7 @@ impl<'a, I: Iterator> Process<'a, I> {
             batcher: ClassBatcher::new(),
             cache: PairCache {
                 bfs: &sh.atoms.bfs,
-                atom_of_bf: &sh.atom_of_bf,
+                atom_of_shell: &sh.atom_of_shell,
                 slots: Vec::with_capacity(6),
                 d: Vec::new(),
                 f: Vec::new(),
@@ -487,6 +495,7 @@ struct Out {
 mod tests {
     use super::*;
     use crate::seq::build_g_seq;
+    use crate::testutil::{banded_density, max_diff};
     use chem::generators;
     use chem::reorder::ShellOrdering;
     use chem::BasisSetKind;
@@ -501,21 +510,41 @@ mod tests {
         .unwrap()
     }
 
-    fn density(nbf: usize) -> Vec<f64> {
-        let mut d = vec![0.0; nbf * nbf];
-        for i in 0..nbf {
-            for j in 0..nbf {
-                d[i * nbf + j] = 0.25 / (1.0 + (i as f64 - j as f64).abs());
+    #[test]
+    fn perms_are_the_symmetry_group() {
+        // Applying any perm twice with its inverse recovers the identity,
+        // and the set is closed under composition.
+        let compose = |p: [usize; 4], q: [usize; 4]| [p[q[0]], p[q[1]], p[q[2]], p[q[3]]];
+        for p in QUARTET_PERMS {
+            for q in QUARTET_PERMS {
+                let c = compose(p, q);
+                assert!(
+                    QUARTET_PERMS.contains(&c),
+                    "{p:?} ∘ {q:?} = {c:?} not in group"
+                );
             }
         }
-        d
     }
 
-    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
+    #[test]
+    fn degeneracy_is_the_orbit_size() {
+        use crate::sink::degeneracy;
+        // Every coincidence pattern of four shells: the update weight is the
+        // number of distinct tuples the perms produce.
+        for code in 0..256usize {
+            let shells = [code % 4, code / 4 % 4, code / 16 % 4, code / 64];
+            let mut orbit = QUARTET_PERMS.map(|perm| perm.map(|slot| shells[slot]));
+            orbit.sort();
+            let distinct = 1 + orbit.windows(2).filter(|w| w[0] != w[1]).count();
+            assert_eq!(degeneracy(shells), distinct as f64, "{shells:?}");
+        }
+        // Spot checks: all distinct; (MM|MM); (MP|MP), fixed by the
+        // bra↔ket swap; (MM|PQ), fixed by the bra swap; one repeat across.
+        assert_eq!(degeneracy([1, 2, 3, 4]), 8.0);
+        assert_eq!(degeneracy([5, 5, 5, 5]), 1.0);
+        assert_eq!(degeneracy([1, 2, 1, 2]), 4.0);
+        assert_eq!(degeneracy([3, 3, 1, 2]), 4.0);
+        assert_eq!(degeneracy([1, 2, 1, 3]), 8.0);
     }
 
     #[test]
@@ -538,7 +567,7 @@ mod tests {
     #[test]
     fn matches_sequential_single_proc() {
         let prob = problem();
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.25);
         let (want, wq) = build_g_seq(&prob, &d);
         let (got, rep) = build_fock_nwchem(&prob, &d, NwchemConfig::default());
         assert_eq!(rep.total_quartets(), wq, "quartet count");
@@ -552,7 +581,7 @@ mod tests {
     #[test]
     fn matches_sequential_multi_proc() {
         let prob = problem();
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.25);
         let (want, _) = build_g_seq(&prob, &d);
         for nprocs in [2usize, 3, 5] {
             let (got, _) = build_fock_nwchem(&prob, &d, NwchemConfig { nprocs, chunk: 2 });
@@ -567,7 +596,7 @@ mod tests {
     #[test]
     fn chunk_size_does_not_change_result() {
         let prob = problem();
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.25);
         let (a, _) = build_fock_nwchem(
             &prob,
             &d,
@@ -590,7 +619,7 @@ mod tests {
     #[test]
     fn queue_access_counting() {
         let prob = problem();
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.25);
         let (_, rep) = build_fock_nwchem(
             &prob,
             &d,
@@ -637,7 +666,7 @@ mod tests {
             ShellOrdering::Natural,
         )
         .unwrap();
-        let d = density(prob.nbf());
+        let d = banded_density(prob.nbf(), 0.25);
         let (a, _) = build_fock_nwchem(
             &prob,
             &d,

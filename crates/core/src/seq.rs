@@ -6,11 +6,12 @@
 //! * [`build_g_bruteforce`] evaluates *every* ordered shell quartet (no
 //!   permutational symmetry, no screening) with the reference kernel
 //!   `EriEngine::quartet_ref` (no pair data, no primitive pruning) and
-//!   applies the plain full-enumeration update — the oracle: it shares no
-//!   contraction, screening or image-expansion code with the builds it
-//!   checks. O(n⁴) in shells — tests only.
+//!   applies the plain full-enumeration update straight to dense arrays —
+//!   the oracle: it shares no contraction, screening or scatter code with
+//!   the builds it checks. O(n⁴) in shells — tests only.
 //! * [`build_g_seq`] is the production sequential path: unique quartets
-//!   via the task predicate + screening, image-expanded updates. This is
+//!   via the task predicate + screening, the six-block update of
+//!   [`crate::sink`] and the closing [`symmetrize`]. This is
 //!   what the parallel algorithms must match bit-for-bit in exact
 //!   arithmetic (and to ~1e-12 in floating point).
 
@@ -18,29 +19,38 @@ use crate::build::{
     record_class_stats, record_dmax, record_pairdata, BuildOutcome, BuildReport,
     DENSITY_SKIPPED_COUNTER, QUARTETS_COUNTER,
 };
-use crate::sink::{do_task, DenseSink, FockSink};
+use crate::sink::{do_task, symmetrize, DenseSink};
 use crate::tasks::FockProblem;
 use eri::{ClassBatcher, DensityNorms, EriEngine};
 use obs::{EventKind, Recorder};
 use std::time::Instant;
 
-/// Brute-force G(D): all n⁴ ordered quartets, identity image only.
+/// Brute-force G(D): all n⁴ ordered quartets, identity image only,
+/// written straight into a dense F (no [`crate::sink::FockSink`]).
 pub fn build_g_bruteforce(prob: &FockProblem, d: &[f64]) -> Vec<f64> {
     let nbf = prob.nbf();
     assert_eq!(d.len(), nbf * nbf);
     let mut f = vec![0.0; nbf * nbf];
     let mut eng = EriEngine::new();
     let mut block = Vec::new();
-    let n = prob.nshells();
     let sh = &prob.basis.shells;
-    for a in 0..n {
-        for b in 0..n {
-            for c in 0..n {
-                for dd in 0..n {
-                    eng.quartet_ref(&sh[a], &sh[b], &sh[c], &sh[dd], &mut block);
-                    // Identity-image update for every ordered quadruple.
-                    let mut sink = DenseSink { nbf, d, f: &mut f };
-                    apply_identity(&mut sink, prob, [a, b, c, dd], &block);
+    for sa in sh {
+        for sb in sh {
+            for sc in sh {
+                for sd in sh {
+                    eng.quartet_ref(sa, sb, sc, sd, &mut block);
+                    let mut v = block.iter();
+                    for a in sa.bf_range() {
+                        for b in sb.bf_range() {
+                            for c in sc.bf_range() {
+                                for dd in sd.bf_range() {
+                                    let v = *v.next().expect("block shape");
+                                    f[a * nbf + b] += 2.0 * d[c * nbf + dd] * v;
+                                    f[a * nbf + c] -= d[b * nbf + dd] * v;
+                                }
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -48,43 +58,8 @@ pub fn build_g_bruteforce(prob: &FockProblem, d: &[f64]) -> Vec<f64> {
     f
 }
 
-fn apply_identity<S: FockSink>(
-    sink: &mut S,
-    prob: &FockProblem,
-    shells: [usize; 4],
-    block: &[f64],
-) {
-    let sh = &prob.basis.shells;
-    let dims = [
-        sh[shells[0]].nfuncs(),
-        sh[shells[1]].nfuncs(),
-        sh[shells[2]].nfuncs(),
-        sh[shells[3]].nfuncs(),
-    ];
-    let offs = [
-        sh[shells[0]].bf_offset,
-        sh[shells[1]].bf_offset,
-        sh[shells[2]].bf_offset,
-        sh[shells[3]].bf_offset,
-    ];
-    let mut flat = 0;
-    for i0 in 0..dims[0] {
-        for i1 in 0..dims[1] {
-            for i2 in 0..dims[2] {
-                for i3 in 0..dims[3] {
-                    let v = block[flat];
-                    flat += 1;
-                    let (a, b, c, d) = (offs[0] + i0, offs[1] + i1, offs[2] + i2, offs[3] + i3);
-                    sink.f_add(a, b, 2.0 * sink.d(c, d) * v);
-                    sink.f_add(a, c, -sink.d(b, d) * v);
-                }
-            }
-        }
-    }
-}
-
 /// Sequential production build of G(D) = 2J − K using unique quartets,
-/// screening, and image expansion. Returns (G, quartets computed).
+/// screening, and the six-block update. Returns (G, quartets computed).
 pub fn build_g_seq(prob: &FockProblem, d: &[f64]) -> (Vec<f64>, u64) {
     let out = build_g_seq_rec(prob, d, &Recorder::disabled());
     let quartets = out.report.total_quartets();
@@ -119,6 +94,7 @@ pub fn build_g_seq_rec(prob: &FockProblem, d: &[f64], rec: &Recorder) -> BuildOu
             skipped += c.skipped_density;
         }
     }
+    symmetrize(&mut f, nbf);
     let t_fock = start.elapsed().as_secs_f64();
     w.event(EventKind::WorkerEnd);
     drop(w);
@@ -137,36 +113,10 @@ pub fn build_g_seq_rec(prob: &FockProblem, d: &[f64], rec: &Recorder) -> BuildOu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{max_diff, random_density};
     use chem::generators;
     use chem::reorder::ShellOrdering;
     use chem::BasisSetKind;
-
-    fn test_density(nbf: usize, seed: u64) -> Vec<f64> {
-        // Symmetric pseudo-random density-like matrix.
-        let mut state = seed;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let mut d = vec![0.0; nbf * nbf];
-        for i in 0..nbf {
-            for j in i..nbf {
-                let v = next() * 0.5;
-                d[i * nbf + j] = v;
-                d[j * nbf + i] = v;
-            }
-        }
-        d
-    }
-
-    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
 
     #[test]
     fn unique_plus_images_equals_bruteforce_water() {
@@ -177,7 +127,7 @@ mod tests {
             ShellOrdering::Natural,
         )
         .unwrap();
-        let d = test_density(prob.nbf(), 3);
+        let d = random_density(prob.nbf(), 3, 0.5);
         let brute = build_g_bruteforce(&prob, &d);
         let (seq, quartets) = build_g_seq(&prob, &d);
         assert!(quartets > 0);
@@ -198,7 +148,7 @@ mod tests {
             ShellOrdering::Natural,
         )
         .unwrap();
-        let d = test_density(prob.nbf(), 5);
+        let d = random_density(prob.nbf(), 5, 0.5);
         let brute = build_g_bruteforce(&prob, &d);
         let (seq, _) = build_g_seq(&prob, &d);
         assert!(
@@ -218,14 +168,11 @@ mod tests {
         )
         .unwrap();
         let nbf = prob.nbf();
-        let d = test_density(nbf, 9);
+        let d = random_density(nbf, 9, 0.5);
         let (g, _) = build_g_seq(&prob, &d);
         for i in 0..nbf {
             for j in 0..nbf {
-                assert!(
-                    (g[i * nbf + j] - g[j * nbf + i]).abs() < 1e-10,
-                    "asym at ({i},{j})"
-                );
+                assert_eq!(g[i * nbf + j], g[j * nbf + i], "asym at ({i},{j})");
             }
         }
     }
@@ -243,7 +190,7 @@ mod tests {
         };
         let tight = mk(1e-14);
         let loose = mk(1e-7);
-        let d = test_density(tight.nbf(), 1);
+        let d = random_density(tight.nbf(), 1, 0.5);
         let (g1, q1) = build_g_seq(&tight, &d);
         let (g2, q2) = build_g_seq(&loose, &d);
         assert!(q2 < q1, "looser tau must drop quartets ({q2} !< {q1})");

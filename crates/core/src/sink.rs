@@ -1,36 +1,82 @@
 //! Applying a computed shell quartet to the Fock matrix.
 //!
 //! For a closed-shell system, F = H_core + G(D) with
-//! G_ab = Σ_cd D_cd [2(ab|cd) − (ac|bd)]. Enumerating *all* ordered
-//! quadruples, each quartet value v = (ab|cd) contributes
+//! G_ab = Σ_cd D_cd [2(ab|cd) − (ac|bd)]. Each symmetry-unique quartet
+//! (MP|NQ) updates, as in the paper's Algorithm 3, the six F blocks F_MP,
+//! F_NQ, F_MN, F_PQ, F_MQ, F_PN from the matching D blocks; per integral
+//! v = (ij|kl), i ∈ M, j ∈ P, k ∈ N, l ∈ Q:
 //!
 //! ```text
-//! F[a][b] += 2 · D[c][d] · v        (Coulomb)
-//! F[a][c] −=     D[b][d] · v        (exchange)
+//! F′[i][j] += deg · D[k][l] · v      F′[k][l] += deg · D[i][j] · v
+//! F′[i][k] −= deg/4 · D[j][l] · v    F′[j][l] −= deg/4 · D[i][k] · v
+//! F′[i][l] −= deg/4 · D[j][k] · v    F′[j][k] −= deg/4 · D[i][l] · v
 //! ```
 //!
-//! The build algorithms compute each symmetry-unique quartet once; this
-//! module expands it to its distinct ordered shell-tuple images and applies
-//! the two updates per image, which is exactly equivalent to full
-//! enumeration — no fractional weights, no special cases for coincident
-//! indices. Correctness is checked against brute-force full enumeration.
+//! `deg` = 8 / |stabiliser| = (M≠P ? 2 : 1)·(N≠Q ? 2 : 1)·({M,P}≠{N,Q} ?
+//! 2 : 1) counts the quartet's distinct ordered shell-tuple images. Each
+//! image of the full enumeration adds one Coulomb update to (ij) or (kl)
+//! and one exchange update to one of the four cross pairs, in either
+//! orientation — hence the ¼. Every builder ends with [`symmetrize`],
+//! ½(F′ + F′ᵀ), which folds the orientations together: the result is the
+//! full enumeration, exactly symmetric, as the brute-force oracle
+//! ([`crate::seq::build_g_bruteforce`]) checks.
 //!
-//! The parallel builders hold each F block in one orientation and
-//! accumulate it once, so the global F′ holds every ordered update at
-//! (i, j) or at (j, i); [`symmetrize`] turns it into ½(F′ + F′ᵀ), the
-//! ordered-update sum, exactly symmetric.
+//! A sink says where shell pair (a, b) lives ([`BlockView`]), a pair held
+//! only as (b, a) being served with swapped strides; [`apply_quartet`]
+//! resolves the six views once per quartet.
 
 use crate::tasks::FockProblem;
+use chem::Shell;
 use eri::{ClassBatcher, DensityNorms, EriEngine, QuartetClass};
+
+/// Where the block of a shell pair (a, b) lives in a sink's D and F
+/// slices: element (r, c), r in shell a and c in shell b, is at
+/// `off + r·row + c·col`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockView {
+    pub off: usize,
+    pub row: usize,
+    pub col: usize,
+}
+
+impl BlockView {
+    /// A block stored row-major at `off` with `ncols` elements per row.
+    #[inline]
+    pub fn row_major(off: usize, ncols: usize) -> Self {
+        BlockView {
+            off,
+            row: ncols,
+            col: 1,
+        }
+    }
+
+    /// The same storage read as the transposed pair.
+    #[inline]
+    pub fn transposed(self) -> Self {
+        BlockView {
+            row: self.col,
+            col: self.row,
+            ..self
+        }
+    }
+
+    /// Index of element (r, c).
+    #[inline]
+    pub fn at(self, r: usize, c: usize) -> usize {
+        self.off + r * self.row + c * self.col
+    }
+}
 
 /// Where quartet updates land. Implementations: dense matrices
 /// ([`DenseSink`]), prefetched process-local buffers
-/// ([`crate::localbuf::LocalBuffers`]).
+/// ([`crate::localbuf::LocalBuffers`]) and the NWChem baseline's per-atom-
+/// quartet pair cache. Its D must be symmetric: the six-block update reads
+/// each D block in one orientation only.
 pub trait FockSink {
-    /// Read D at global basis-function indices (i, j).
-    fn d(&self, i: usize, j: usize) -> f64;
-    /// Accumulate into F at global basis-function indices (i, j).
-    fn f_add(&mut self, i: usize, j: usize, v: f64);
+    /// The view of shell pair (a, b); `shells` is the problem's shell list.
+    fn block(&self, shells: &[Shell], a: usize, b: usize) -> BlockView;
+    /// The D slice the views read and the F slice they accumulate into.
+    fn slices(&mut self) -> (&[f64], &mut [f64]);
 }
 
 /// Dense full-matrix sink (sequential reference, tests, small systems).
@@ -42,55 +88,31 @@ pub struct DenseSink<'a> {
 
 impl FockSink for DenseSink<'_> {
     #[inline]
-    fn d(&self, i: usize, j: usize) -> f64 {
-        self.d[i * self.nbf + j]
+    fn block(&self, shells: &[Shell], a: usize, b: usize) -> BlockView {
+        let off = shells[a].bf_offset * self.nbf + shells[b].bf_offset;
+        BlockView::row_major(off, self.nbf)
     }
 
     #[inline]
-    fn f_add(&mut self, i: usize, j: usize, v: f64) {
-        self.f[i * self.nbf + j] += v;
+    fn slices(&mut self) -> (&[f64], &mut [f64]) {
+        (self.d, self.f)
     }
 }
 
-/// The 8 symmetry permutations of a quartet (slots a,b,c,d of (ab|cd)):
-/// bra swap, ket swap, bra↔ket swap, and their compositions. Each entry
-/// maps image slot → original slot.
-pub const QUARTET_PERMS: [[usize; 4]; 8] = [
-    [0, 1, 2, 3],
-    [1, 0, 2, 3],
-    [0, 1, 3, 2],
-    [1, 0, 3, 2],
-    [2, 3, 0, 1],
-    [3, 2, 0, 1],
-    [2, 3, 1, 0],
-    [3, 2, 1, 0],
-];
-
-/// The subset of [`QUARTET_PERMS`] producing *distinct* ordered shell
-/// tuples for the quartet `(shells[0] shells[1] | shells[2] shells[3])`.
-pub fn distinct_images(shells: [usize; 4]) -> Vec<[usize; 4]> {
-    let mut tuples: Vec<[usize; 4]> = Vec::with_capacity(8);
-    let mut perms = Vec::with_capacity(8);
-    for perm in QUARTET_PERMS {
-        let t = [
-            shells[perm[0]],
-            shells[perm[1]],
-            shells[perm[2]],
-            shells[perm[3]],
-        ];
-        if !tuples.contains(&t) {
-            tuples.push(t);
-            perms.push(perm);
-        }
-    }
-    perms
+/// `deg` of the quartet (MP|NQ), `shells = [m, p, n, q]`: 8 over the size
+/// of its shell-level stabiliser.
+pub(crate) fn degeneracy([m, p, n, q]: [usize; 4]) -> f64 {
+    let two_if = |distinct: bool| if distinct { 2.0 } else { 1.0 };
+    two_if(m != p) * two_if(n != q) * two_if((m, p) != (n, q) && (m, p) != (q, n))
 }
 
-/// Apply one computed quartet block to the sink.
+/// Apply one computed quartet block to the sink: the six block updates of
+/// the module docs.
 ///
 /// `shells = [m, p, n, q]` — the quartet is (MP|NQ) as the tasks compute
 /// it; `block` is the row-major `[nm][np][nn][nq]` spherical block from
-/// [`EriEngine::quartet`] called as `quartet(M, P, N, Q)`.
+/// [`EriEngine::quartet`] called as `quartet(M, P, N, Q)`. The sink's D
+/// must be symmetric.
 pub fn apply_quartet<S: FockSink>(
     sink: &mut S,
     prob: &FockProblem,
@@ -98,49 +120,43 @@ pub fn apply_quartet<S: FockSink>(
     block: &[f64],
 ) {
     let sh = &prob.basis.shells;
-    let dims = [
-        sh[shells[0]].nfuncs(),
-        sh[shells[1]].nfuncs(),
-        sh[shells[2]].nfuncs(),
-        sh[shells[3]].nfuncs(),
-    ];
-    let offs = [
-        sh[shells[0]].bf_offset,
-        sh[shells[1]].bf_offset,
-        sh[shells[2]].bf_offset,
-        sh[shells[3]].bf_offset,
-    ];
-    debug_assert_eq!(block.len(), dims.iter().product::<usize>());
+    let [m, p, n, q] = shells;
+    let [_, dp, dn, dq] = shells.map(|s| sh[s].nfuncs());
+    debug_assert_eq!(block.len(), sh[m].nfuncs() * dp * dn * dq);
+    let [mp, nq, mn, pq, mq, pn] =
+        [(m, p), (n, q), (m, n), (p, q), (m, q), (p, n)].map(|(a, b)| sink.block(sh, a, b));
+    let (d, f) = sink.slices();
+    let coul = degeneracy(shells);
+    let exch = -0.25 * coul;
 
-    for perm in distinct_images(shells) {
-        // Iterate the block in original order; map each element's four
-        // indices through the permutation to image slots (a,b,c,d).
-        let mut flat = 0usize;
-        for i0 in 0..dims[0] {
-            for i1 in 0..dims[1] {
-                for i2 in 0..dims[2] {
-                    for i3 in 0..dims[3] {
-                        let v = block[flat];
-                        flat += 1;
-                        if v == 0.0 {
-                            continue;
-                        }
-                        let idx = [i0, i1, i2, i3];
-                        let a = offs[perm[0]] + idx[perm[0]];
-                        let b = offs[perm[1]] + idx[perm[1]];
-                        let c = offs[perm[2]] + idx[perm[2]];
-                        let d = offs[perm[3]] + idx[perm[3]];
-                        sink.f_add(a, b, 2.0 * sink.d(c, d) * v);
-                        sink.f_add(a, c, -sink.d(b, d) * v);
-                    }
+    for (i, rows) in block.chunks_exact(dp * dn * dq).enumerate() {
+        for (j, rows) in rows.chunks_exact(dn * dq).enumerate() {
+            let ij = mp.at(i, j);
+            let d_ij = coul * d[ij];
+            let mut f_ij = 0.0;
+            for (k, row) in rows.chunks_exact(dq).enumerate() {
+                let (ik, jk) = (mn.at(i, k), pn.at(j, k));
+                let (d_ik, d_jk) = (exch * d[ik], exch * d[jk]);
+                let (mut f_ik, mut f_jk) = (0.0, 0.0);
+                for (l, &v) in row.iter().enumerate() {
+                    let (kl, jl, il) = (nq.at(k, l), pq.at(j, l), mq.at(i, l));
+                    f_ij += d[kl] * v;
+                    f[kl] += d_ij * v;
+                    f_ik += d[jl] * v;
+                    f[jl] += d_ik * v;
+                    f_jk += d[il] * v;
+                    f[il] += d_jk * v;
                 }
+                f[ik] += exch * f_ik;
+                f[jk] += exch * f_jk;
             }
+            f[ij] += coul * f_ij;
         }
     }
 }
 
-/// G ← ½(G + Gᵀ) for a row-major n×n G: the one assembly step of the
-/// parallel builders, after every F block landed.
+/// G ← ½(G + Gᵀ) for a row-major n×n G: the one assembly step of every
+/// quartet builder, after every F block landed.
 pub fn symmetrize(g: &mut [f64], n: usize) {
     assert_eq!(g.len(), n * n);
     for i in 0..n {
@@ -201,55 +217,7 @@ pub fn do_task<S: FockSink>(
     // Φ membership implies every queued (M,P)/(N,Q) pair survived
     // screening, so the pair views the flush takes are always present.
     batcher.flush(eng, prob.pairs(), |quartet, block| {
-        let [m, p, n, q] = quartet;
-        apply_quartet(
-            sink,
-            prob,
-            [m as usize, p as usize, n as usize, q as usize],
-            block,
-        );
+        apply_quartet(sink, prob, quartet.map(|s| s as usize), block);
     });
     counts
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn perms_are_the_symmetry_group() {
-        // Applying any perm twice with its inverse recovers the identity,
-        // and the set is closed under composition.
-        let compose = |p: [usize; 4], q: [usize; 4]| [p[q[0]], p[q[1]], p[q[2]], p[q[3]]];
-        for p in QUARTET_PERMS {
-            for q in QUARTET_PERMS {
-                let c = compose(p, q);
-                assert!(
-                    QUARTET_PERMS.contains(&c),
-                    "{p:?} ∘ {q:?} = {c:?} not in group"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn distinct_images_counts() {
-        // All-distinct shells → 8 images.
-        assert_eq!(distinct_images([1, 2, 3, 4]).len(), 8);
-        // (MM|MM) → 1.
-        assert_eq!(distinct_images([5, 5, 5, 5]).len(), 1);
-        // (MP|MP) (a=c, b=d) → identity, braswap+ketswap+exchange... 4 distinct.
-        assert_eq!(distinct_images([1, 2, 1, 2]).len(), 4);
-        // (MM|PQ) → 4 distinct.
-        assert_eq!(distinct_images([3, 3, 1, 2]).len(), 4);
-        // (MP|NQ) with one repeat across: [1,2,1,3].
-        assert_eq!(distinct_images([1, 2, 1, 3]).len(), 8);
-    }
-
-    #[test]
-    fn images_always_include_identity_first() {
-        for shells in [[1usize, 2, 3, 4], [1, 1, 2, 2], [0, 0, 0, 0]] {
-            assert_eq!(distinct_images(shells)[0], [0, 1, 2, 3]);
-        }
-    }
 }

@@ -13,13 +13,14 @@
 //! Each build still produces exactly the G the sequential reference
 //! produces (to floating-point summation order): workers accumulate task
 //! batches into private buffers and merge them into the job's accumulator
-//! under its lock, so no update is lost or double-applied.
+//! under its lock, so no update is lost or double-applied; the merged F′
+//! is symmetrized once after the last batch lands.
 
 use crate::error::Error;
 use eri::{ClassBatcher, ClassStats, DensityNorms, EriEngine};
 use fock_core::{
-    do_task, record_class_stats, BuildError, BuildOutcome, BuildReport, DenseSink, FockBuild,
-    FockProblem, DENSITY_SKIPPED_COUNTER, DMAX_HISTOGRAM, QUARTETS_COUNTER,
+    do_task, record_class_stats, symmetrize, BuildError, BuildOutcome, BuildReport, DenseSink,
+    FockBuild, FockProblem, DENSITY_SKIPPED_COUNTER, DMAX_HISTOGRAM, QUARTETS_COUNTER,
 };
 use obs::Recorder;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -211,8 +212,10 @@ impl PoolInner {
             drop(acc);
         }
 
+        let mut acc = job.accum.lock().unwrap();
+        let mut g = std::mem::take(&mut acc.f);
+        symmetrize(&mut g, nbf);
         let t_fock = start.elapsed().as_secs_f64();
-        let acc = job.accum.lock().unwrap();
         rec.counter(QUARTETS_COUNTER).add(acc.quartets);
         rec.counter(DENSITY_SKIPPED_COUNTER)
             .add(acc.skipped_density);
@@ -222,10 +225,7 @@ impl PoolInner {
             .with_t_comp(vec![t_fock])
             .with_quartets(vec![acc.quartets])
             .with_density_skipped(vec![acc.skipped_density]);
-        BuildOutcome {
-            g: acc.f.clone(),
-            report,
-        }
+        BuildOutcome { g, report }
     }
 }
 
@@ -355,7 +355,7 @@ mod tests {
         let mut d = vec![0.0; nbf * nbf];
         for i in 0..nbf {
             for j in 0..nbf {
-                d[i * nbf + j] = 0.1 * g[(i, j)] / (1.0 + g[(i, i)].abs());
+                d[i * nbf + j] = 0.1 * g[(i, j)] / (1.0 + (g[(i, i)] * g[(j, j)]).abs().sqrt());
             }
         }
         d
@@ -380,6 +380,11 @@ mod tests {
             max_diff(&g_seq, &out.g) < 1e-10,
             "pool G diverges: {}",
             max_diff(&g_seq, &out.g)
+        );
+        let n = prob.nbf();
+        assert!(
+            (0..n).all(|i| (0..i).all(|j| out.g[i * n + j] == out.g[j * n + i])),
+            "pool G is not exactly symmetric"
         );
     }
 

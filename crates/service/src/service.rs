@@ -70,10 +70,11 @@ pub struct ServiceConfig {
     /// Telemetry sink for job events, latency histograms and cache
     /// counters. Disabled by default.
     pub recorder: Recorder,
-    /// Route every job's Fock builds through the shared pool (the
-    /// multiplexed default). When off, each job uses whatever builder its
-    /// own [`ScfConfig`] carries — beware sharing one enabled recorder
-    /// across concurrent lane-checking builders in that mode.
+    /// Route every exact job's Fock builds through the shared pool (the
+    /// multiplexed default); a density-fitting job keeps its own builder.
+    /// When off, each job uses whatever builder its own [`ScfConfig`]
+    /// carries — beware sharing one enabled recorder across concurrent
+    /// lane-checking builders in that mode.
     pub shared_pool: bool,
 }
 
@@ -327,7 +328,9 @@ impl ServiceInner {
             .add(1);
 
         let mut cfg = spec.cfg.clone();
-        if self.shared_pool {
+        // The pool runs exact quartet builds only: a job whose builder
+        // carries an auxiliary basis (density fitting) keeps its own.
+        if self.shared_pool && cfg.builder.aux_key().is_none() {
             cfg.builder = self.pool.builder_for(Arc::clone(&lookup.problem));
             // Fold the service recorder in only when the job brought none:
             // the pool builder is lane-free, so many concurrent jobs can
@@ -509,7 +512,8 @@ impl Drop for ScfService {
 mod tests {
     use super::*;
     use chem::generators;
-    use fock_core::run_scf;
+    use eri::AuxSpec;
+    use fock_core::{df_builder, run_scf};
 
     fn quick_cfg() -> ScfConfig {
         ScfConfig::builder().max_iter(30).diis(true).build()
@@ -535,6 +539,31 @@ mod tests {
         );
         assert!(!out.cache_hit);
         assert!(out.total_secs >= out.exec_secs);
+    }
+
+    #[test]
+    fn df_job_keeps_its_df_builder() {
+        // The shared pool is on by default; a DF job must still run DF.
+        let svc = ScfService::new(ServiceConfig::default().with_workers(2).with_runners(1));
+        let df = || {
+            let mut cfg = quick_cfg();
+            cfg.builder = df_builder(AuxSpec::default());
+            cfg
+        };
+        let run = |cfg| run_scf(generators::water(), BasisSetKind::Sto3g, cfg).unwrap();
+        let water = JobSpec::new(generators::water(), BasisSetKind::Sto3g, df());
+        let (got, standalone, exact) =
+            (svc.run(water).unwrap().result, run(df()), run(quick_cfg()));
+        assert!(got.converged);
+        let (e, e_df, e_exact) = (got.energy, standalone.energy, exact.energy);
+        assert!(
+            (e - e_df).abs() < 1e-10,
+            "service DF {e} vs standalone {e_df}"
+        );
+        assert!(
+            (e - e_exact).abs() > 1e-6,
+            "service DF {e} equals exact {e_exact}"
+        );
     }
 
     #[test]

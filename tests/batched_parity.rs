@@ -3,13 +3,13 @@
 //! quartet through `ClassBatcher`/`BatchKernel`) must match a manual
 //! scalar loop that evaluates exactly the same screened quartet stream
 //! with `EriEngine::quartet_ref` (no pair data, no primitive pruning,
-//! series Boys) and applies the same image expansion.
+//! series Boys) and applies the same six-block update and symmetrization.
 
 use fock_repro::chem::reorder::ShellOrdering;
 use fock_repro::chem::{generators, BasisSetKind};
 use fock_repro::core::seq::build_g_seq;
 use fock_repro::core::tasks::FockProblem;
-use fock_repro::core::{apply_quartet, DenseSink};
+use fock_repro::core::{apply_quartet, symmetrize, DenseSink};
 use fock_repro::eri::{DensityNorms, EriEngine};
 
 fn density(nbf: usize) -> Vec<f64> {
@@ -52,6 +52,7 @@ fn build_g_scalar(prob: &FockProblem, d: &[f64]) -> (Vec<f64>, u64) {
             }
         }
     }
+    symmetrize(&mut f, nbf);
     (f, quartets)
 }
 

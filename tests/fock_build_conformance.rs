@@ -66,6 +66,12 @@ fn conformance_on(prob: &FockProblem, seed: u64) {
         let out = b.build(prob, &d, &Recorder::disabled()).expect("build");
         let diff = max_diff(&want, &out.g);
         assert!(diff < 1e-10, "{}: G differs from seq by {diff}", b.name());
+        let n = prob.nbf();
+        assert!(
+            (0..n).all(|i| (0..i).all(|j| out.g[i * n + j] == out.g[j * n + i])),
+            "{}: G is not exactly symmetric",
+            b.name()
+        );
         assert_eq!(
             out.report.total_quartets(),
             want_q,
